@@ -17,13 +17,11 @@ point, making every primal number a certified upper bound.
 
 The interior dual maximises total mass over nonnegative measures on the
 set subject to a unit Green-potential norm.  By 1-homogeneity this is a
-simplex problem: maximise m(K) / ||G[m]||.  The constraint norm is the
-Amemiya-Orlicz norm by default, which is the exact dual of the primal's
-gauge norm, so weak duality (dual <= primal) holds by construction; the
-gauge-constraint variant from the capacity definitions is available as
-an option but can overshoot the primal by up to the factor-2 norm
-equivalence.  Every interior dual number comes from a feasible
-(rescaled) measure, hence is a certified lower bound.
+simplex problem: maximise m(K) / ||G[m]||.  The potential is measured in
+the Amemiya-Orlicz norm, the exact dual of the primal's gauge norm, so
+weak duality (dual <= primal) holds by construction.  Every interior
+dual number comes from a feasible (rescaled) measure, hence is a
+certified lower bound.
 
 The boundary dual is the exact dual of the discretised boundary primal,
 read through that primal's adjoint.  Write L eta = A diag(rho*) A^{-1} B eta
@@ -102,11 +100,10 @@ class CapacityOptions:
     # program never pays.
     collar: int = 0
     maxiter: int = 600         # quasi-Newton iteration cap (primal)
-    # The next three apply to the interior dual only: the boundary dual
+    # The next two apply to the interior dual only: the boundary dual
     # is a closed-form certificate at the boundary primal's final eta.
     dual_iters: int = 800      # projected ascent steps
     dual_step: float = 0.5     # initial step scale a in a/sqrt(t)
-    constraint_norm: str = "orlicz"  # potential norm: "orlicz" | "luxemburg"
     seed: int = 0
 
 
@@ -482,27 +479,17 @@ def _dual_program(columns: np.ndarray, grid, nf, weight, opts: CapacityOptions):
     """Maximise mass(m)/||columns @ m|| over the simplex; certified values."""
     K = columns.shape[1]
     if K == 1:
-        if opts.constraint_norm == "orlicz":
-            nrm = orlicz_norm(columns[:, 0], grid, nf, "principal", weight)
-        else:
-            nrm = luxemburg_norm(columns[:, 0], grid, nf, "principal", weight)
+        nrm = orlicz_norm(columns[:, 0], grid, nf, "principal", weight)
         return np.array([1.0 / nrm]), 1.0 / nrm, 0
-
-    def norm_grad(v):
-        if opts.constraint_norm == "orlicz":
-            return _orlicz_norm_and_grad(v, grid, nf, weight)
-        k, g = luxemburg_subgradient(v, grid, nf, side="principal",
-                                     weight=weight)
-        return k, g
 
     m = np.full(K, 1.0 / K)
     best_val, best_m = -np.inf, m.copy()
     v = columns @ m
-    nrm, g = norm_grad(v)
+    nrm, g = _orlicz_norm_and_grad(v, grid, nf, weight)
     step0 = opts.dual_step * nrm / max(1e-300, np.abs(columns.T @ g).max())
     for t in range(1, opts.dual_iters + 1):
         v = columns @ m
-        nrm, g = norm_grad(v)
+        nrm, g = _orlicz_norm_and_grad(v, grid, nf, weight)
         val = m.sum() / nrm
         if val > best_val:
             best_val, best_m = val, m.copy()
@@ -532,8 +519,7 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     masses, value, iters = _dual_program(cols, grid, nf, "lebesgue", opts)
     return CapacityEstimate("dual-interior", dual_value=float(value),
                             mu_nodes=support, mu_masses=masses,
-                            iterations=iters,
-                            aux={"constraint_norm": opts.constraint_norm})
+                            iterations=iters)
 
 
 def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstimate:

@@ -199,13 +199,12 @@ def _cmd_capacity(args) -> int:
     nodes = xp.target_nodes(grid, args.kind, args.target)
     K = CompactSet(grid, nodes, args.kind, label=args.target)
     opts = CapacityOptions(dilation=args.dilation, collar=args.collar,
-                           maxiter=args.maxiter, dual_iters=args.dual_iters,
-                           constraint_norm=args.constraint_norm)
+                           maxiter=args.maxiter, dual_iters=args.dual_iters)
     est = capacity_pair(K, ks, opts)
     gap = (est.gap / est.primal_value if est.primal_value > 0 else float("nan"))
     print(f"target {args.kind}:{args.target} -> {nodes.size} node(s)")
     print(f"primal = {est.primal_value:.10g}   ({est.iterations} iterations total)")
-    how = (f"constraint norm: {opts.constraint_norm}" if args.kind == "interior"
+    how = ("measure with unit Orlicz-norm potential" if args.kind == "interior"
            else "adjoint certificate at the primal's eta")
     print(f"dual   = {est.dual_value:.10g}   ({how})")
     print(f"gap    = {100.0 * gap:.2f}% of primal")
@@ -325,8 +324,6 @@ def main(argv=None) -> int:
     p.add_argument("--collar", type=int, default=0)
     p.add_argument("--maxiter", type=int, default=400)
     p.add_argument("--dual-iters", dest="dual_iters", type=int, default=800)
-    p.add_argument("--constraint-norm", dest="constraint_norm",
-                   default="orlicz", choices=("orlicz", "luxemburg"))
     p.add_argument("--dump-eta", dest="dump_eta")
     p.set_defaults(fn=_cmd_capacity)
 

@@ -39,8 +39,9 @@ import scipy.sparse.linalg as spla
 from .capacity import (CapacityOptions, CompactSet, boundary_test_norm,
                        dilate_boundary, dilate_interior, boundary_collar,
                        pairing, primal_boundary, primal_interior,
-                       _boundary_graph)
-from .errors import Infeasible, LadderTooCoarse, NotAdmissible, SupportError
+                       _boundary_graph, _graph_distance)
+from .errors import (Infeasible, LadderTooCoarse, NoConvergence, NotAdmissible,
+                     SupportError)
 from .grids import Field, build_grid, integrate
 from .kernels import assemble
 from .luxemburg import luxemburg_norm
@@ -176,28 +177,9 @@ def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
     return out
 
 
-def _boundary_graph_distance(grid, sources: np.ndarray) -> np.ndarray:
-    adj = _boundary_graph(grid)
-    dist = np.full(grid.n_boundary, np.inf)
-    frontier = list(int(v) for v in sources)
-    for s in frontier:
-        dist[s] = 0.0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for b in frontier:
-            for j in adj[b]:
-                if dist[j] > d:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    return dist
-
-
 def boundary_family(K_nodes: np.ndarray, grid, radii: Sequence[int]):
     """Graph-distance tents on the boundary: eta = max(0, 1 - dist/R)."""
-    dist = _boundary_graph_distance(grid, K_nodes)
+    dist = _graph_distance(_boundary_graph(grid), grid.n_boundary, K_nodes)
     out = []
     for R in sorted(radii, reverse=True):
         if R < 1:
@@ -362,7 +344,8 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
 
     At K nodes the absorption is dropped and the load is `charge`
     (total, split evenly over K); elsewhere the usual equation holds.
-    Returns (Field, iterations).
+    Returns (Field, iterations); raises NoConvergence when no Newton step
+    falls below 1e-10 within 100 steps.
     """
     grid = ks.grid
     A = ks.lap
@@ -383,6 +366,8 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
         u = u + delta
         if float(np.abs(delta).max()) < 1e-10:
             break
+    else:
+        raise NoConvergence(f"punctured Newton solve: no convergence in {it} steps")
     return Field(grid, u, np.zeros(grid.n_boundary)), it
 
 

@@ -5,8 +5,8 @@ weight w is
 
     ||f|| = inf { k > 0 : sum_i N(f_i / k) w_i h^d <= 1 },
 
-computed by geometric bisection on the monotone level function.  An
-optional pointwise scale c_i generalises the integrand to N(f_i/(k c_i));
+the root of the decreasing level equation sum_i N(f_i / k) w_i h^d = 1.
+An optional pointwise scale c_i generalises the integrand to N(f_i/(k c_i));
 the boundary capacity uses that with c = rho to evaluate
 ||f / rho||_{L_{P*, rho}} without ever forming f / rho (the rho factors
 cancel inside the integrand, which keeps near-boundary nodes finite).
@@ -19,8 +19,20 @@ is also provided; it is the exact dual norm of the complementary
 Luxemburg norm, which matters when weak duality between capacity
 programs has to hold by construction rather than by luck.  The two
 norms are equivalent within a factor 2.  Its minimising k solves the
-monotone level equation sum N*(n(k |f_i|)) w_i h^d = 1, found by one
-bracketed root-find in log k.
+increasing level equation sum N*(n(k |f_i|)) w_i h^d = 1.
+
+Both level equations have the form sum_i w_i h^d G(x b_i) = 1 with
+b = |f| / max|f| (|f| / c for the scaled gauge), G increasing, and
+x = max|f| / k (gauge, G = N) or x = k max|f| (Amemiya, G = N* o n).
+`_unit_level_root` solves both by one root-find in t = log x on the
+logarithm of the level, which is linear in t where G is quadratic and
+far milder than the level itself where G grows exponentially: the
+quadratic guess x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2), ln 2
+steps in t until the root is bracketed, a pull-in while the upper end's
+integrand overflows, then Brent's method.  The log-level functions are
+module-level and reach brentq through its `args`: scipy wraps the
+function in a closure that refers to itself, so a closure over the
+field passed there would stay alive until the cyclic collector runs.
 """
 
 from __future__ import annotations
@@ -32,11 +44,9 @@ from .errors import GridMismatch, OverflowInIntegrand, ZeroField
 from .grids import Field, WeightedGrid
 from .nfunctions import NFunction
 
-BISECT_RTOL = 1e-12
-BISECT_MAXIT = 200
-BRACKET_SHRINK = 2.0 ** -60
-AMEMIYA_STEP = np.log(2.0)   # bracket growth in log k
-AMEMIYA_XTOL = 1e-14         # root tolerance in log k
+LEVEL_STEP = np.log(2.0)   # bracket growth in log x
+LEVEL_XTOL = 1e-15         # root tolerance in log x
+LEVEL_MAXIT = 200          # cap on bracket steps and on Brent iterations
 
 
 def _resolve(f, grid: WeightedGrid):
@@ -59,63 +69,80 @@ def _side_fn(nf: NFunction, side: str):
     raise ValueError(f"side must be 'principal' or 'conjugate', got {side!r}")
 
 
-def _level(Nfun, f, W, k, scale):
-    """sum N(f/(k*scale)) W, with overflow mapped to +inf (k too small)."""
+def _gauge_log_level(t, b, W, Nfun):
+    """log sum W N(e^t b), the gauge level at k = max|f| e^-t; overflow
+    maps to +inf (k too small)."""
     try:
-        vals = Nfun(f / (k * scale))
+        out = float(Nfun(np.exp(t) * b) @ W)
     except OverflowInIntegrand:
         return np.inf
-    s = float(vals @ W)
-    return s if np.isfinite(s) else np.inf
+    return np.log(out) if np.isfinite(out) else np.inf
+
+
+def _amemiya_log_level(t, b, W, Nfun, dens):
+    """log sum W N*(n(e^t b)), the Amemiya level at k = e^t / max|f|, by
+    Young's equality N*(n(s)) = s n(s) - N(s); overflow maps to +inf
+    (k too large)."""
+    s = np.exp(t) * b
+    try:
+        out = float((s * dens(s) - Nfun(s)) @ W)
+    except OverflowInIntegrand:
+        return np.inf
+    return np.log(out) if np.isfinite(out) else np.inf
+
+
+def _unit_level_root(log_level, b, W, *args) -> float:
+    """t solving log_level(t, b, W, *args) = 0 (see the module docstring),
+    for a log-level increasing in t and +inf where the integrand
+    overflows; b is the field scaled to max 1."""
+    lo = hi = 0.5 * np.log(2.0 / float((b * b) @ W))
+    f_hi = f_lo = log_level(hi, b, W, *args)
+    for _ in range(LEVEL_MAXIT):
+        if f_lo >= 0.0:
+            hi, f_hi = lo, f_lo
+            lo -= LEVEL_STEP
+            f_lo = log_level(lo, b, W, *args)
+        elif f_hi < 0.0:
+            lo, f_lo = hi, f_hi
+            hi += LEVEL_STEP
+            f_hi = log_level(hi, b, W, *args)
+        else:
+            break
+    else:
+        raise OverflowInIntegrand("could not bracket the unit level")
+    # pull an overflowing upper end in until the level is finite there
+    while not np.isfinite(f_hi):
+        mid = 0.5 * (lo + hi)
+        f_mid = log_level(mid, b, W, *args)
+        if f_mid < 0.0:
+            lo = mid
+        else:
+            hi, f_hi = mid, f_mid
+    return brentq(log_level, lo, hi, args=(b, W) + args, xtol=LEVEL_XTOL,
+                  maxiter=LEVEL_MAXIT)
 
 
 def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                    weight: str = "lebesgue", scale=None) -> float:
-    """Luxemburg norm by bisection; exact 0 for the zero field."""
+    """Luxemburg norm, by one bracketed Brent root-find of its level
+    equation in log k (see the module docstring); exact 0 for the zero
+    field."""
     vals = _resolve(f, grid)
     if not np.all(np.isfinite(vals)):
         raise OverflowInIntegrand("field contains non-finite values")
     W = grid.weight_vector(weight)
-    if scale is None:
-        sc = np.ones_like(vals)
-    else:
+    ratio = np.abs(vals)
+    if scale is not None:
         sc = np.asarray(scale, dtype=float)
         if np.any(sc <= 0):
             raise ValueError("scale vector must be strictly positive")
-    ratio = np.abs(vals) / sc
-    fmax = float(ratio.max(initial=0.0))
-    if fmax == 0.0:
+        ratio /= sc
+    rmax = float(ratio.max(initial=0.0))
+    if rmax == 0.0:
         return 0.0
     Nfun, _ = _side_fn(nf, side)
-
-    k_hi = fmax * max(1.0, float(W.sum()))
-    if not np.isfinite(_level(Nfun, vals, W, k_hi, sc)):
-        raise OverflowInIntegrand("integrand non-finite at the initial upper bracket")
-    # ensure the bracket actually straddles the level 1
-    for _ in range(200):
-        if _level(Nfun, vals, W, k_hi, sc) <= 1.0:
-            break
-        k_hi *= 2.0
-    else:
-        raise OverflowInIntegrand("could not bracket the Luxemburg level from above")
-    k_lo = max(k_hi * BRACKET_SHRINK, np.finfo(float).tiny)
-    if _level(Nfun, vals, W, k_lo, sc) <= 1.0:
-        # norm is below the tiny bracket end; shrink further (rare, tiny fields)
-        for _ in range(200):
-            k_hi = k_lo
-            k_lo *= BRACKET_SHRINK
-            if _level(Nfun, vals, W, k_lo, sc) > 1.0:
-                break
-
-    for _ in range(BISECT_MAXIT):
-        if k_hi - k_lo <= BISECT_RTOL * k_hi:
-            break
-        k_mid = np.sqrt(k_lo * k_hi)
-        if _level(Nfun, vals, W, k_mid, sc) > 1.0:
-            k_lo = k_mid
-        else:
-            k_hi = k_mid
-    return 0.5 * (k_lo + k_hi)
+    t = _unit_level_root(_gauge_log_level, ratio / rmax, W, Nfun)
+    return rmax * float(np.exp(-t))
 
 
 def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
@@ -146,49 +173,12 @@ def _amemiya_argmin(vals, W, Nfun, dens) -> float:
     """k minimising the Amemiya functional (1 + sum N(k f) W) / k.
 
     Setting the derivative to zero gives the level equation
-    sum W N*(n(k |f|)) = 1, whose left side increases with k; Young's
-    equality N*(n(s)) = s n(s) - N(s) evaluates it from N and its density
-    alone.  The root is bracketed in log k from the quadratic guess
-    sqrt(2 / sum W f^2) (exact when N(t) = t^2/2) and refined by Brent's
-    method.  Overflow maps the level to +inf (k too large).
+    sum W N*(n(k |f|)) = 1, whose left side increases with k.
     """
     a = np.abs(vals)
-    fmax = float(a.max())
-
-    def level(t):
-        s = np.exp(t) * a
-        try:
-            out = float((s * dens(s) - Nfun(s)) @ W)
-        except OverflowInIntegrand:
-            return np.inf
-        return out if np.isfinite(out) else np.inf
-
-    lo = hi = 0.5 * np.log(2.0 / float(((a / fmax) ** 2) @ W)) - np.log(fmax)
-    f_hi = f_lo = level(hi)
-    for _ in range(BISECT_MAXIT):
-        if f_lo >= 1.0:
-            hi, f_hi = lo, f_lo
-            lo -= AMEMIYA_STEP
-            f_lo = level(lo)
-        elif f_hi < 1.0:
-            lo, f_lo = hi, f_hi
-            hi += AMEMIYA_STEP
-            f_hi = level(hi)
-        else:
-            break
-    else:
-        raise OverflowInIntegrand("could not bracket the Amemiya level")
-    # pull an overflowing upper end in until the level is finite there
-    while not np.isfinite(f_hi):
-        mid = 0.5 * (lo + hi)
-        f_mid = level(mid)
-        if f_mid < 1.0:
-            lo = mid
-        else:
-            hi, f_hi = mid, f_mid
-    t = brentq(lambda t: level(t) - 1.0, lo, hi, xtol=AMEMIYA_XTOL,
-               maxiter=BISECT_MAXIT)
-    return float(np.exp(t))
+    amax = float(a.max())
+    t = _unit_level_root(_amemiya_log_level, a / amax, W, Nfun, dens)
+    return float(np.exp(t)) / amax
 
 
 def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,

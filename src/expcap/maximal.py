@@ -6,9 +6,22 @@ the padded bounding cube Q0.  Fields are extended by zero outside the
 interior nodes, so enlarging Q0 can only add candidate squares: M is
 monotone in the pad for nonnegative data, which the tests exercise.
 
-Box sums come from a summed-area table; the max over all anchor
-positions of a given size is a trailing sliding maximum per axis.
-Cost is O(N^2) per size in 2D, fine at desk scale.
+Box averages come from a summed-area table.  The max over all squares
+runs as a cascade from the largest size down.  Let V_s(a) be the largest
+average over squares inside Q0 that contain the side-s square anchored
+at a.  A square of side t >= s+1 containing (a, s) also contains one of
+the side-(s+1) squares anchored at a, a-e1, a-e2, a-e1-e2 that lie in
+Q0: per axis, take anchor a-1 if the big square starts before a, and
+anchor a otherwise (the big square then reaches past a+s).  Hence
+
+    V_s(a) = max(avg_s(a), V_{s+1} at those <= 4 anchors),
+
+from V_N = avg_N down to V_2, and M = max(|f|, V_2 at the <= 4 anchors
+whose square covers the cell); in 1D the anchors are a and a-1.  Each
+size costs a few elementwise passes over its (N-s+1)^2 anchors, O(N^3)
+in all for an N x N cube.  The averages are the same summed-area
+expressions at every size and a max is exact, so the cascade returns
+the same bits as a direct max over every square.
 
 The companion functional
 
@@ -35,21 +48,19 @@ def _sat(F: np.ndarray) -> np.ndarray:
     return S
 
 
-def _anchor_max(avg: np.ndarray, s: int, axis: int) -> np.ndarray:
-    """Max over anchors covering each cell.
-
-    `avg` holds one value per anchor position (length N-s+1 along `axis`);
-    the output has one value per cell (length N): out[i] is the max of
-    avg[a] over anchors a in [i-s+1, i] that exist.  Implemented as a
-    sliding-window max over the -inf padded anchor array.
-    """
-    if s == 1:
-        return avg
-    pad = [(0, 0)] * avg.ndim
-    pad[axis] = (s - 1, s - 1)
-    B = np.pad(avg, pad, constant_values=-np.inf)
-    win = np.lib.stride_tricks.sliding_window_view(B, s, axis=axis)
-    return win.max(axis=-1)
+def _cover(V: np.ndarray) -> np.ndarray:
+    """One longer than V per axis: out[a] is the max of V over the anchors
+    a - d, d in {0, 1}^ndim, that exist, i.e. over the squares one size
+    up that contain the square anchored at a."""
+    R = np.empty((V.shape[0] + 1,) + V.shape[1:])
+    R[0], R[-1] = V[0], V[-1]
+    np.maximum(V[:-1], V[1:], out=R[1:-1])
+    if V.ndim == 1:
+        return R
+    U = np.empty((R.shape[0], R.shape[1] + 1))
+    U[:, 0], U[:, -1] = R[:, 0], R[:, -1]
+    np.maximum(R[:, :-1], R[:, 1:], out=U[:, 1:-1])
+    return U
 
 
 def _scatter_full(f_vals: np.ndarray, grid: WeightedGrid, pad: int) -> np.ndarray:
@@ -79,19 +90,21 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     if grid.ndim == 1:
         N = full.size
         S = np.concatenate([[0.0], np.cumsum(full)])
-        M = full.copy()
-        for s in range(2, N + 1):
-            avg = (S[s:] - S[:-s]) / s  # anchors 0..N-s
-            M = np.maximum(M, _anchor_max(avg, s, 0))
-        return M
 
-    N = full.shape[0]
-    S = _sat(full)
-    M = full.copy()
-    for s in range(2, N + 1):
-        box = (S[s:, s:] - S[:-s, s:] - S[s:, :-s] + S[:-s, :-s]) / (s * s)
-        M = np.maximum(M, _anchor_max(_anchor_max(box, s, 0), s, 1))
-    return M
+        def avg(s):  # anchors 0..N-s
+            return (S[s:] - S[:-s]) / s
+    else:
+        N = full.shape[0]
+        S = _sat(full)
+
+        def avg(s):
+            return (S[s:, s:] - S[:-s, s:] - S[s:, :-s] + S[:-s, :-s]) / (s * s)
+
+    V = avg(N)
+    for s in range(N - 1, 1, -1):
+        box = avg(s)
+        V = np.maximum(box, _cover(V), out=box)
+    return np.maximum(full, _cover(V), out=full)
 
 
 def maximal_interior(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:

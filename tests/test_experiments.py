@@ -5,7 +5,9 @@ import csv
 import numpy as np
 import pytest
 
-from expcap.errors import Infeasible, SupportError
+import expcap.experiments as xp
+from expcap.capacity import _boundary_graph
+from expcap.errors import Infeasible, NoConvergence, SupportError
 from expcap.experiments import (ExperimentConfig, boundary_family,
                                 interior_family, punctured_solve,
                                 run_boundary_probe, run_convergence_suite,
@@ -111,6 +113,36 @@ def test_punctured_solve_matches_full_without_a_hole(ks16):
     resid = ks16.lap @ u.values + np.expm1(u.values) - mu.density_vector()
     assert np.abs(resid).max() < 1e-9
     assert iters < 20
+
+
+def test_punctured_solve_raises_when_newton_stalls(ks16, monkeypatch):
+    # a factorisation that has lost the Jacobian: every step is the same
+    # small constant, so no step ever falls below the tolerance
+    class Stalled:
+        def solve(self, rhs):
+            return np.full_like(rhs, 1e-3)
+
+    monkeypatch.setattr(xp.spla, "splu", lambda J: Stalled())
+    grid = ks16.grid
+    mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
+    with pytest.raises(NoConvergence):
+        punctured_solve(mu, ks16, np.array([0], dtype=int))
+
+
+def test_boundary_tents_follow_the_boundary_graph(ks16):
+    # reference: hop counts by repeated relaxation over the 8-neighbour
+    # boundary graph, independent of the breadth-first search
+    grid = ks16.grid
+    adj = _boundary_graph(grid)
+    K = np.array([3, 4])
+    dist = np.full(grid.n_boundary, np.inf)
+    dist[K] = 0.0
+    for _ in range(grid.n_boundary):
+        for b, nbrs in enumerate(adj):
+            for j in nbrs:
+                dist[j] = min(dist[j], dist[b] + 1.0)
+    for R, eta in zip((6, 2), boundary_family(K, grid, (2, 6))):
+        assert np.array_equal(eta, np.maximum(0.0, 1.0 - dist / R))
 
 
 def test_boundary_probe_trends():

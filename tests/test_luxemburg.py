@@ -1,13 +1,16 @@
 """Gauge and Amemiya norms: closed forms, invariants, subgradients."""
 
+import gc
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from expcap.errors import GridMismatch, OverflowInIntegrand, ZeroField
+from expcap.grids import build_grid
 from expcap.luxemburg import (holder_young_pairing, luxemburg_norm,
                               luxemburg_subgradient, orlicz_norm)
-from expcap.nfunctions import exponential_pair, quadratic_pair
+from expcap.nfunctions import NFunction, exponential_pair, quadratic_pair
 
 NF = exponential_pair()
 QP = quadratic_pair()
@@ -146,3 +149,111 @@ def test_bad_side_and_bad_scale_rejected(ks16):
         luxemburg_norm(f, grid, NF, side="sideways")
     with pytest.raises(ValueError):
         luxemburg_norm(f, grid, NF, scale=np.zeros(grid.n_interior))
+
+
+class _Counted:
+    """An N-function pair whose P and P* count their calls and the calls
+    that overflow; past `limit` they raise as an overflowing integrand."""
+
+    def __init__(self, base, limit=np.inf):
+        self.base, self.limit = base, limit
+        self.calls = self.overflows = 0
+        self.nf = NFunction(base.name, self._wrap(base.principal),
+                            self._wrap(base.conjugate), base.density,
+                            base.conjugate_density)
+
+    def _wrap(self, fn):
+        def counted(t):
+            self.calls += 1
+            if np.abs(t).max(initial=0.0) > self.limit:
+                self.overflows += 1
+                raise OverflowInIntegrand("argument past the test limit")
+            try:
+                return fn(t)
+            except OverflowInIntegrand:
+                self.overflows += 1
+                raise
+        return counted
+
+    def reset(self):
+        self.calls = self.overflows = 0
+
+
+def _level(base, f, grid, k, side, weight, scale):
+    N = base.P if side == "principal" else base.Pstar
+    return float(N(f / (k * (1.0 if scale is None else scale)))
+                 @ grid.weight_vector(weight))
+
+
+@pytest.mark.parametrize("magnitude", [1.0, 1e-150])
+@pytest.mark.parametrize("base", [NF, QP], ids=["exponential", "quadratic"])
+def test_level_identity_and_evaluation_count(ks16, rng, base, magnitude):
+    grid = ks16.grid
+    counted = _Counted(base)
+    for _ in range(3):
+        f = magnitude * rng.uniform(0.2, 4.0) * rng.standard_normal(grid.n_interior)
+        for side in ("principal", "conjugate"):
+            for weight in ("lebesgue", "rho"):
+                for scale in (None, grid.rho):
+                    counted.reset()
+                    k = luxemburg_norm(f, grid, counted.nf, side, weight, scale)
+                    assert counted.calls <= 20
+                    assert abs(_level(base, f, grid, k, side, weight, scale)
+                               - 1.0) < 1e-14
+
+
+def test_overflow_at_the_first_guess():
+    # A field concentrated on the node nearest a corner has almost no rho
+    # weight, so the quadratic guess puts exp's argument past its range.
+    grid = build_grid("square", 64)
+    f = np.zeros(grid.n_interior)
+    f[np.argmin(grid.rho)] = 3.0
+    counted = _Counted(NF)
+    k = luxemburg_norm(f, grid, counted.nf, weight="rho")
+    assert counted.overflows >= 1 and counted.calls <= 20
+    assert abs(_level(NF, f, grid, k, "principal", "rho", None) - 1.0) < 1e-14
+
+
+@pytest.mark.parametrize("side", ["principal", "conjugate"])
+def test_upper_end_pulled_in_below_an_overflow(ks16, rng, side):
+    # The integrand overflows just past the root, so a bracketing step
+    # lands beyond it and the upper end has to be pulled back in.
+    grid = ks16.grid
+    f = rng.standard_normal(grid.n_interior)
+    exact = luxemburg_norm(f, grid, NF, side)
+    counted = _Counted(NF, limit=1.05 * np.abs(f).max() / exact)
+    k = luxemburg_norm(f, grid, counted.nf, side)
+    assert counted.overflows >= 1 and counted.calls <= 20
+    assert abs(k - exact) <= 1e-14 * exact
+
+
+def test_norms_leave_no_cycle_holding_the_field(ks16, rng):
+    # scipy's brentq wraps its function in a closure that refers to
+    # itself; a closure over the field handed to it would keep the field
+    # alive until the cyclic collector runs.
+    grid = ks16.grid
+    f = rng.standard_normal(grid.n_interior)
+    spike = np.zeros(grid.n_interior)
+    spike[np.argmin(grid.rho)] = 40.0
+    calls = (lambda: luxemburg_norm(f, grid, NF),
+             lambda: luxemburg_norm(f, grid, NF, "conjugate", "rho", grid.rho),
+             lambda: luxemburg_norm(spike, grid, NF, weight="rho"),
+             lambda: luxemburg_subgradient(f, grid, NF, side="conjugate"),
+             lambda: orlicz_norm(f, grid, NF),
+             lambda: orlicz_norm(spike, grid, NF, weight="rho"))
+    debug = gc.get_debug()
+    gc.disable()
+    try:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        for call in calls:
+            gc.collect()
+            gc.garbage.clear()
+            call()
+            gc.collect()
+            held = [r for obj in gc.garbage for r in gc.get_referents(obj)
+                    if isinstance(r, np.ndarray)]
+            gc.garbage.clear()
+            assert not held
+    finally:
+        gc.set_debug(debug)
+        gc.enable()
