@@ -57,6 +57,8 @@ from typing import Optional
 
 import numpy as np
 import scipy.optimize as sopt
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import BadLambda, Infeasible, SupportError
 from .grids import Field, WeightedGrid, integrate
@@ -104,7 +106,6 @@ class CapacityOptions:
     # is a closed-form certificate at the boundary primal's final eta.
     dual_iters: int = 800      # projected ascent steps
     dual_step: float = 0.5     # initial step scale a in a/sqrt(t)
-    seed: int = 0
 
 
 @dataclass
@@ -138,28 +139,23 @@ class CapacityEstimate:
 # ---------------------------------------------------------------------------
 # adjacency helpers
 
-def _interior_adjacency(ks: KernelSet):
-    A = ks.lap.tocsr()
-    adj = []
-    for i in range(A.shape[0]):
-        cols = A.indices[A.indptr[i]:A.indptr[i + 1]]
-        adj.append(cols[cols != i])
-    return adj
+def _hop_distance(graph: sp.spmatrix, sources: np.ndarray) -> np.ndarray:
+    """Breadth-first hop counts from `sources` over a nonnegative symmetric
+    adjacency matrix (diagonal ignored); inf where unreachable."""
+    dist = np.full(graph.shape[0], np.inf)
+    dist[np.asarray(sources, dtype=int)] = 0.0
+    frontier = dist == 0.0
+    d = 0.0
+    while frontier.any():
+        d += 1.0
+        frontier = (graph @ frontier > 0) & np.isinf(dist)
+        dist[frontier] = d
+    return dist
 
 
 def dilate_interior(ks: KernelSet, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close `nodes` under `rings` steps of the interior stencil graph."""
-    out = set(int(v) for v in nodes)
-    adj = _interior_adjacency(ks)
-    frontier = set(out)
-    for _ in range(rings):
-        nxt = set()
-        for i in frontier:
-            nxt.update(int(j) for j in adj[i])
-        nxt -= out
-        out |= nxt
-        frontier = nxt
-    return np.array(sorted(out), dtype=int)
+    return np.flatnonzero(_hop_distance(abs(ks.lap), nodes) <= rings)
 
 
 def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
@@ -168,49 +164,35 @@ def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
     rings=0 returns the empty set: boundary nodes themselves always
     carry zero through the stencil, so no interior node needs pinning.
     """
-    if rings <= 0:
-        return np.array([], dtype=int)
     first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
-    if rings == 1:
-        return first
-    return dilate_interior(ks, first, rings - 1)
+    return np.flatnonzero(_hop_distance(abs(ks.lap), first) <= rings - 1)
 
 
-def _boundary_graph(grid: WeightedGrid):
+def _boundary_graph(grid: WeightedGrid) -> sp.csr_matrix:
     """Adjacency among boundary nodes (8-neighbourhood on the lattice)."""
+    nb = grid.n_boundary
     if grid.ndim == 1:
-        return [(), ()]
+        return sp.csr_matrix((nb, nb))
     m = grid.n + 2
-    where = {int(l): b for b, l in enumerate(grid.boundary_lattice)}
-    adj = []
-    for l in grid.boundary_lattice:
-        i, j = int(l) // m, int(l) % m
-        nbrs = []
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == dj == 0:
-                    continue
-                i2, j2 = i + di, j + dj
-                if 0 <= i2 < m and 0 <= j2 < m:
-                    o = where.get(i2 * m + j2)
-                    if o is not None:
-                        nbrs.append(o)
-        adj.append(tuple(nbrs))
-    return adj
+    bi, bj = np.divmod(grid.boundary_lattice, m)
+    rows, cols = [], []
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == dj == 0:
+                continue
+            i2, j2 = bi + di, bj + dj
+            ok = (i2 >= 0) & (i2 < m) & (j2 >= 0) & (j2 < m)
+            o = grid._bdy_of_lat[i2[ok] * m + j2[ok]]
+            rows.append(np.flatnonzero(ok)[o >= 0])
+            cols.append(o[o >= 0])
+    rows = np.concatenate(rows)
+    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))),
+                         shape=(nb, nb))
 
 
 def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.ndarray:
-    out = set(int(v) for v in nodes)
-    adj = _boundary_graph(grid)
-    frontier = set(out)
-    for _ in range(rings):
-        nxt = set()
-        for i in frontier:
-            nxt.update(adj[i])
-        nxt -= out
-        out |= nxt
-        frontier = nxt
-    return np.array(sorted(out), dtype=int)
+    """Close boundary `nodes` under `rings` steps of the boundary graph."""
+    return np.flatnonzero(_hop_distance(_boundary_graph(grid), nodes) <= rings)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +209,39 @@ def _box_minimise(objective, x0, free_bounds, maxiter):
 def _green_columns(ks: KernelSet, nodes: np.ndarray) -> np.ndarray:
     grid = ks.grid
     e = np.zeros((grid.n_interior, nodes.size))
-    for j, node in enumerate(nodes):
-        e[node, j] = 1.0 / grid.cell_measure
+    e[nodes, np.arange(nodes.size)] = 1.0 / grid.cell_measure
     return ks.solve(e)
+
+
+def _interior_pin(K: CompactSet, ks: KernelSet, opts: CapacityOptions):
+    """(ones, zeros, fixed, free_idx) of the interior admissible class:
+    eta = 1 on K dilated by opts.dilation rings, 0 on the opts.collar
+    rings inside the boundary, free elsewhere."""
+    ones = dilate_interior(ks, K.nodes, opts.dilation)
+    zeros = boundary_collar(ks, opts.collar)
+    if np.intersect1d(ones, zeros).size:
+        raise Infeasible("target set (dilated) touches the boundary collar")
+    fixed = np.zeros(ks.grid.n_interior)
+    fixed[ones] = 1.0
+    mask_free = np.ones(ks.grid.n_interior, dtype=bool)
+    mask_free[ones] = False
+    mask_free[zeros] = False
+    return ones, zeros, fixed, np.flatnonzero(mask_free)
+
+
+def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
+                         source: Optional[np.ndarray] = None) -> np.ndarray:
+    """Solve A eta = source (0 when None) on the free rows, eta = fixed
+    elsewhere, and clip the free values to [0, 1]."""
+    eta = fixed.copy()
+    if free_idx.size:
+        A = ks.lap
+        rhs = -(A[free_idx] @ fixed)
+        if source is not None:
+            rhs += source[free_idx]
+        sub = A[free_idx][:, free_idx].tocsc()
+        eta[free_idx] = np.clip(spla.splu(sub).solve(rhs), 0.0, 1.0)
+    return eta
 
 
 def primal_interior(K: CompactSet, ks: KernelSet,
@@ -251,19 +263,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     if K.kind != "interior":
         raise SupportError("primal_interior needs an interior target set")
     nf = exponential_pair()
-    ones = (dilate_interior(ks, K.nodes, opts.dilation)
-            if opts.dilation > 0 else K.nodes.copy())
-    zeros = boundary_collar(ks, opts.collar)
-    if np.intersect1d(ones, zeros).size:
-        raise Infeasible("target set (dilated) touches the boundary collar")
-
-    ni = grid.n_interior
-    fixed = np.zeros(ni)
-    fixed[ones] = 1.0
-    mask_free = np.ones(ni, dtype=bool)
-    mask_free[ones] = False
-    mask_free[zeros] = False
-    free_idx = np.flatnonzero(mask_free)
+    ones, zeros, fixed, free_idx = _interior_pin(K, ks, opts)
 
     def full_of(xf):
         full = fixed.copy()
@@ -274,16 +274,8 @@ def primal_interior(K: CompactSet, ks: KernelSet,
         return luxemburg_norm(ks.lap @ eta, grid, nf, side="conjugate",
                               weight="lebesgue")
 
-    seeds = []
     # harmonic profile between the pinned levels
-    eta_h = fixed.copy()
-    if free_idx.size:
-        A = ks.lap
-        sub = A[free_idx][:, free_idx].tocsc()
-        import scipy.sparse.linalg as spla
-        eta_h[free_idx] = np.clip(
-            spla.splu(sub).solve(-(A[free_idx] @ fixed)), 0.0, 1.0)
-    seeds.append(eta_h)
+    seeds = [pinned_harmonic_fill(ks, fixed, free_idx)]
     # alignment witness from the dual measure: impose the aligned source
     # p(khat G[mu]) on the free rows of the pinned system, so the collar
     # and the pin are satisfied without stomping values afterwards
@@ -297,13 +289,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
         # Young equality makes p(khat pot) the unit-norm aligned source,
         # so the optimiser target is dual_value times it.
         w_star = dual.dual_value * nf.p(khat * pot)
-        A = ks.lap
-        sub = A[free_idx][:, free_idx].tocsc()
-        import scipy.sparse.linalg as spla
-        rhs = w_star[free_idx] - A[free_idx] @ fixed
-        eta_w = fixed.copy()
-        eta_w[free_idx] = np.clip(spla.splu(sub).solve(rhs), 0.0, 1.0)
-        seeds.append(eta_w)
+        seeds.append(pinned_harmonic_fill(ks, fixed, free_idx, w_star))
 
     evals = {"n": 0}
 
@@ -314,18 +300,19 @@ def primal_interior(K: CompactSet, ks: KernelSet,
                                      weight="lebesgue")
         return k, (ks.lap @ g)[free_idx]
 
-    eta = min(seeds, key=norm_of)
+    values = [norm_of(seed) for seed in seeds]
+    eta, value = seeds[int(np.argmin(values))], min(values)
     converged = True
     iters = 0
     if free_idx.size:
         res = _box_minimise(objective, eta[free_idx],
                             [(0.0, 1.0)] * free_idx.size, opts.maxiter)
         cand = full_of(res.x)
-        if norm_of(cand) <= norm_of(eta):
-            eta = cand
+        cand_value = norm_of(cand)
+        if cand_value <= value:
+            eta, value = cand, cand_value
         iters = int(res.nit)
         converged = bool(res.success)
-    value = norm_of(eta)
     alt = llnl_norm(ks.lap @ eta, grid, "lebesgue")
     return CapacityEstimate("primal-interior", primal_value=float(value),
                             eta_star=eta, iterations=iters,
@@ -372,24 +359,6 @@ def boundary_test_norm(ks: KernelSet, eta_b: np.ndarray) -> float:
                           weight="rho", scale=grid.rho)
 
 
-def _graph_distance(adj, n: int, sources: np.ndarray) -> np.ndarray:
-    dist = np.full(n, np.inf)
-    frontier = [int(v) for v in sources]
-    for s in frontier:
-        dist[s] = 0.0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for b in frontier:
-            for j in adj[b]:
-                if dist[j] > d:
-                    dist[j] = d
-                    nxt.append(j)
-        frontier = nxt
-    return dist
-
-
 def primal_boundary(K: CompactSet, ks: KernelSet,
                     opts: CapacityOptions = CapacityOptions()) -> CapacityEstimate:
     """Certified upper bound for the boundary capacity of K.
@@ -402,8 +371,7 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
     grid.require_same(K.grid)
     if K.kind != "boundary":
         raise SupportError("primal_boundary needs a boundary target set")
-    ones = (dilate_boundary(grid, K.nodes, opts.dilation)
-            if opts.dilation > 0 else K.nodes.copy())
+    ones = dilate_boundary(grid, K.nodes, opts.dilation)
     nb = grid.n_boundary
     if ones.size >= nb:
         raise Infeasible("dilated target set covers the whole boundary")
@@ -416,14 +384,14 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
     def norm_of(eta_b):
         return boundary_test_norm(ks, eta_b)
 
-    adj = _boundary_graph(grid)
-    dist = _graph_distance(adj, nb, ones)
+    dist = _hop_distance(_boundary_graph(grid), ones)
     seeds = []
     for width in (2.0, 4.0, 8.0, 16.0):
         tent = np.maximum(0.0, 1.0 - dist / width)
         tent[ones] = 1.0
         seeds.append(tent)
-    eta = min(seeds, key=norm_of)
+    values = [norm_of(seed) for seed in seeds]
+    eta, value = seeds[int(np.argmin(values))], min(values)
 
     evals = {"n": 0}
 
@@ -441,11 +409,11 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
                             [(0.0, 1.0)] * free_idx.size, opts.maxiter)
         cand = fixed.copy()
         cand[free_idx] = res.x
-        if norm_of(cand) <= norm_of(eta):
-            eta = cand
+        cand_value = norm_of(cand)
+        if cand_value <= value:
+            eta, value = cand, cand_value
         iters = int(res.nit)
         converged = bool(res.success)
-    value = norm_of(eta)
     return CapacityEstimate("primal-boundary", primal_value=float(value),
                             eta_star=eta, iterations=iters,
                             converged=converged,
@@ -513,8 +481,7 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     if K.kind != "interior":
         raise SupportError("dual_interior needs an interior target set")
     nf = exponential_pair()
-    support = (dilate_interior(ks, K.nodes, opts.dilation)
-               if opts.dilation > 0 else K.nodes.copy())
+    support = dilate_interior(ks, K.nodes, opts.dilation)
     cols = _green_columns(ks, support)
     masses, value, iters = _dual_program(cols, grid, nf, "lebesgue", opts)
     return CapacityEstimate("dual-interior", dual_value=float(value),
@@ -623,12 +590,9 @@ def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
     idx = np.flatnonzero(masses > 0)
     b = 0.0
     if idx.size:
-        G = np.zeros(grid.n_boundary)
-        cols = np.empty((grid.n_interior, idx.size))
-        for j, node in enumerate(idx):
-            G[:] = 0.0
-            G[node] = 1.0 / grid.boundary_cell_measure
-            cols[:, j] = ks.solve(ks.coupling @ G)
+        G = np.zeros((grid.n_boundary, idx.size))
+        G[idx, np.arange(idx.size)] = 1.0 / grid.boundary_cell_measure
+        cols = ks.solve(ks.coupling @ G)
         inner = vol * (cols.T @ minus_lap_z)
         b = float(inner @ masses[idx])
     return a, b
@@ -717,27 +681,9 @@ def mixed_energy_functional(K: CompactSet, ks: KernelSet,
     grid.require_same(K.grid)
     if K.kind != "interior":
         raise SupportError("mixed_energy_functional needs an interior target set")
-    ones = (dilate_interior(ks, K.nodes, opts.dilation)
-            if opts.dilation > 0 else K.nodes.copy())
-    zeros = boundary_collar(ks, opts.collar)
-    if np.intersect1d(ones, zeros).size:
-        raise Infeasible("target set (dilated) touches the boundary collar")
-    ni = grid.n_interior
-    fixed = np.zeros(ni)
-    fixed[ones] = 1.0
-    mask_free = np.ones(ni, dtype=bool)
-    mask_free[ones] = False
-    mask_free[zeros] = False
-    free_idx = np.flatnonzero(mask_free)
+    _, _, fixed, free_idx = _interior_pin(K, ks, opts)
     vol = grid.cell_measure
-
-    eta = fixed.copy()
-    if free_idx.size:
-        import scipy.sparse.linalg as spla
-        A = ks.lap
-        sub = A[free_idx][:, free_idx].tocsc()
-        eta[free_idx] = np.clip(spla.splu(sub).solve(-(A[free_idx] @ fixed)),
-                                0.0, 1.0)
+    eta = pinned_harmonic_fill(ks, fixed, free_idx)
 
     A = ks.lap
     scale0 = max(1.0, float(np.abs(A @ eta).max()))

@@ -59,7 +59,7 @@ def _parse_atoms(text: str, ndim: int):
 
 _LIST_KEYS = {"ladder": int, "masses": float, "radii": int}
 _SCALAR_KEYS = {"charge": float, "slope_tol": float, "residual_tol": float,
-                "threshold_window": float, "seed": int,
+                "threshold_window": float,
                 "shape": str, "target": str, "out": str}
 
 
@@ -96,7 +96,6 @@ def _add_experiment_flags(p):
     p.add_argument("--slope-tol", dest="slope_tol", type=float)
     p.add_argument("--residual-tol", dest="residual_tol", type=float)
     p.add_argument("--threshold-window", dest="threshold_window", type=float)
-    p.add_argument("--seed", type=int)
 
 
 def _field_from_args(args, grid):

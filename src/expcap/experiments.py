@@ -21,8 +21,8 @@ Five drivers, one per phenomenon:
     eigenvalue, harmonic partition) plus capacity and residual trends
     over a refinement ladder.
 
-Everything is deterministic: fixed seeds, fixed iteration caps, and
-CSV outputs that reproduce bit-identically on re-runs.
+Everything is deterministic: fixed iteration caps, and CSV outputs that
+reproduce bit-identically on re-runs.
 """
 
 from __future__ import annotations
@@ -33,22 +33,19 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .capacity import (CapacityOptions, CompactSet, boundary_test_norm,
-                       dilate_boundary, dilate_interior, boundary_collar,
-                       pairing, primal_boundary, primal_interior,
-                       _boundary_graph, _graph_distance)
-from .errors import (Infeasible, LadderTooCoarse, NoConvergence, NotAdmissible,
-                     SupportError)
-from .grids import Field, build_grid, integrate
+from .capacity import (CapacityOptions, CompactSet, boundary_collar,
+                       boundary_test_norm, pairing, pinned_harmonic_fill,
+                       primal_interior, _boundary_graph, _hop_distance)
+from .errors import Infeasible, LadderTooCoarse, SupportError
+from .grids import build_grid, integrate
 from .kernels import assemble
 from .luxemburg import luxemburg_norm
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
-from .nfunctions import EXP_ARG_MAX, exponential_pair
-from .solver import (SLOPE_TOL, admissibility_test, default_test_basis,
-                     solve_boundary, solve_interior, weak_residual)
+from .nfunctions import exponential_pair
+from .solver import (SLOPE_TOL, _semilinear_solve, admissibility_test,
+                     default_test_basis, solve_boundary, solve_interior,
+                     weak_residual)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -66,7 +63,6 @@ class ExperimentConfig:
     residual_tol: float = 1e-4
     threshold_window: float = 0.15
     out: str = ""
-    seed: int = 0
 
     def __post_init__(self):
         lad = tuple(int(v) for v in self.ladder)
@@ -150,36 +146,23 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
 def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
     """Shrinking capacitary cutoffs: eta = 1 on dilate(K,1), harmonic on
     dilate(K,R) beyond, 0 elsewhere; one field per R (R descending)."""
-    grid = ks.grid
-    ni = grid.n_interior
-    collar = set(boundary_collar(ks, 1).tolist())
+    dist = _hop_distance(abs(ks.lap), K_nodes)
+    collar = boundary_collar(ks, 1)
+    fixed = (dist <= 1).astype(float)
     out = []
-    ones = dilate_interior(ks, K_nodes, 1)
     for R in sorted(radii, reverse=True):
         if R < 1:
             raise ValueError("family radii must be >= 1")
-        support = dilate_interior(ks, K_nodes, R)
-        if set(support.tolist()) & collar:
+        if (dist[collar] <= R).any():
             raise Infeasible("cutoff support touches the boundary collar; shrink radii")
-        eta = np.zeros(ni)
-        eta[ones] = 1.0
-        free = np.setdiff1d(support, ones)
-        if free.size:
-            A = ks.lap
-            keep = np.zeros(ni, dtype=bool)
-            keep[support] = True
-            fixed = eta.copy()
-            sub = A[free][:, free].tocsc()
-            rhs = -(A[free] @ fixed)
-            eta[free] = np.clip(spla.splu(sub).solve(rhs), 0.0, 1.0)
-            eta[~keep] = 0.0
-        out.append(eta)
+        free = np.flatnonzero((dist > 1) & (dist <= R))
+        out.append(pinned_harmonic_fill(ks, fixed, free))
     return out
 
 
 def boundary_family(K_nodes: np.ndarray, grid, radii: Sequence[int]):
     """Graph-distance tents on the boundary: eta = max(0, 1 - dist/R)."""
-    dist = _graph_distance(_boundary_graph(grid), grid.n_boundary, K_nodes)
+    dist = _hop_distance(_boundary_graph(grid), K_nodes)
     out = []
     for R in sorted(radii, reverse=True):
         if R < 1:
@@ -344,31 +327,18 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
 
     At K nodes the absorption is dropped and the load is `charge`
     (total, split evenly over K); elsewhere the usual equation holds.
-    Returns (Field, iterations); raises NoConvergence when no Newton step
-    falls below 1e-10 within 100 steps.
+    Returns (Field, iterations); the monotone Newton loop of the solver
+    raises NoConvergence when it runs out of steps or stops above its
+    residual tolerance.
     """
     grid = ks.grid
-    A = ks.lap
-    ni = grid.n_interior
-    mask = np.ones(ni)
+    mask = np.ones(grid.n_interior)
     b = mu.density_vector()
     if K_nodes.size:
         mask[K_nodes] = 0.0
         b[K_nodes] = charge / (K_nodes.size * grid.cell_measure)
-    u = ks.solve(b)
-    if float(u.max(initial=0.0)) > EXP_ARG_MAX:
-        raise NotAdmissible("linear potential overflows exp at this resolution")
-    scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    for it in range(1, 101):
-        r = A @ u + mask * np.expm1(u) - b
-        J = (A + sp.diags(mask * np.exp(u))).tocsc()
-        delta = spla.splu(J).solve(-r)
-        u = u + delta
-        if float(np.abs(delta).max()) < 1e-10:
-            break
-    else:
-        raise NoConvergence(f"punctured Newton solve: no convergence in {it} steps")
-    return Field(grid, u, np.zeros(grid.n_boundary)), it
+    rep = _semilinear_solve(ks, b, None, mask)
+    return rep.u, rep.iterations
 
 
 def _grad_dot_times(grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:

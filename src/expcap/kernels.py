@@ -10,17 +10,14 @@ stencil adjacency).  With that convention:
 
 Both are exact inverses of the same symmetric M-matrix, which is what
 makes the discrete Green identities used by the weak-residual and
-capacity layers hold to solver precision.
-
-Linear solves default to a sparse LU factorisation (the capacity
-optimisers call the operators thousands of times); plain conjugate
-gradients at tolerance 1e-12 is available as method="cg".
+capacity layers hold to solver precision.  Every solve reuses one sparse
+LU factorisation of A: the capacity optimisers call the operators
+thousands of times.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,59 +28,42 @@ from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
-CG_TOL = 1e-12
-CG_MAXIT = 20000
 
 
 def _assemble_matrices(grid: WeightedGrid):
-    """Build A (interior x interior) and B (interior x boundary)."""
+    """Build A (interior x interior) and B (interior x boundary).
+
+    One triplet block per stencil step, diagonal first; the COO->CSR
+    conversion is stable, so the entries of each row keep that order.
+    Interior nodes never sit on the lattice edge, so a step never leaves
+    the lattice or wraps a row, and it lands on an interior or a boundary
+    node, never an exterior one.
+    """
     h2 = grid.h ** 2
     ni = grid.n_interior
     m = grid.n + 2
-    if grid.ndim == 1:
-        steps = (-1, 1)
-
-        def lat_nbr(lidx, s):
-            t = lidx + s
-            return t if 0 <= t < m else -1
-    else:
-        steps = (-m, m, -1, 1)
-
-        def lat_nbr(lidx, s):
-            t = lidx + s
-            if not (0 <= t < m * m):
-                return -1
-            # guard row wrap for the +-1 steps
-            if abs(s) == 1 and t // m != lidx // m:
-                return -1
-            return t
-
-    rows_a, cols_a, vals_a = [], [], []
-    rows_b, cols_b, vals_b = [], [], []
-    diag = 2.0 * grid.ndim / h2
-    for i in range(ni):
-        lidx = int(grid.interior_lattice[i])
-        rows_a.append(i)
-        cols_a.append(i)
-        vals_a.append(diag)
-        for s in steps:
-            t = lat_nbr(lidx, s)
-            if t < 0:
-                continue
-            oi = grid._int_of_lat[t]
-            if oi >= 0:
-                rows_a.append(i)
-                cols_a.append(int(oi))
-                vals_a.append(-1.0 / h2)
-                continue
-            ob = grid._bdy_of_lat[t]
-            if ob >= 0:
-                rows_b.append(i)
-                cols_b.append(int(ob))
-                vals_b.append(1.0 / h2)
-            # else: exterior node never adjacent to interior by construction
-    A = sp.csr_matrix((vals_a, (rows_a, cols_a)), shape=(ni, ni))
-    B = sp.csr_matrix((vals_b, (rows_b, cols_b)), shape=(ni, grid.n_boundary))
+    steps = (-1, 1) if grid.ndim == 1 else (-m, m, -1, 1)
+    rows = np.arange(ni)
+    rows_a, cols_a, vals_a = [rows], [rows], [np.full(ni, 2.0 * grid.ndim / h2)]
+    rows_b, cols_b = [], []
+    for s in steps:
+        t = grid.interior_lattice + s
+        oi = grid._int_of_lat[t]
+        ob = grid._bdy_of_lat[t]
+        hit = oi >= 0
+        rows_a.append(rows[hit])
+        cols_a.append(oi[hit])
+        vals_a.append(np.full(hit.sum(), -1.0 / h2))
+        hit = ob >= 0
+        rows_b.append(rows[hit])
+        cols_b.append(ob[hit])
+    rows_b = np.concatenate(rows_b)
+    A = sp.csr_matrix((np.concatenate(vals_a),
+                       (np.concatenate(rows_a), np.concatenate(cols_a))),
+                      shape=(ni, ni))
+    B = sp.csr_matrix((np.full(rows_b.size, 1.0 / h2),
+                       (rows_b, np.concatenate(cols_b))),
+                      shape=(ni, grid.n_boundary))
     return A, B
 
 
@@ -94,7 +74,6 @@ class KernelSet:
     grid: WeightedGrid
     lap: sp.csr_matrix
     coupling: sp.csr_matrix
-    method: str = "direct"
     rho_star: np.ndarray = None
     eigenvalue: float = 0.0
     zeta0: np.ndarray = None
@@ -103,35 +82,13 @@ class KernelSet:
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (Ni,) or (Ni, k)."""
-        rhs = np.asarray(rhs, dtype=float)
-        if self.method == "direct":
-            return self._lu.solve(rhs)
-        if rhs.ndim == 1:
-            return self._cg(rhs)
-        return np.column_stack([self._cg(rhs[:, j]) for j in range(rhs.shape[1])])
-
-    def _cg(self, b):
-        it = {"n": 0}
-
-        def cb(_):
-            it["n"] += 1
-
-        x, info = spla.cg(self.lap, b, rtol=CG_TOL, atol=0.0,
-                          maxiter=CG_MAXIT, callback=cb)
-        if info != 0:
-            raise SolverDiverged(f"cg failed to converge (info={info})")
-        self.last_cg_iterations = it["n"]
-        return x
+        return self._lu.solve(np.asarray(rhs, dtype=float))
 
 
-def assemble(grid: WeightedGrid, method: str = "direct") -> KernelSet:
+def assemble(grid: WeightedGrid) -> KernelSet:
     """Assemble operators and precompute eigenpair and torsion field."""
-    if method not in ("direct", "cg"):
-        raise ValueError("method must be 'direct' or 'cg'")
     A, B = _assemble_matrices(grid)
-    ks = KernelSet(grid=grid, lap=A, coupling=B, method=method)
-    if method == "direct":
-        ks._lu = spla.splu(A.tocsc())
+    ks = KernelSet(grid=grid, lap=A, coupling=B, _lu=spla.splu(A.tocsc()))
     rho_star, lam, iters = _principal_eigen(ks)
     ks.rho_star = rho_star
     ks.eigenvalue = lam

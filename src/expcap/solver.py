@@ -61,8 +61,17 @@ class SolveReport:
 
 
 def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray],
+                      mask: Optional[np.ndarray] = None,
                       max_outer: int = MAX_OUTER) -> SolveReport:
+    """Newton solve of A u + mask (e^u - 1) = rhs + B gdata.
+
+    `mask` weights the absorption per interior node (all ones when None);
+    a zero drops the equation's absorption there, as the punctured solve
+    does on its hole.
+    """
     A = ks.lap
+    if mask is None:
+        mask = np.ones(ks.grid.n_interior)
     b = rhs.copy()
     if gdata is not None:
         b = b + ks.coupling @ gdata
@@ -80,18 +89,18 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
     monotone = True
     supersolution = True
     for it in range(1, limit + 1):
-        r = A @ u + np.expm1(u) - b
+        r = A @ u + mask * np.expm1(u) - b
         res_hist.append(float(np.abs(r).max()))
         if r.min() < -1e-9 * scale:
             supersolution = False
-        J = (A + sp.diags(np.exp(u))).tocsc()
+        J = (A + sp.diags(mask * np.exp(u))).tocsc()
         delta = spla.splu(J).solve(-r)
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
         u = u + delta
         step_hist.append(float(np.abs(delta).max()))
         if step_hist[-1] < STEP_TOL:
-            r = A @ u + np.expm1(u) - b
+            r = A @ u + mask * np.expm1(u) - b
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
                 raise NoConvergence(

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+import expcap.capacity as capacity
 from expcap.capacity import (CapacityEstimate, CapacityOptions, ChebyshevReport,
                              CompactSet, mixed_energy_functional, boundary_collar,
-                             boundary_measure, capacity_pair, chebyshev_bound,
+                             boundary_measure, boundary_test_norm,
+                             capacity_pair, chebyshev_bound,
                              dilate_interior, dual_boundary, dual_interior,
                              pairing, primal_boundary, primal_interior,
                              weak_l1_hessian)
 from expcap.errors import BadLambda, Infeasible, SupportError
 from expcap.grids import Field
 from expcap.kernels import green_column
-from expcap.luxemburg import orlicz_norm
+from expcap.luxemburg import luxemburg_norm, orlicz_norm
 from expcap.measures import BoundaryMeasure
 from expcap.nfunctions import exponential_pair
 from expcap.experiments import target_nodes
@@ -52,6 +54,32 @@ def test_dilation_and_collar_helpers(ks16):
     ring = boundary_collar(ks16, 1)
     assert ring.size == 60
     assert np.allclose(ks16.grid.rho[ring], ks16.grid.h)
+    # on the square the two-ring collar is every node within 2h of the edge
+    rho = ks16.grid.rho
+    expect = np.flatnonzero(rho <= 2.0 * ks16.grid.h * (1.0 + 1e-12))
+    assert np.array_equal(boundary_collar(ks16, 2), expect)
+
+
+@pytest.mark.parametrize("fixture", ["ks16", "ks_disk"])
+def test_interior_dilation_matches_a_relaxation(fixture, request):
+    # reference: rings of the stencil graph grown by repeated relaxation
+    # over the sparsity pattern of the assembled Laplacian, independent
+    # of the breadth-first search
+    ks = request.getfixturevalue(fixture)
+    lap = ks.lap.tocoo()
+    off = lap.row != lap.col
+    rows, cols = lap.row[off], lap.col[off]
+    n = ks.grid.n_interior
+    for nodes in (target_nodes(ks.grid, "interior", "center"),
+                  np.array([0, n // 3, n - 1])):
+        inside = np.zeros(n, dtype=bool)
+        inside[nodes] = True
+        for rings in range(4):
+            assert np.array_equal(dilate_interior(ks, nodes, rings),
+                                  np.flatnonzero(inside))
+            grown = inside.copy()
+            grown[rows[inside[cols]]] = True
+            inside = grown
 
 
 def test_pinned_set_in_the_collar_is_infeasible(ks16):
@@ -113,6 +141,34 @@ def test_subadditive_over_separated_singletons(ks16):
     cu = primal_interior(CompactSet(grid, np.concatenate([a, b]), "interior"),
                          ks16, opts)
     assert cu.primal_value <= 1.01 * (ca.primal_value + cb.primal_value)
+
+
+def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
+    # each seed and the polished point cost one norm (an LU solve and a
+    # level root-find on the boundary); the reported value is still the
+    # exact norm at the returned eta
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return luxemburg_norm(*args, **kw)
+
+    monkeypatch.setattr(capacity, "luxemburg_norm", counted)
+    K = _center_set(ks16)
+    opts = CapacityOptions(dilation=1)
+    dual = dual_interior(K, ks16, opts)
+    est = primal_interior(K, ks16, opts, dual=dual)
+    assert len(calls) == 3  # harmonic seed, dual-aligned seed, polished point
+    assert est.primal_value == luxemburg_norm(
+        ks16.lap @ est.eta_star, ks16.grid, exponential_pair(),
+        side="conjugate", weight="lebesgue")
+    calls.clear()
+    Kb = CompactSet(ks16.grid, target_nodes(ks16.grid, "boundary", "bottom-mid"),
+                    "boundary")
+    est = primal_boundary(Kb, ks16)
+    assert len(calls) == 5  # four tents, polished point
+    monkeypatch.undo()
+    assert est.primal_value == boundary_test_norm(ks16, est.eta_star)
 
 
 def test_boundary_pair_weak_duality(ks16):

@@ -5,8 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-import expcap.experiments as xp
-from expcap.capacity import _boundary_graph
+import expcap.solver as solver
 from expcap.errors import Infeasible, NoConvergence, SupportError
 from expcap.experiments import (ExperimentConfig, boundary_family,
                                 interior_family, punctured_solve,
@@ -122,18 +121,36 @@ def test_punctured_solve_raises_when_newton_stalls(ks16, monkeypatch):
         def solve(self, rhs):
             return np.full_like(rhs, 1e-3)
 
-    monkeypatch.setattr(xp.spla, "splu", lambda J: Stalled())
+    monkeypatch.setattr(solver.spla, "splu", lambda J: Stalled())
     grid = ks16.grid
     mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
     with pytest.raises(NoConvergence):
         punctured_solve(mu, ks16, np.array([0], dtype=int))
 
 
+def test_punctured_solve_closes_the_masked_equation(ks16):
+    # with a hole K the absorption is dropped on K and the load there is
+    # the charge; the masked residual must sit below the solver's tolerance
+    grid = ks16.grid
+    K = target_nodes(grid, "interior", "cluster")
+    mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
+    u, _ = punctured_solve(mu, ks16, K, charge=5.0)
+    mask = np.ones(grid.n_interior)
+    mask[K] = 0.0
+    b = mu.density_vector()
+    b[K] = 5.0 / (K.size * grid.cell_measure)
+    resid = ks16.lap @ u.values + mask * np.expm1(u.values) - b
+    assert np.abs(resid).max() < solver.RES_TOL * max(1.0, np.abs(b).max())
+
+
 def test_boundary_tents_follow_the_boundary_graph(ks16):
     # reference: hop counts by repeated relaxation over the 8-neighbour
-    # boundary graph, independent of the breadth-first search
+    # boundary graph, built from lattice coordinates and independent of
+    # the breadth-first search
     grid = ks16.grid
-    adj = _boundary_graph(grid)
+    c = np.rint(grid.boundary_coords / grid.h)
+    cheb = np.abs(c[:, None, :] - c[None, :, :]).max(axis=2)
+    adj = [np.flatnonzero(row == 1) for row in cheb]
     K = np.array([3, 4])
     dist = np.full(grid.n_boundary, np.inf)
     dist[K] = 0.0

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from expcap.grids import Field, build_grid, integrate
-from expcap.kernels import (assemble, green_column, green_potential,
-                            harmonic_extension, normal_derivative,
-                            poisson_column, principal_eigen, solve_zeta0)
+from expcap.kernels import (_assemble_matrices, assemble, green_column,
+                            green_potential, harmonic_extension,
+                            normal_derivative, poisson_column,
+                            principal_eigen, solve_zeta0)
 
 
 def test_interval_green_column_exact():
@@ -94,12 +95,26 @@ def test_solve_round_trip(ks16, rng):
     assert np.abs(ks16.solve(ks16.lap @ v) - v).max() < 1e-9
 
 
-def test_cg_method_agrees_with_direct(ks16):
-    ks_cg = assemble(ks16.grid, method="cg")
-    rhs = np.ones(ks16.grid.n_interior)
-    assert np.abs(ks_cg.solve(rhs) - ks16.solve(rhs)).max() < 1e-8
-    with pytest.raises(ValueError):
-        assemble(ks16.grid, method="jacobi")
+@pytest.mark.parametrize("shape", ["interval", "square", "disk"])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_assembly_matches_a_dense_stencil(shape, n):
+    # reference: the (2d+1)-point stencil built densely from lattice
+    # coordinates; A couples interior neighbours, B interior-boundary ones
+    grid = build_grid(shape, n)
+    A, B = _assemble_matrices(grid)
+    h2 = grid.h ** 2
+    ci = np.rint(grid.interior_coords / grid.h)
+    cb = np.rint(grid.boundary_coords / grid.h)
+    hops_ii = np.abs(ci[:, None, :] - ci[None, :, :]).sum(axis=2)
+    hops_ib = np.abs(ci[:, None, :] - cb[None, :, :]).sum(axis=2)
+    dense_a = np.where(hops_ii == 1, -1.0 / h2, 0.0)
+    dense_a[np.diag_indices(grid.n_interior)] = 2.0 * grid.ndim / h2
+    dense_b = np.where(hops_ib == 1, 1.0 / h2, 0.0)
+    assert np.array_equal(A.toarray(), dense_a)
+    assert np.array_equal(B.toarray(), dense_b)
+    # every interior node sees 2d lattice neighbours, interior or boundary
+    assert np.array_equal((hops_ii == 1).sum(axis=1) + (hops_ib == 1).sum(axis=1),
+                          np.full(grid.n_interior, 2 * grid.ndim))
 
 
 def test_disk_partition_and_torsion_sign(ks_disk):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import expcap.solver as solver
 from expcap import errors
-from expcap.errors import NotComparable
+from expcap.errors import NoConvergence, NotComparable
 from expcap.grids import Field, build_grid
 from expcap.kernels import assemble, harmonic_extension
 from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -135,3 +136,22 @@ def test_admissibility_ladder_verdicts(ks16):
     # cache reuse must not change the verdicts
     again = admissibility_test(spec_small, ks16, (8, 12, 16), _cache=cache)
     assert again.slope == pytest.approx(small.slope, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["interior", "boundary"])
+def test_solve_raises_when_newton_stalls(ks16, monkeypatch, kind):
+    # a factorisation that has lost the Jacobian: every step is the same
+    # small constant, so no step ever falls below the tolerance
+    class Stalled:
+        def solve(self, rhs):
+            return np.full_like(rhs, 1e-3)
+
+    monkeypatch.setattr(solver.spla, "splu", lambda J: Stalled())
+    grid = ks16.grid
+    with pytest.raises(NoConvergence):
+        if kind == "interior":
+            solve_interior(InteriorMeasure(
+                grid, density=np.ones(grid.n_interior)), ks16)
+        else:
+            solve_boundary(BoundaryMeasure(
+                grid, density=np.ones(grid.n_boundary)), ks16)
