@@ -16,12 +16,13 @@ the reported value re-evaluates the exact norm at the final feasible
 point, making every primal number a certified upper bound.
 
 The interior dual maximises total mass over nonnegative measures on the
-set subject to a unit Green-potential norm.  By 1-homogeneity this is a
-simplex problem: maximise m(K) / ||G[m]||.  The potential is measured in
-the Amemiya-Orlicz norm, the exact dual of the primal's gauge norm, so
-weak duality (dual <= primal) holds by construction.  Every interior
-dual number comes from a feasible (rescaled) measure, hence is a
-certified lower bound.
+set subject to a unit Green-potential norm.  By 1-homogeneity this is
+the scale-free problem min ||G m|| / m(K) over m >= 0, which the same
+box-constrained quasi-Newton search solves (bounds m >= 0, a few dozen
+atoms at most).  The potential is measured in the Amemiya-Orlicz norm,
+the exact dual of the primal's gauge norm, so weak duality (dual <=
+primal) holds by construction.  The reported value m(K) / ||G m|| is
+re-evaluated at the returned measure, hence is a certified lower bound.
 
 The boundary dual is the exact dual of the discretised boundary primal,
 read through that primal's adjoint.  Write L eta = A diag(rho*) A^{-1} B eta
@@ -101,11 +102,10 @@ class CapacityOptions:
     # ring at h > 0 inflates the primal by a boundary-layer cost the dual
     # program never pays.
     collar: int = 0
-    maxiter: int = 600         # quasi-Newton iteration cap (primal)
-    # The next two apply to the interior dual only: the boundary dual
+    maxiter: int = 600         # quasi-Newton iteration cap (primals)
+    # Quasi-Newton iteration cap of the interior dual; the boundary dual
     # is a closed-form certificate at the boundary primal's final eta.
-    dual_iters: int = 800      # projected ascent steps
-    dual_step: float = 0.5     # initial step scale a in a/sqrt(t)
+    dual_iters: int = 800
 
 
 @dataclass
@@ -196,14 +196,47 @@ def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# primal programs
+# the optimiser and the primal programs
 
-def _box_minimise(objective, x0, free_bounds, maxiter):
-    res = sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                        bounds=free_bounds,
-                        options={"maxiter": maxiter, "ftol": 1e-14,
-                                 "gtol": 1e-12, "maxcor": 25})
-    return res
+def _box_minimise(objective, x0, bounds, maxiter):
+    """L-BFGS-B on objective(x) -> (value, gradient) within `bounds`: the
+    one optimiser of every program in this module."""
+    return sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
+                         bounds=bounds,
+                         options={"maxiter": maxiter, "ftol": 1e-14,
+                                  "gtol": 1e-12, "maxcor": 25})
+
+
+def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
+            maxiter) -> CapacityEstimate:
+    """Primal estimate from the best seed, polished by L-BFGS-B on the
+    free entries in [0, 1].
+
+    value_and_grad(eta) returns the objective and its gradient in eta.
+    The reported value is norm_of at the returned eta, or at the best
+    seed when that is lower: the exact norm at a feasible point.
+    """
+    values = [norm_of(seed) for seed in seeds]
+    eta, value = seeds[int(np.argmin(values))], min(values)
+    iters, converged, evals = 0, True, 0
+    if free_idx.size:
+        def objective(xf):
+            full = fixed.copy()
+            full[free_idx] = xf
+            val, grad = value_and_grad(full)
+            return val, grad[free_idx]
+
+        res = _box_minimise(objective, eta[free_idx],
+                            [(0.0, 1.0)] * free_idx.size, maxiter)
+        cand = fixed.copy()
+        cand[free_idx] = res.x
+        cand_value = norm_of(cand)
+        if cand_value <= value:
+            eta, value = cand, cand_value
+        iters, converged, evals = int(res.nit), bool(res.success), int(res.nfev)
+    return CapacityEstimate(kind, primal_value=float(value), eta_star=eta,
+                            iterations=iters, converged=converged,
+                            aux={"evaluations": evals})
 
 
 def _green_columns(ks: KernelSet, nodes: np.ndarray) -> np.ndarray:
@@ -265,14 +298,14 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     nf = exponential_pair()
     ones, zeros, fixed, free_idx = _interior_pin(K, ks, opts)
 
-    def full_of(xf):
-        full = fixed.copy()
-        full[free_idx] = xf
-        return full
-
     def norm_of(eta):
         return luxemburg_norm(ks.lap @ eta, grid, nf, side="conjugate",
                               weight="lebesgue")
+
+    def value_and_grad(eta):
+        k, g = luxemburg_subgradient(ks.lap @ eta, grid, nf, side="conjugate",
+                                     weight="lebesgue")
+        return k, ks.lap @ g
 
     # harmonic profile between the pinned levels
     seeds = [pinned_harmonic_fill(ks, fixed, free_idx)]
@@ -291,35 +324,12 @@ def primal_interior(K: CompactSet, ks: KernelSet,
         w_star = dual.dual_value * nf.p(khat * pot)
         seeds.append(pinned_harmonic_fill(ks, fixed, free_idx, w_star))
 
-    evals = {"n": 0}
-
-    def objective(xf):
-        evals["n"] += 1
-        v = ks.lap @ full_of(xf)
-        k, g = luxemburg_subgradient(v, grid, nf, side="conjugate",
-                                     weight="lebesgue")
-        return k, (ks.lap @ g)[free_idx]
-
-    values = [norm_of(seed) for seed in seeds]
-    eta, value = seeds[int(np.argmin(values))], min(values)
-    converged = True
-    iters = 0
-    if free_idx.size:
-        res = _box_minimise(objective, eta[free_idx],
-                            [(0.0, 1.0)] * free_idx.size, opts.maxiter)
-        cand = full_of(res.x)
-        cand_value = norm_of(cand)
-        if cand_value <= value:
-            eta, value = cand, cand_value
-        iters = int(res.nit)
-        converged = bool(res.success)
-    alt = llnl_norm(ks.lap @ eta, grid, "lebesgue")
-    return CapacityEstimate("primal-interior", primal_value=float(value),
-                            eta_star=eta, iterations=iters,
-                            converged=converged,
-                            aux={"evaluations": evals["n"],
-                                 "maximal_functional": alt,
-                                 "ones": ones, "zeros": zeros})
+    est = _polish("primal-interior", seeds, norm_of, value_and_grad, fixed,
+                  free_idx, opts.maxiter)
+    est.aux.update(maximal_functional=llnl_norm(ks.lap @ est.eta_star, grid,
+                                                "lebesgue"),
+                   ones=ones, zeros=zeros)
+    return est
 
 
 def _boundary_forward(ks: KernelSet, eta_b: np.ndarray) -> np.ndarray:
@@ -381,8 +391,9 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
     mask_free[ones] = False
     free_idx = np.flatnonzero(mask_free)
 
-    def norm_of(eta_b):
-        return boundary_test_norm(ks, eta_b)
+    def value_and_grad(eta_b):
+        k, gw = _boundary_gauge_gradient(ks, eta_b)
+        return k, _boundary_adjoint(ks, gw)
 
     dist = _hop_distance(_boundary_graph(grid), ones)
     seeds = []
@@ -390,83 +401,15 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
         tent = np.maximum(0.0, 1.0 - dist / width)
         tent[ones] = 1.0
         seeds.append(tent)
-    values = [norm_of(seed) for seed in seeds]
-    eta, value = seeds[int(np.argmin(values))], min(values)
-
-    evals = {"n": 0}
-
-    def objective(xf):
-        evals["n"] += 1
-        full = fixed.copy()
-        full[free_idx] = xf
-        k, gw = _boundary_gauge_gradient(ks, full)
-        return k, _boundary_adjoint(ks, gw)[free_idx]
-
-    converged = True
-    iters = 0
-    if free_idx.size:
-        res = _box_minimise(objective, eta[free_idx],
-                            [(0.0, 1.0)] * free_idx.size, opts.maxiter)
-        cand = fixed.copy()
-        cand[free_idx] = res.x
-        cand_value = norm_of(cand)
-        if cand_value <= value:
-            eta, value = cand, cand_value
-        iters = int(res.nit)
-        converged = bool(res.success)
-    return CapacityEstimate("primal-boundary", primal_value=float(value),
-                            eta_star=eta, iterations=iters,
-                            converged=converged,
-                            aux={"evaluations": evals["n"], "ones": ones})
+    est = _polish("primal-boundary", seeds,
+                  lambda eta_b: boundary_test_norm(ks, eta_b), value_and_grad,
+                  fixed, free_idx, opts.maxiter)
+    est.aux["ones"] = ones
+    return est
 
 
 # ---------------------------------------------------------------------------
 # dual programs
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    rho_idx = np.flatnonzero(u - css / np.arange(1, v.size + 1) > 0)
-    if rho_idx.size == 0:
-        out = np.zeros_like(v)
-        out[np.argmax(v)] = 1.0
-        return out
-    r = rho_idx[-1]
-    theta = css[r] / (r + 1.0)
-    return np.maximum(v - theta, 0.0)
-
-
-def _orlicz_norm_and_grad(v, grid, nf, weight):
-    """Amemiya norm with its gradient n(k v) W via the envelope theorem."""
-    val, k = orlicz_norm_and_argmin(v, grid, nf, "principal", weight)
-    return val, nf.p(k * v) * grid.weight_vector(weight)
-
-
-def _dual_program(columns: np.ndarray, grid, nf, weight, opts: CapacityOptions):
-    """Maximise mass(m)/||columns @ m|| over the simplex; certified values."""
-    K = columns.shape[1]
-    if K == 1:
-        nrm = orlicz_norm(columns[:, 0], grid, nf, "principal", weight)
-        return np.array([1.0 / nrm]), 1.0 / nrm, 0
-
-    m = np.full(K, 1.0 / K)
-    best_val, best_m = -np.inf, m.copy()
-    v = columns @ m
-    nrm, g = _orlicz_norm_and_grad(v, grid, nf, weight)
-    step0 = opts.dual_step * nrm / max(1e-300, np.abs(columns.T @ g).max())
-    for t in range(1, opts.dual_iters + 1):
-        v = columns @ m
-        nrm, g = _orlicz_norm_and_grad(v, grid, nf, weight)
-        val = m.sum() / nrm
-        if val > best_val:
-            best_val, best_m = val, m.copy()
-        # ascend d(sum m / norm) = (norm * 1 - sum m * grad) / norm^2
-        gm = (np.ones(K) * nrm - m.sum() * (columns.T @ g)) / nrm ** 2
-        m = _project_simplex(m + (step0 / np.sqrt(t)) * gm)
-    masses = best_m * best_val  # rescaled so the constraint is active
-    return masses, best_val, opts.dual_iters
-
 
 def dual_interior(K: CompactSet, ks: KernelSet,
                   opts: CapacityOptions = CapacityOptions()) -> CapacityEstimate:
@@ -474,19 +417,33 @@ def dual_interior(K: CompactSet, ks: KernelSet,
 
     The measure lives on K dilated by opts.dilation rings, the same set
     the primal pins at one, so the two programs bracket the capacity of
-    a single discrete set instead of two nested ones.
+    a single discrete set instead of two nested ones.  L-BFGS-B
+    minimises ||G m||_orl / m(K), which does not change when m is
+    scaled, over m >= 0 from the uniform measure; the value is
+    m(K) / ||G m||_orl at the returned m and mu_masses = m / ||G m||_orl.
     """
     grid = ks.grid
     grid.require_same(K.grid)
     if K.kind != "interior":
         raise SupportError("dual_interior needs an interior target set")
     nf = exponential_pair()
+    W = grid.weight_vector("lebesgue")
     support = dilate_interior(ks, K.nodes, opts.dilation)
     cols = _green_columns(ks, support)
-    masses, value, iters = _dual_program(cols, grid, nf, "lebesgue", opts)
-    return CapacityEstimate("dual-interior", dual_value=float(value),
-                            mu_nodes=support, mu_masses=masses,
-                            iterations=iters)
+
+    def objective(m):
+        s = m.sum()
+        v = cols @ m
+        nrm, k = orlicz_norm_and_argmin(v, grid, nf, "principal", "lebesgue")
+        # envelope theorem: the norm's gradient in v is n(k v) W
+        return nrm / s, (cols.T @ (nf.p(k * v) * W)) / s - nrm / s ** 2
+
+    res = _box_minimise(objective, np.full(support.size, 1.0 / support.size),
+                        [(0.0, None)] * support.size, opts.dual_iters)
+    nrm = orlicz_norm(cols @ res.x, grid, nf, "principal", "lebesgue")
+    return CapacityEstimate("dual-interior", dual_value=float(res.x.sum() / nrm),
+                            mu_nodes=support, mu_masses=res.x / nrm,
+                            iterations=int(res.nit), converged=bool(res.success))
 
 
 def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstimate:

@@ -319,10 +319,11 @@ def main(argv=None) -> int:
     p.add_argument("--kind", default="interior",
                    choices=("interior", "boundary"))
     p.add_argument("--target", default="center")
-    p.add_argument("--dilation", type=int, default=1)
-    p.add_argument("--collar", type=int, default=0)
-    p.add_argument("--maxiter", type=int, default=400)
-    p.add_argument("--dual-iters", dest="dual_iters", type=int, default=800)
+    p.add_argument("--dilation", type=int, default=CapacityOptions.dilation)
+    p.add_argument("--collar", type=int, default=CapacityOptions.collar)
+    p.add_argument("--maxiter", type=int, default=CapacityOptions.maxiter)
+    p.add_argument("--dual-iters", dest="dual_iters", type=int,
+                   default=CapacityOptions.dual_iters)
     p.add_argument("--dump-eta", dest="dump_eta")
     p.set_defaults(fn=_cmd_capacity)
 

@@ -470,8 +470,7 @@ def run_boundary_probe(cfg: ExperimentConfig) -> BoundaryProbeResult:
     for nn in cfg.ladder:
         ks_n = ks if nn == n else assemble(build_grid(shape, nn))
         gnn = ks_n.grid
-        Kn = target_nodes(gnn, "boundary",
-                          name if not name.startswith("point:") else name)
+        Kn = target_nodes(gnn, "boundary", name)
         anchor = gnn.boundary_coords[Kn[0]]
         d = np.sqrt(np.sum((gnn.boundary_coords - anchor[None, :]) ** 2, axis=1))
         eta = np.maximum(0.0, 1.0 - d / width)

@@ -146,7 +146,7 @@ def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal"
 
 
 def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
-                          weight: str = "lebesgue", scale=None, norm: float | None = None):
+                          weight: str = "lebesgue", scale=None):
     """Gradient of the Luxemburg norm at f (implicit differentiation).
 
     g_i = (W_i / c_i) n'(f_i/(k c_i)) / D    with
@@ -160,7 +160,7 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     sc = np.ones_like(vals) if scale is None else np.asarray(scale, dtype=float)
     if float(np.abs(vals).max(initial=0.0)) == 0.0:
         raise ZeroField("subgradient undefined at the zero field")
-    k = luxemburg_norm(vals, grid, nf, side, weight, scale) if norm is None else norm
+    k = luxemburg_norm(vals, grid, nf, side, weight, scale)
     _, dens = _side_fn(nf, side)
     t = vals / (k * sc)
     nd = dens(t)

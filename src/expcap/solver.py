@@ -61,8 +61,7 @@ class SolveReport:
 
 
 def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray],
-                      mask: Optional[np.ndarray] = None,
-                      max_outer: int = MAX_OUTER) -> SolveReport:
+                      mask: Optional[np.ndarray] = None) -> SolveReport:
     """Newton solve of A u + mask (e^u - 1) = rhs + B gdata.
 
     `mask` weights the absorption per interior node (all ones when None);
@@ -84,7 +83,7 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
     # While exp(u) dominates, each Newton step lowers u by roughly one, so
     # the budget has to grow with the height of the starting potential.
-    limit = max(max_outer, int(np.ceil(float(u.max(initial=0.0)))) + 60)
+    limit = max(MAX_OUTER, int(np.ceil(float(u.max(initial=0.0)))) + 60)
     res_hist, step_hist = [], []
     monotone = True
     supersolution = True
@@ -127,17 +126,17 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
     )
 
 
-def solve_interior(mu: InteriorMeasure, ks: KernelSet, **kw) -> SolveReport:
+def solve_interior(mu: InteriorMeasure, ks: KernelSet) -> SolveReport:
     """Zero boundary values, interior measure as source."""
     ks.grid.require_same(mu.grid)
-    return _semilinear_solve(ks, mu.density_vector(), None, **kw)
+    return _semilinear_solve(ks, mu.density_vector(), None)
 
 
-def solve_boundary(mu: BoundaryMeasure, ks: KernelSet, **kw) -> SolveReport:
+def solve_boundary(mu: BoundaryMeasure, ks: KernelSet) -> SolveReport:
     """Boundary measure as Dirichlet data, no interior source."""
     ks.grid.require_same(mu.grid)
     return _semilinear_solve(ks, np.zeros(ks.grid.n_interior),
-                             mu.dirichlet_data(), **kw)
+                             mu.dirichlet_data())
 
 
 @dataclass

@@ -14,7 +14,7 @@ from expcap.capacity import (CapacityEstimate, CapacityOptions, ChebyshevReport,
 from expcap.errors import BadLambda, Infeasible, SupportError
 from expcap.grids import Field
 from expcap.kernels import green_column
-from expcap.luxemburg import luxemburg_norm, orlicz_norm
+from expcap.luxemburg import luxemburg_norm, orlicz_norm, orlicz_norm_and_argmin
 from expcap.measures import BoundaryMeasure
 from expcap.nfunctions import exponential_pair
 from expcap.experiments import target_nodes
@@ -109,6 +109,33 @@ def test_singleton_dual_matches_reciprocal_column_norm(ks16):
     expect = 1.0 / orlicz_norm(col, ks16.grid, exponential_pair())
     assert est.dual_value == pytest.approx(expect, rel=1e-6)
     assert est.mu_masses.sum() == pytest.approx(est.dual_value, rel=1e-9)
+
+
+def test_interior_dual_reports_its_iteration_cap(ks16):
+    K = CompactSet(ks16.grid, target_nodes(ks16.grid, "interior", "cluster"),
+                   "interior")
+    est = dual_interior(K, ks16, CapacityOptions(dilation=1, dual_iters=1))
+    assert est.iterations == 1
+    assert not est.converged
+
+
+@pytest.mark.parametrize("target", ["cluster", "segment"])
+def test_interior_dual_meets_its_kkt_conditions(ks16, target):
+    # max m(K) subject to ||G m||_orl <= 1: with g = n(khat G m) W the
+    # norm's gradient at the potential, value * (G^T g)_j >= 1 on every
+    # atom, with equality where the mass is positive
+    grid = ks16.grid
+    K = CompactSet(grid, target_nodes(grid, "interior", target), "interior")
+    est = dual_interior(K, ks16, CapacityOptions(dilation=1, dual_iters=30))
+    assert est.converged
+    nf = exponential_pair()
+    cols = np.column_stack([green_column(ks16, int(j)) for j in est.mu_nodes])
+    pot = cols @ est.mu_masses
+    _, khat = orlicz_norm_and_argmin(pot, grid, nf)
+    g = nf.p(khat * pot) * grid.weight_vector("lebesgue")
+    kkt = est.dual_value * (cols.T @ g)
+    assert kkt.min() >= 1.0 - 1e-6
+    assert np.abs(kkt[est.mu_masses > 0] - 1.0).max() <= 1e-6
 
 
 def test_dilated_pair_weak_duality_and_frozen_values(ks16):

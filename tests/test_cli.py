@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from expcap.capacity import CapacityOptions, CompactSet, capacity_pair
 from expcap.cli import main, read_config, _parse_atoms
-from expcap.grids import load_field_csv
+from expcap.experiments import target_nodes
+from expcap.grids import build_grid, load_field_csv
+from expcap.kernels import assemble
 
 
 def run(argv, capsys):
@@ -57,6 +60,20 @@ def test_capacity_pair_output(capsys):
     # weak duality surfaces as a nonnegative reported gap
     gapline = [l for l in out.splitlines() if l.startswith("gap")][0]
     assert float(gapline.split("=")[1].split("%")[0]) >= -1e-6
+
+
+def test_capacity_defaults_match_the_library(capsys):
+    # the CLI reads its option defaults from CapacityOptions, so at its
+    # defaults it prints the numbers capacity_pair gives with CapacityOptions();
+    # on n=24 the primal runs past 400 iterations, so a CLI cap of its own shows
+    code, out = run(["capacity", "--shape", "square", "--n", "24"], capsys)
+    assert code == 0
+    ks = assemble(build_grid("square", 24))
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", "center"),
+                   "interior")
+    est = capacity_pair(K, ks, CapacityOptions())
+    assert f"primal = {est.primal_value:.10g} " in out
+    assert f"dual   = {est.dual_value:.10g} " in out
 
 
 def test_removability_exit_code(capsys):
