@@ -63,7 +63,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import BadLambda, Infeasible, SupportError
 from .grids import Field, WeightedGrid, integrate
-from .kernels import KernelSet
+from .kernels import PERMC_SPEC, KernelSet
 from .luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
                         orlicz_norm_and_argmin)
 from .maximal import llnl_norm
@@ -273,7 +273,8 @@ def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
         if source is not None:
             rhs += source[free_idx]
         sub = A[free_idx][:, free_idx].tocsc()
-        eta[free_idx] = np.clip(spla.splu(sub).solve(rhs), 0.0, 1.0)
+        lu = spla.splu(sub, permc_spec=PERMC_SPEC)
+        eta[free_idx] = np.clip(lu.solve(rhs), 0.0, 1.0)
     return eta
 
 

@@ -39,7 +39,7 @@ from .capacity import (CapacityOptions, CompactSet, boundary_collar,
                        primal_interior, _boundary_graph, _hop_distance)
 from .errors import Infeasible, LadderTooCoarse, SupportError
 from .grids import build_grid, integrate
-from .kernels import assemble
+from .kernels import assemble, green_column
 from .luxemburg import luxemburg_norm
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from .nfunctions import exponential_pair
@@ -555,7 +555,7 @@ def run_convergence_suite(cfg: ExperimentConfig) -> ConvergenceResult:
         xs = g1.interior_coords[:, 0]
         node = nn // 2
         y = xs[node]
-        col = ks1.solve(np.eye(g1.n_interior)[:, node] / g1.cell_measure)
+        col = green_column(ks1, node)
         exact = np.where(xs <= y, xs * (1.0 - y), y * (1.0 - xs))
         rows.append(("green-1d", "interval", nn, float(np.abs(col - exact).max()),
                      0.0, float(np.abs(col - exact).max()), float("nan")))

@@ -28,6 +28,14 @@ from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
+# Column ordering for the LUs factored per call: the Newton Jacobian
+# A + diag(e^u) and the pinned blocks of A.  They are symmetric M-matrices,
+# for which minimum degree on A^T + A leaves about half the fill of splu's
+# default COLAMD on the square n=128 grid.  The LU of A kept by `assemble`
+# stays on COLAMD: every kernel solve goes through it, and the interior
+# capacity primal's L-BFGS-B path is sensitive to that rounding (on the
+# square n=16 cluster pair MMD took it from 291 to 295 iterations).
+PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
 def _assemble_matrices(grid: WeightedGrid):

@@ -1,19 +1,35 @@
 """Monotone solves of -Lap u + e^u - 1 = mu with interior or boundary data.
 
-The nonlinear solve walks down from the linear potential (drop the
-absorption term and you get a supersolution, since e^u - 1 >= 0).  Each
-step solves the linearisation
+The nonlinear solve walks down from a supersolution.  Each step solves
+the linearisation
 
     (A + diag(e^{u_m})) delta = -(A u_m + e^{u_m} - 1 - data)
 
 and sets u_{m+1} = u_m + delta.  Because the absorption is convex and
 A + positive diagonal is an M-matrix, every step has delta <= 0, every
 iterate stays a supersolution, and the sequence decreases pointwise to
-the discrete solution.  That is the discrete mirror of a
+the discrete solution (monotone Newton for convex M-functions, Ortega &
+Rheinboldt 1970).  That is the discrete mirror of a
 supersolution-comparison argument, with the bonus of quadratic local
 convergence; a plain fixed-point sweep u <- data - G[e^u - 1]
 alternates around the solution instead of descending and blows up for
 atoms, so it is not used.
+
+The start is the least of two supersolutions, not the linear potential
+u_lin = A^{-1} data alone: while e^u dominates, Newton lowers u by about
+one per step, so a tall potential would cost a step per unit of height.
+
+    u_0 = min(u_lin, c)  on absorbing nodes,   u_0 = u_lin  elsewhere,
+    c   = max(log(1 + max data^+ over absorbing nodes),
+              max u_lin over non-absorbing nodes).
+
+Why u_0 is a supersolution: u_0 <= u_lin and A has nonpositive
+off-diagonals, so a node left at u_lin keeps (A u_0)_i >= data_i.  A
+node clipped to c has every neighbour <= c, so (A u_0)_i >= c (A 1)_i
+>= 0, and e^c - 1 >= data_i.  With no hole in the absorption mask the
+start is min(u_lin, log(1 + max data^+)); a node where the mask drops
+the absorption is never clipped, since no constant is a supersolution
+of its purely linear equation.
 
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
@@ -33,7 +49,7 @@ import scipy.sparse.linalg as spla
 from .errors import (NoConvergence, NotAdmissible, NotComparable,
                      SupportError, TestNotAdmissible)
 from .grids import Field, WeightedGrid, build_grid, integrate
-from .kernels import KernelSet, assemble, normal_derivative
+from .kernels import PERMC_SPEC, KernelSet, assemble, normal_derivative
 from .measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
                        compare_measures)
 from .nfunctions import EXP_ARG_MAX
@@ -74,15 +90,23 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
     b = rhs.copy()
     if gdata is not None:
         b = b + ks.coupling @ gdata
-    u = ks.solve(b)
+    # start at the least of two supersolutions (module docstring)
+    u_lin = ks.solve(b)
+    on = mask > 0
+    c = max(float(np.log1p(b[on].max(initial=0.0))),
+            float(u_lin[~on].max(initial=0.0)))
+    u = np.where(on, np.minimum(u_lin, c), u_lin)
     if float(u.max(initial=0.0)) > EXP_ARG_MAX:
         raise NotAdmissible(
-            "linear potential reaches %.1f; exp(u) overflows at this resolution"
+            "Newton start reaches %.1f; exp(u) overflows at this resolution"
             % float(u.max())
         )
     scale = max(1.0, float(np.abs(b).max(initial=0.0)))
-    # While exp(u) dominates, each Newton step lowers u by roughly one, so
-    # the budget has to grow with the height of the starting potential.
+    # While exp(u) dominates, each Newton step lowers u by roughly one.  On
+    # absorbing nodes the start sits at most log(1 + max b+) above zero, so
+    # MAX_OUTER covers unmasked solves; a node without absorption keeps its
+    # linear potential, and lifts c to it, so a charged hole still needs a
+    # budget that grows with its height.
     limit = max(MAX_OUTER, int(np.ceil(float(u.max(initial=0.0)))) + 60)
     res_hist, step_hist = [], []
     monotone = True
@@ -93,7 +117,7 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
         if r.min() < -1e-9 * scale:
             supersolution = False
         J = (A + sp.diags(mask * np.exp(u))).tocsc()
-        delta = spla.splu(J).solve(-r)
+        delta = spla.splu(J, permc_spec=PERMC_SPEC).solve(-r)
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
         u = u + delta

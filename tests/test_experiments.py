@@ -121,7 +121,7 @@ def test_punctured_solve_raises_when_newton_stalls(ks16, monkeypatch):
         def solve(self, rhs):
             return np.full_like(rhs, 1e-3)
 
-    monkeypatch.setattr(solver.spla, "splu", lambda J: Stalled())
+    monkeypatch.setattr(solver.spla, "splu", lambda J, **kw: Stalled())
     grid = ks16.grid
     mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
     with pytest.raises(NoConvergence):

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import expcap.experiments as experiments
 import expcap.solver as solver
+from conftest import cached_kernels
 from expcap import errors
-from expcap.errors import NoConvergence, NotComparable
+from expcap.errors import NoConvergence, NotAdmissible, NotComparable
 from expcap.grids import Field, build_grid
 from expcap.kernels import assemble, harmonic_extension
 from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -146,7 +150,7 @@ def test_solve_raises_when_newton_stalls(ks16, monkeypatch, kind):
         def solve(self, rhs):
             return np.full_like(rhs, 1e-3)
 
-    monkeypatch.setattr(solver.spla, "splu", lambda J: Stalled())
+    monkeypatch.setattr(solver.spla, "splu", lambda J, **kw: Stalled())
     grid = ks16.grid
     with pytest.raises(NoConvergence):
         if kind == "interior":
@@ -155,3 +159,81 @@ def test_solve_raises_when_newton_stalls(ks16, monkeypatch, kind):
         else:
             solve_boundary(BoundaryMeasure(
                 grid, density=np.ones(grid.n_boundary)), ks16)
+
+
+def _bottom_atoms(ks, masses):
+    grid = ks.grid
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    return [BoundaryMeasure(grid, atoms=[(bm, c)]) for c in masses]
+
+
+def test_newton_steps_do_not_grow_with_the_potential_height():
+    # criterion 8's family: the linear potentials reach 47-378, and a
+    # descent from them takes 40/86/180/368 steps
+    ks = cached_kernels("square", 64)
+    for mu in _bottom_atoms(ks, (2.0, 4.0, 8.0, 16.0)):
+        rep = solve_boundary(mu, ks)
+        assert rep.iterations <= 16
+        assert rep.monotone and rep.supersolution
+
+
+def test_overflow_guard_screens_the_clipped_start():
+    # the mass-32 atom's linear potential reaches 756 > EXP_ARG_MAX, yet
+    # the discrete problem has a solution of height about 16
+    ks = cached_kernels("square", 64)
+    mu, = _bottom_atoms(ks, (32.0,))
+    assert ks.solve(ks.coupling @ mu.dirichlet_data()).max() > solver.EXP_ARG_MAX
+    rep = solve_boundary(mu, ks)
+    assert rep.iterations <= 20
+    assert rep.monotone and rep.supersolution
+    assert rep.u.values.max() < 20.0
+
+
+def test_overflow_guard_still_refuses_a_charged_hole(ks16):
+    # the hole keeps its linear potential (about 731), so exp would overflow
+    grid = ks16.grid
+    mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
+    K = target_nodes(grid, "interior", "center")
+    with pytest.raises(NotAdmissible):
+        experiments.punctured_solve(mu, ks16, K, charge=1200.0)
+
+
+@pytest.mark.parametrize("hole", ["center", "cluster"])
+@pytest.mark.parametrize("charge", [5.0, 20.0])
+def test_punctured_start_is_a_supersolution(ks16, monkeypatch, hole, charge):
+    # no constant is a supersolution on a charged hole, so the start must
+    # leave the hole at its linear potential and clip only above it
+    reports = []
+
+    def spy(*args, **kw):
+        reports.append(solver._semilinear_solve(*args, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "_semilinear_solve", spy)
+    grid = ks16.grid
+    mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
+    K = target_nodes(grid, "interior", hole)
+    assert K.size
+    experiments.punctured_solve(mu, ks16, K, charge=charge)
+    rep, = reports
+    assert rep.monotone and rep.supersolution
+
+
+def _linear_start_newton(ks, b):
+    """Plain monotone Newton from the linear potential, default LU ordering."""
+    A = ks.lap.tocsc()
+    u = spla.splu(A).solve(b)
+    for _ in range(400):
+        r = A @ u + np.expm1(u) - b
+        delta = spla.splu((A + sp.diags(np.exp(u))).tocsc()).solve(-r)
+        u = u + delta
+        if np.abs(delta).max() < 1e-10:
+            return u
+    raise AssertionError("reference Newton did not converge")
+
+
+def test_clipped_start_reaches_the_linear_start_solution(ks32):
+    for mu in _bottom_atoms(ks32, (2.0, 4.0, 8.0, 16.0)):
+        ref = _linear_start_newton(ks32, ks32.coupling @ mu.dirichlet_data())
+        u = solve_boundary(mu, ks32).u.values
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
