@@ -11,18 +11,22 @@ The boundary objective is evaluated with the scale trick
 P*(w / (k rho)) rho inside the level integrand, so rho never divides a
 field directly.  Both objectives are convex and C^1 (the gauge of a
 smooth strictly convex N-function is differentiable away from 0), so a
-box-constrained quasi-Newton search from a harmonic seed is reliable;
+box-constrained quasi-Newton search from a pinned seed is reliable;
 the reported value re-evaluates the exact norm at the final feasible
 point, making every primal number a certified upper bound.
 
-The interior dual maximises total mass over nonnegative measures on the
-set subject to a unit Green-potential norm.  By 1-homogeneity this is
-the scale-free problem min ||G m|| / m(K) over m >= 0, which the same
-box-constrained quasi-Newton search solves (bounds m >= 0, a few dozen
-atoms at most).  The potential is measured in the Amemiya-Orlicz norm,
-the exact dual of the primal's gauge norm, so weak duality (dual <=
-primal) holds by construction.  The reported value m(K) / ||G m|| is
-re-evaluated at the returned measure, hence is a certified lower bound.
+The interior dual is the exact dual of the pinned primal.  Every
+admissible eta is 1 on the pinned set S, so for a measure m on S of
+either sign m(S) = vol (G m)^T (-Lap eta) <= ||G m||_orl ||Lap eta||_lux
+(G the Green operator; the Amemiya-Orlicz norm is the exact dual of the
+primal's gauge norm).  The program fixes m(S) = 1, since the scale-free
+ratio over unbounded m can drive m(S) through 0, and minimises
+||G m||_orl; by minimax its optimum meets the primal.  The value
+m(S) / ||G m||_orl, re-evaluated at the returned m, is a certified lower
+bound.  Restricting to m >= 0 gives the nonnegative-measure capacity
+(Adams and Hedberg, Function Spaces and Potential Theory, 1996), the
+dual of the relaxed pin eta >= 1: valid but looser here (gaps of 1-5% on
+the 32x32 square).
 
 The boundary dual is the exact dual of the discretised boundary primal,
 read through that primal's adjoint.  Write L eta = A diag(rho*) A^{-1} B eta
@@ -106,6 +110,9 @@ class CapacityOptions:
     # Quasi-Newton iteration cap of the interior dual; the boundary dual
     # is a closed-form certificate at the boundary primal's final eta.
     dual_iters: int = 800
+
+
+PAIR_GAP_TOL = 1e-9  # relative gap at which a pair's bracket proves it optimal
 
 
 @dataclass
@@ -308,24 +315,24 @@ def primal_interior(K: CompactSet, ks: KernelSet,
                                      weight="lebesgue")
         return k, ks.lap @ g
 
-    # harmonic profile between the pinned levels
-    seeds = [pinned_harmonic_fill(ks, fixed, free_idx)]
     # alignment witness from the dual measure: impose the aligned source
     # p(khat G[mu]) on the free rows of the pinned system, so the collar
     # and the pin are satisfied without stomping values afterwards
     # (overwriting a solved field with zeros puts O(1/h^2) jumps into
-    # its Laplacian and ruins the seed).
+    # its Laplacian and ruins the seed).  Without a positive potential
+    # the source is 0 and the seed is the harmonic fill.
     if dual is None:
         dual = dual_interior(K, ks, opts)
     pot = _green_columns(ks, dual.mu_nodes) @ dual.mu_masses
-    if float(pot.max(initial=0.0)) > 0 and free_idx.size:
+    w_star = None
+    if float(pot.max(initial=0.0)) > 0:
         _, khat = orlicz_norm_and_argmin(pot, grid, nf, "principal", "lebesgue")
         # Young equality makes p(khat pot) the unit-norm aligned source,
         # so the optimiser target is dual_value times it.
         w_star = dual.dual_value * nf.p(khat * pot)
-        seeds.append(pinned_harmonic_fill(ks, fixed, free_idx, w_star))
+    seed = pinned_harmonic_fill(ks, fixed, free_idx, w_star)
 
-    est = _polish("primal-interior", seeds, norm_of, value_and_grad, fixed,
+    est = _polish("primal-interior", [seed], norm_of, value_and_grad, fixed,
                   free_idx, opts.maxiter)
     est.aux.update(maximal_functional=llnl_norm(ks.lap @ est.eta_star, grid,
                                                 "lebesgue"),
@@ -414,14 +421,13 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
 
 def dual_interior(K: CompactSet, ks: KernelSet,
                   opts: CapacityOptions = CapacityOptions()) -> CapacityEstimate:
-    """Certified lower bound: max mass on K with unit Green-potential norm.
+    """Certified lower bound from the signed measure of unit mass on K,
+    dilated by opts.dilation rings like the primal's pin, whose Green
+    potential has the least Orlicz norm (see the module docstring).
 
-    The measure lives on K dilated by opts.dilation rings, the same set
-    the primal pins at one, so the two programs bracket the capacity of
-    a single discrete set instead of two nested ones.  L-BFGS-B
-    minimises ||G m||_orl / m(K), which does not change when m is
-    scaled, over m >= 0 from the uniform measure; the value is
-    m(K) / ||G m||_orl at the returned m and mu_masses = m / ||G m||_orl.
+    L-BFGS-B runs over m = 1/|S| + Q y from y = 0, y free and Q an
+    orthonormal basis of the mass-zero measures; mu_masses is
+    m / ||G m||_orl.  A single atom has no free direction.
     """
     grid = ks.grid
     grid.require_same(K.grid)
@@ -431,20 +437,30 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     W = grid.weight_vector("lebesgue")
     support = dilate_interior(ks, K.nodes, opts.dilation)
     cols = _green_columns(ks, support)
+    m = np.full(support.size, 1.0 / support.size)
+    iters, converged = 0, True
+    if support.size > 1:
+        # the Householder reflection swapping e_1 and the unit mean
+        # direction: its other columns span {sum m = 0} orthonormally
+        u = np.full(support.size, support.size ** -0.5)
+        u[0] -= 1.0
+        Q = (np.eye(support.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
+        v0, GQ = cols @ m, cols @ Q
 
-    def objective(m):
-        s = m.sum()
-        v = cols @ m
-        nrm, k = orlicz_norm_and_argmin(v, grid, nf, "principal", "lebesgue")
-        # envelope theorem: the norm's gradient in v is n(k v) W
-        return nrm / s, (cols.T @ (nf.p(k * v) * W)) / s - nrm / s ** 2
+        def objective(y):
+            v = v0 + GQ @ y
+            nrm, k = orlicz_norm_and_argmin(v, grid, nf, "principal", "lebesgue")
+            # envelope theorem: the norm's gradient in v is n(k v) W
+            return nrm, GQ.T @ (nf.p(k * v) * W)
 
-    res = _box_minimise(objective, np.full(support.size, 1.0 / support.size),
-                        [(0.0, None)] * support.size, opts.dual_iters)
-    nrm = orlicz_norm(cols @ res.x, grid, nf, "principal", "lebesgue")
-    return CapacityEstimate("dual-interior", dual_value=float(res.x.sum() / nrm),
-                            mu_nodes=support, mu_masses=res.x / nrm,
-                            iterations=int(res.nit), converged=bool(res.success))
+        res = _box_minimise(objective, np.zeros(support.size - 1),
+                            [(None, None)] * (support.size - 1), opts.dual_iters)
+        m = m + Q @ res.x
+        iters, converged = int(res.nit), bool(res.success)
+    nrm = orlicz_norm(cols @ m, grid, nf, "principal", "lebesgue")
+    return CapacityEstimate("dual-interior", dual_value=float(m.sum() / nrm),
+                            mu_nodes=support, mu_masses=m / nrm,
+                            iterations=iters, converged=converged)
 
 
 def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstimate:
@@ -499,7 +515,10 @@ def capacity_pair(K: CompactSet, ks: KernelSet,
     """Both sides of the duality sandwich in one record.
 
     Interior: the dual runs once and also seeds the primal.  Boundary:
-    the primal runs once and its final eta is certified.
+    the primal runs once and its final eta is certified.  The pair is
+    converged if both optimisers pass their own stopping tests or if the
+    bracket closes to PAIR_GAP_TOL: at an optimum reached to rounding
+    L-BFGS-B's line search finds no decrease and stops abnormally.
     """
     if K.kind == "interior":
         dua = dual_interior(K, ks, opts)
@@ -517,7 +536,9 @@ def capacity_pair(K: CompactSet, ks: KernelSet,
         mu_nodes=dua.mu_nodes,
         mu_masses=dua.mu_masses,
         iterations=pri.iterations + dua.iterations,
-        converged=pri.converged and dua.converged,
+        converged=((pri.converged and dua.converged)
+                   or abs(pri.primal_value - dua.dual_value)
+                   <= PAIR_GAP_TOL * pri.primal_value),
         aux=aux,
     )
 

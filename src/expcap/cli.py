@@ -203,10 +203,10 @@ def _cmd_capacity(args) -> int:
     gap = (est.gap / est.primal_value if est.primal_value > 0 else float("nan"))
     print(f"target {args.kind}:{args.target} -> {nodes.size} node(s)")
     print(f"primal = {est.primal_value:.10g}   ({est.iterations} iterations total)")
-    how = ("measure with unit Orlicz-norm potential" if args.kind == "interior"
+    how = ("signed measure of unit mass" if args.kind == "interior"
            else "adjoint certificate at the primal's eta")
     print(f"dual   = {est.dual_value:.10g}   ({how})")
-    print(f"gap    = {100.0 * gap:.2f}% of primal")
+    print(f"gap    = {100.0 * gap:.3g}% of primal")
     if args.dump_eta and est.eta_star is not None:
         if args.kind == "interior":
             dump_field_csv(Field(grid, est.eta_star, np.zeros(grid.n_boundary)),

@@ -18,8 +18,8 @@ Five drivers, one per phenomenon:
     w = Lap(rho* P[eta]) for shrinking boundary cutoffs (trend only, no
     verdict: the continuum question is open);
   * convergence suite: closed-form anchors (1D Green, torsion,
-    eigenvalue, harmonic partition) plus capacity and residual trends
-    over a refinement ladder.
+    eigenvalue, harmonic partition) plus residual trends and a certified
+    capacity bracket over a refinement ladder.
 
 Everything is deterministic: fixed iteration caps, and CSV outputs that
 reproduce bit-identically on re-runs.
@@ -34,9 +34,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .capacity import (CapacityOptions, CompactSet, boundary_collar,
-                       boundary_test_norm, pairing, pinned_harmonic_fill,
-                       primal_interior, _boundary_graph, _hop_distance)
+from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
+                       capacity_pair, pairing, pinned_harmonic_fill,
+                       _boundary_graph, _hop_distance)
 from .errors import Infeasible, LadderTooCoarse, SupportError
 from .grids import build_grid, integrate
 from .kernels import assemble, green_column
@@ -543,9 +543,10 @@ def run_convergence_suite(cfg: ExperimentConfig) -> ConvergenceResult:
 
         Kc = CompactSet(grid, target_nodes(grid, "interior", "center"),
                         "interior")
-        cap = primal_interior(Kc, ks, CapacityOptions(maxiter=200)).primal_value
-        rows.append(("capacity-center", "square", n, cap, float("nan"),
-                     float("nan"), cap / prev["cap"] if "cap" in prev else float("nan")))
+        pair = capacity_pair(Kc, ks)
+        cap = pair.primal_value
+        rows.append(("capacity-center", "square", n, cap, pair.dual_value,
+                     pair.gap / cap, cap / prev["cap"] if "cap" in prev else float("nan")))
         prev["cap"] = cap
 
     for n in cfg.ladder:

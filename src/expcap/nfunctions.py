@@ -11,8 +11,8 @@ P does not; that asymmetry is why the conjugate side carries the
 maximal-function machinery elsewhere in the package.
 
 Generic pairs can be registered from a density; the conjugate is then
-evaluated by a numeric Legendre transform (golden-section maximisation),
-which is slow but only meant for cross-checks.
+evaluated through a numeric inverse of the density and Young's
+equality, which is slow but only meant for cross-checks.
 """
 
 from __future__ import annotations
@@ -116,72 +116,40 @@ def quadratic_pair() -> NFunction:
     )
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Golden-section maximisation of a unimodal f on [lo, hi]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < tol * (1.0 + abs(a) + abs(b)):
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def pair_from_density(name: str, principal: Callable, density: Callable,
                       search_cap: float = 1e6) -> NFunction:
-    """Build an NFunction from (P, p), with P* by numeric Legendre transform.
+    """Build an NFunction from scalar (P, p), with P* by Young's equality.
 
-    P*(y) = sup_x (x|y| - P(x)).  The sup is located by golden section on
-    [0, x_hi] where x_hi solves p(x_hi) >= |y| (doubling the bracket).
-    Intended for cross-checking, not production hot paths.
+    pbar = p^{-1} comes from one vectorised bisection of the increasing
+    density on [0, x_hi], x_hi doubled until p(x_hi) >= |y|; then
+    P*(y) = |y| pbar(|y|) - P(pbar(|y|)), whose error is second order in
+    that of pbar.  Intended for cross-checking, not production hot paths.
     """
+    P, p = (np.vectorize(f, otypes=[float]) for f in (principal, density))
 
-    def conj_scalar(y: float) -> float:
-        ay = abs(y)
-        if ay == 0.0:
-            return 0.0
-        x_hi = 1.0
-        while density(x_hi) < ay and x_hi < search_cap:
-            x_hi *= 2.0
-        xs = _golden_max(lambda x: x * ay - principal(x), 0.0, x_hi)
-        return xs * ay - principal(xs)
-
-    conj = np.vectorize(conj_scalar, otypes=[float])
-
-    def conj_density_scalar(y: float) -> float:
-        # pbar = p^{-1}: bisection on the monotone density.
-        ay = abs(y)
-        if ay == 0.0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while density(hi) < ay and hi < search_cap:
-            hi *= 2.0
+    def pbar(y):
+        ay = np.abs(np.asarray(y, dtype=float))
+        lo, hi = np.zeros_like(ay), np.ones_like(ay)
+        short = (p(hi) < ay) & (hi < search_cap)
+        while short.any():
+            hi = np.where(short, 2.0 * hi, hi)
+            short = (p(hi) < ay) & (hi < search_cap)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if density(mid) < ay:
-                lo = mid
-            else:
-                hi = mid
-        return np.sign(y) * 0.5 * (lo + hi)
+            below = p(mid) < ay
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return 0.5 * (lo + hi)
 
-    conj_density = np.vectorize(conj_density_scalar, otypes=[float])
+    def conj(y):
+        x = pbar(y)
+        return np.abs(y) * x - P(x)
 
     return NFunction(
         name=name,
-        principal=lambda t: principal(np.abs(np.asarray(t, dtype=float))),
+        principal=lambda t: P(np.abs(t)),
         conjugate=conj,
-        density=lambda s: np.sign(s) * density(np.abs(np.asarray(s, dtype=float))),
-        conjugate_density=conj_density,
+        density=lambda s: np.sign(s) * p(np.abs(s)),
+        conjugate_density=lambda s: np.sign(s) * pbar(s),
         doubling_conjugate=False,
     )
 

@@ -22,7 +22,7 @@ from expcap.experiments import target_nodes
 # frozen on the 16x16 square, centre node, default options
 PAIR16_DIL0 = 4.2172024791
 PAIR16_DIL1_PRIMAL = 4.7996993658
-PAIR16_DIL1_DUAL = 4.6898671218
+PAIR16_DIL1_DUAL = 4.7996993657
 
 # frozen side functional values, same grid
 MIXED16 = {"center": 5.573945, "cluster": 6.848716, "segment": 8.714697}
@@ -102,13 +102,16 @@ def test_undilated_pair_is_tight(ks16):
 
 def test_singleton_dual_matches_reciprocal_column_norm(ks16):
     # independent route: the one-atom dual maximises m subject to
-    # ||m G_j|| <= 1, so its value is 1 / ||G_j|| in the constraint norm
+    # ||m G_j|| <= 1, so its value is 1 / ||G_j|| in the constraint norm;
+    # a unit atom has no free direction, so no optimiser step is taken
     K = _center_set(ks16)
     est = dual_interior(K, ks16, CapacityOptions(dilation=0))
     col = green_column(ks16, int(K.nodes[0]))
     expect = 1.0 / orlicz_norm(col, ks16.grid, exponential_pair())
     assert est.dual_value == pytest.approx(expect, rel=1e-6)
     assert est.mu_masses.sum() == pytest.approx(est.dual_value, rel=1e-9)
+    assert est.iterations == 0 and est.converged
+    assert est.dual_value == expect
 
 
 def test_interior_dual_reports_its_iteration_cap(ks16):
@@ -136,6 +139,27 @@ def test_interior_dual_meets_its_kkt_conditions(ks16, target):
     kkt = est.dual_value * (cols.T @ g)
     assert kkt.min() >= 1.0 - 1e-6
     assert np.abs(kkt[est.mu_masses > 0] - 1.0).max() <= 1e-6
+
+
+@pytest.mark.parametrize("target", ["center", "cluster", "segment"])
+@pytest.mark.parametrize("dilation", [0, 1])
+@pytest.mark.parametrize("fixture", ["ks16", "ks32"])
+def test_interior_pair_closes_its_bracket(fixture, dilation, target, request):
+    # the signed dual is the exact dual of the pin eta = 1, so the two
+    # certificates meet up to rounding and the dual's seed leaves the
+    # primal nothing to do
+    ks = request.getfixturevalue(fixture)
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", target),
+                   "interior")
+    opts = CapacityOptions(dilation=dilation)
+    dual = dual_interior(K, ks, opts)
+    assert dual.dual_value > 0.0
+    assert dual.converged
+    est = capacity_pair(K, ks, opts)
+    assert est.dual_value == dual.dual_value
+    assert abs(est.gap) <= 1e-9 * est.primal_value
+    assert est.converged
+    assert est.iterations - dual.iterations <= 5
 
 
 def test_dilated_pair_weak_duality_and_frozen_values(ks16):
@@ -185,7 +209,7 @@ def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     opts = CapacityOptions(dilation=1)
     dual = dual_interior(K, ks16, opts)
     est = primal_interior(K, ks16, opts, dual=dual)
-    assert len(calls) == 3  # harmonic seed, dual-aligned seed, polished point
+    assert len(calls) == 2  # dual-aligned seed, polished point
     assert est.primal_value == luxemburg_norm(
         ks16.lap @ est.eta_star, ks16.grid, exponential_pair(),
         side="conjugate", weight="lebesgue")

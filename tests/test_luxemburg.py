@@ -241,13 +241,18 @@ def test_norms_leave_no_cycle_holding_the_field(ks16, rng):
              lambda: luxemburg_subgradient(f, grid, NF, side="conjugate"),
              lambda: orlicz_norm(f, grid, NF),
              lambda: orlicz_norm(spike, grid, NF, weight="rho"))
+    # DEBUG_SAVEALL keeps every unreachable cycle in gc.garbage instead of
+    # freeing it, and clearing that list leaves the cycles unreachable
+    # again, so a collection under it would blame this call for cycles
+    # left by earlier code (an earlier failing test's traceback, say).
+    # Free those with the saved flags first, then watch the call alone.
     debug = gc.get_debug()
     gc.disable()
     try:
-        gc.set_debug(gc.DEBUG_SAVEALL)
         for call in calls:
+            gc.set_debug(debug)
             gc.collect()
-            gc.garbage.clear()
+            gc.set_debug(gc.DEBUG_SAVEALL)
             call()
             gc.collect()
             held = [r for obj in gc.garbage for r in gc.get_referents(obj)

@@ -91,8 +91,8 @@ def test_quadratic_pair_is_self_conjugate(rng):
 
 def test_numeric_legendre_transform_recovers_conjugate():
     # Rebuild the pair from (P, p) alone; the numeric conjugate has to
-    # land on the closed form, which exercises the golden-section search
-    # and the density inversion independently of the analytic route.
+    # land on the closed form, which exercises the density inversion and
+    # Young's equality independently of the analytic route.
     num = pair_from_density("exp-numeric",
                             lambda t: math.expm1(t) - t,
                             lambda t: math.expm1(t))
