@@ -175,31 +175,9 @@ def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
     return np.flatnonzero(_hop_distance(abs(ks.lap), first) <= rings - 1)
 
 
-def _boundary_graph(grid: WeightedGrid) -> sp.csr_matrix:
-    """Adjacency among boundary nodes (8-neighbourhood on the lattice)."""
-    nb = grid.n_boundary
-    if grid.ndim == 1:
-        return sp.csr_matrix((nb, nb))
-    m = grid.n + 2
-    bi, bj = np.divmod(grid.boundary_lattice, m)
-    rows, cols = [], []
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == dj == 0:
-                continue
-            i2, j2 = bi + di, bj + dj
-            ok = (i2 >= 0) & (i2 < m) & (j2 >= 0) & (j2 < m)
-            o = grid._bdy_of_lat[i2[ok] * m + j2[ok]]
-            rows.append(np.flatnonzero(ok)[o >= 0])
-            cols.append(o[o >= 0])
-    rows = np.concatenate(rows)
-    return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))),
-                         shape=(nb, nb))
-
-
 def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close boundary `nodes` under `rings` steps of the boundary graph."""
-    return np.flatnonzero(_hop_distance(_boundary_graph(grid), nodes) <= rings)
+    return np.flatnonzero(_hop_distance(grid.boundary_graph(), nodes) <= rings)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +381,7 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
         k, gw = _boundary_gauge_gradient(ks, eta_b)
         return k, _boundary_adjoint(ks, gw)
 
-    dist = _hop_distance(_boundary_graph(grid), ones)
+    dist = _hop_distance(grid.boundary_graph(), ones)
     seeds = []
     for width in (2.0, 4.0, 8.0, 16.0):
         tent = np.maximum(0.0, 1.0 - dist / width)
@@ -626,22 +604,15 @@ def weak_l1_hessian(eta: Field, ks: KernelSet):
     grid = ks.grid
     grid.require_same(eta.grid)
     h2 = grid.h ** 2
-    m = grid.n + 2
+    E = grid.to_lattice(eta.values)
     if grid.ndim == 1:
-        E = np.zeros(m)
-        E[grid.interior_lattice] = eta.values
         mag = np.abs((E[2:] - 2.0 * E[1:-1] + E[:-2]) / h2)
-        mag = mag[grid.interior_lattice - 1]
     else:
-        E = np.zeros((m, m))
-        ii = grid.interior_lattice // m
-        jj = grid.interior_lattice % m
-        E[ii, jj] = eta.values
         dxx = (E[2:, 1:-1] - 2.0 * E[1:-1, 1:-1] + E[:-2, 1:-1]) / h2
         dyy = (E[1:-1, 2:] - 2.0 * E[1:-1, 1:-1] + E[1:-1, :-2]) / h2
         dxy = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4.0 * h2)
-        mag_full = np.sqrt(dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
-        mag = mag_full[ii - 1, jj - 1]
+        mag = np.sqrt(dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
+    mag = mag[grid.lattice_index(-1)]
     vals = np.sort(mag)[::-1]
     ranks = np.arange(1, vals.size + 1) * grid.cell_measure
     lhs = float((vals * ranks).max(initial=0.0))

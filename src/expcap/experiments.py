@@ -36,7 +36,7 @@ import numpy as np
 
 from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
                        capacity_pair, pairing, pinned_harmonic_fill,
-                       _boundary_graph, _hop_distance)
+                       _hop_distance)
 from .errors import Infeasible, LadderTooCoarse, SupportError
 from .grids import build_grid, integrate
 from .kernels import assemble, green_column
@@ -162,7 +162,7 @@ def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
 
 def boundary_family(K_nodes: np.ndarray, grid, radii: Sequence[int]):
     """Graph-distance tents on the boundary: eta = max(0, 1 - dist/R)."""
-    dist = _hop_distance(_boundary_graph(grid), K_nodes)
+    dist = _hop_distance(grid.boundary_graph(), K_nodes)
     out = []
     for R in sorted(radii, reverse=True):
         if R < 1:
@@ -341,26 +341,20 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
     return rep.u, rep.iterations
 
 
+def _centred_step(E: np.ndarray, axis: int) -> np.ndarray:
+    """E[a + e_axis] - E[a - e_axis] on the inner block of a lattice array."""
+    hi = tuple(slice(2, None) if k == axis else slice(1, -1) for k in range(E.ndim))
+    lo = tuple(slice(None, -2) if k == axis else slice(1, -1) for k in range(E.ndim))
+    return E[hi] - E[lo]
+
+
 def _grad_dot_times(grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """grad a . grad b at interior nodes, centred differences, zero extension."""
-    m = grid.n + 2
     tw = 2.0 * grid.h
-    if grid.ndim == 1:
-        Ea = np.zeros(m)
-        Eb = np.zeros(m)
-        Ea[grid.interior_lattice] = a
-        Eb[grid.interior_lattice] = b
-        g = ((Ea[2:] - Ea[:-2]) / tw) * ((Eb[2:] - Eb[:-2]) / tw)
-        return g[grid.interior_lattice - 1]
-    Ea = np.zeros((m, m))
-    Eb = np.zeros((m, m))
-    ii = grid.interior_lattice // m
-    jj = grid.interior_lattice % m
-    Ea[ii, jj] = a
-    Eb[ii, jj] = b
-    gx = ((Ea[2:, 1:-1] - Ea[:-2, 1:-1]) / tw) * ((Eb[2:, 1:-1] - Eb[:-2, 1:-1]) / tw)
-    gy = ((Ea[1:-1, 2:] - Ea[1:-1, :-2]) / tw) * ((Eb[1:-1, 2:] - Eb[1:-1, :-2]) / tw)
-    return (gx + gy)[ii - 1, jj - 1]
+    Ea, Eb = grid.to_lattice(a), grid.to_lattice(b)
+    g = sum((_centred_step(Ea, k) / tw) * (_centred_step(Eb, k) / tw)
+            for k in range(grid.ndim))
+    return g[grid.lattice_index(-1)]
 
 
 def run_moderate_extension(cfg: ExperimentConfig) -> ModerateResult:

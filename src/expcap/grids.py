@@ -13,7 +13,11 @@ Conventions used throughout the package:
   strictly inside the circle, boundary nodes are the outside nodes
   stencil-adjacent to an interior one;
 * rho is the distance to the boundary (exact formulas, not a solve):
-  min(x, 1-x, ...) on interval/square, R - |x-c| on the disk.
+  min(x, 1-x, ...) on interval/square, R - |x-c| on the disk;
+* only this module knows which lattice cell holds which node: other
+  modules read fields on the lattice through `WeightedGrid.to_lattice`
+  (the zero extension) and `lattice_index`, and adjacency through
+  `stencil_neighbours` and `boundary_graph`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GridMismatch, TooCoarse
 
@@ -45,7 +50,6 @@ class WeightedGrid:
     # boundary bookkeeping
     boundary_coords: np.ndarray      # (Nb, ndim)
     boundary_lattice: np.ndarray     # (Nb,)
-    boundary_adjacent: tuple         # per boundary node: tuple of interior ordinals
     boundary_inward: np.ndarray      # (Nb, 2) interior ordinals one and two steps in (-1 if absent)
     boundary_normal: np.ndarray      # (Nb, ndim) outward unit direction (exact or radial)
     # lattice -> ordinal maps (-1 where absent)
@@ -86,6 +90,53 @@ class WeightedGrid:
         else:
             raise ValueError(f"unknown weight kind {weight!r}")
         return w * self.cell_measure
+
+    def lattice_index(self, pad: int = 0) -> tuple:
+        """Per-axis indices of the interior nodes in a lattice array grown
+        by `pad` cells on every side; pad=-1 indexes the inner n^d block
+        that a centred difference of a lattice array produces."""
+        idx = np.unravel_index(self.interior_lattice, (self.n + 2,) * self.ndim)
+        return tuple(a + pad for a in idx)
+
+    def to_lattice(self, values: np.ndarray, pad: int = 0) -> np.ndarray:
+        """Zero extension of interior values onto the (n+2+2 pad)^d lattice."""
+        full = np.zeros((self.n + 2 + 2 * pad,) * self.ndim)
+        full[self.lattice_index(pad)] = values
+        return full
+
+    def stencil_neighbours(self) -> list:
+        """Per stencil step, (interior ordinal, boundary ordinal) of each
+        interior node's neighbour, -1 where it is not of that kind.
+
+        Interior nodes never sit on the lattice edge, so a step never
+        leaves the lattice or wraps a row, and it lands on an interior or
+        a boundary node, never an exterior one.
+        """
+        m = self.n + 2
+        steps = (-1, 1) if self.ndim == 1 else (-m, m, -1, 1)
+        return [(self._int_of_lat[t], self._bdy_of_lat[t])
+                for t in (self.interior_lattice + s for s in steps)]
+
+    def boundary_graph(self) -> sp.csr_matrix:
+        """Adjacency among boundary nodes (8-neighbourhood on the lattice)."""
+        nb = self.n_boundary
+        if self.ndim == 1:
+            return sp.csr_matrix((nb, nb))
+        m = self.n + 2
+        bi, bj = np.divmod(self.boundary_lattice, m)
+        rows, cols = [], []
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == dj == 0:
+                    continue
+                i2, j2 = bi + di, bj + dj
+                ok = (i2 >= 0) & (i2 < m) & (j2 >= 0) & (j2 < m)
+                o = self._bdy_of_lat[i2[ok] * m + j2[ok]]
+                rows.append(np.flatnonzero(ok)[o >= 0])
+                cols.append(o[o >= 0])
+        rows = np.concatenate(rows)
+        return sp.csr_matrix((np.ones(rows.size), (rows, np.concatenate(cols))),
+                             shape=(nb, nb))
 
 
 @dataclass
@@ -145,7 +196,6 @@ def _build_interval(n: int, h: float) -> WeightedGrid:
     bdy_of_lat = -np.ones(n + 2, dtype=int)
     bdy_of_lat[bdy_lat] = np.arange(2)
 
-    adj = (tuple([0]), tuple([n - 1]))
     inward = np.array([[0, 1], [n - 1, n - 2]], dtype=int)
     normal = np.array([[-1.0], [1.0]])
 
@@ -153,7 +203,7 @@ def _build_interval(n: int, h: float) -> WeightedGrid:
         shape="interval", n=n, h=h, ndim=1,
         interior_coords=xs[:, None], rho=rho, interior_lattice=int_lat,
         boundary_coords=np.array([[0.0], [1.0]]), boundary_lattice=bdy_lat,
-        boundary_adjacent=adj, boundary_inward=inward, boundary_normal=normal,
+        boundary_inward=inward, boundary_normal=normal,
         _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
     )
 
@@ -185,20 +235,15 @@ def _build_square(n: int, h: float) -> WeightedGrid:
     bcoords = np.column_stack([bi * h, bj * h])
     normal = np.array(normals)
 
-    adj = []
-    inward = np.zeros((bdy_lat.size, 2), dtype=int)
-    for b in range(bdy_lat.size):
-        di, dj = -int(normal[b, 0]), -int(normal[b, 1])
-        p1 = int_of_lat[_lat(n, bi[b] + di, bj[b] + dj)]
-        p2 = int_of_lat[_lat(n, bi[b] + 2 * di, bj[b] + 2 * dj)]
-        adj.append((int(p1),))
-        inward[b] = (p1, p2)
+    di, dj = -normal.astype(int).T
+    inward = np.column_stack([int_of_lat[_lat(n, bi + s * di, bj + s * dj)]
+                              for s in (1, 2)])
 
     return WeightedGrid(
         shape="square", n=n, h=h, ndim=2,
         interior_coords=coords, rho=rho, interior_lattice=int_lat,
         boundary_coords=bcoords, boundary_lattice=bdy_lat,
-        boundary_adjacent=tuple(adj), boundary_inward=inward, boundary_normal=normal,
+        boundary_inward=inward, boundary_normal=normal,
         _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
     )
 
@@ -242,26 +287,15 @@ def _build_disk(n: int, h: float) -> WeightedGrid:
     rlen = np.hypot(rvec[:, 0], rvec[:, 1])
     normal = rvec / rlen[:, None]
 
-    adj = []
-    inward = -np.ones((bdy_idx.size, 2), dtype=int)
-    bi = bdy_idx // m
-    bj = bdy_idx % m
-    for b in range(bdy_idx.size):
-        nbrs = []
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            i2, j2 = bi[b] + di, bj[b] + dj
-            if 0 <= i2 < m and 0 <= j2 < m:
-                o = int_of_lat[i2 * m + j2]
-                if o >= 0:
-                    nbrs.append(int(o))
-        adj.append(tuple(nbrs))
-        inward[b] = _disk_inward(normal[b], bi[b], bj[b], m, int_of_lat)
+    bi, bj = np.divmod(bdy_idx, m)
+    inward = np.array([_disk_inward(normal[b], bi[b], bj[b], m, int_of_lat)
+                       for b in range(bdy_idx.size)], dtype=int)
 
     return WeightedGrid(
         shape="disk", n=n, h=h, ndim=2,
         interior_coords=ic, rho=rho, interior_lattice=int_idx,
         boundary_coords=bc, boundary_lattice=bdy_idx,
-        boundary_adjacent=tuple(adj), boundary_inward=inward, boundary_normal=normal,
+        boundary_inward=inward, boundary_normal=normal,
         _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
     )
 

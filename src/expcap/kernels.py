@@ -43,21 +43,13 @@ def _assemble_matrices(grid: WeightedGrid):
 
     One triplet block per stencil step, diagonal first; the COO->CSR
     conversion is stable, so the entries of each row keep that order.
-    Interior nodes never sit on the lattice edge, so a step never leaves
-    the lattice or wraps a row, and it lands on an interior or a boundary
-    node, never an exterior one.
     """
     h2 = grid.h ** 2
     ni = grid.n_interior
-    m = grid.n + 2
-    steps = (-1, 1) if grid.ndim == 1 else (-m, m, -1, 1)
     rows = np.arange(ni)
     rows_a, cols_a, vals_a = [rows], [rows], [np.full(ni, 2.0 * grid.ndim / h2)]
     rows_b, cols_b = [], []
-    for s in steps:
-        t = grid.interior_lattice + s
-        oi = grid._int_of_lat[t]
-        ob = grid._bdy_of_lat[t]
+    for oi, ob in grid.stencil_neighbours():
         hit = oi >= 0
         rows_a.append(rows[hit])
         cols_a.append(oi[hit])
@@ -170,7 +162,8 @@ def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:
     """Outward normal derivative of a field at every boundary node.
 
     order=2: one-sided second-order difference along the stencil-rounded
-    inward direction, (3 f_b - 4 f_1 + f_2) / (2h).
+    inward direction, (3 f_b - 4 f_1 + f_2) / (2h), and order 1 where
+    two inward steps do not exist.
     order=1: the flux implied by the discrete Green identity,
     (deg_b f_b - sum of adjacent interior values) / h; with this choice
     the weak residual of a converged boundary solve vanishes to solver
@@ -179,20 +172,14 @@ def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:
     grid = ks.grid
     grid.require_same(f.grid)
     fb = f.boundary_values if f.boundary_values is not None else np.zeros(grid.n_boundary)
-    out = np.zeros(grid.n_boundary)
-    if order == 1:
-        for b, nbrs in enumerate(grid.boundary_adjacent):
-            out[b] = (len(nbrs) * fb[b] - sum(f.values[i] for i in nbrs)) / grid.h
-        return out
-    if order != 2:
+    if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    i1 = grid.boundary_inward[:, 0]
-    i2 = grid.boundary_inward[:, 1]
-    ok = (i1 >= 0) & (i2 >= 0)
-    out[ok] = (3.0 * fb[ok] - 4.0 * f.values[i1[ok]] + f.values[i2[ok]]) / (2.0 * grid.h)
-    if not ok.all():
-        # fall back to first order where two inward steps are unavailable
-        for b in np.flatnonzero(~ok):
-            nbrs = grid.boundary_adjacent[b]
-            out[b] = (len(nbrs) * fb[b] - sum(f.values[i] for i in nbrs)) / grid.h
+    adjacent = ks.coupling.T.astype(bool)
+    degree = np.asarray(adjacent.sum(axis=1)).ravel()
+    out = (degree * fb - adjacent @ f.values) / grid.h
+    if order == 2:
+        i1 = grid.boundary_inward[:, 0]
+        i2 = grid.boundary_inward[:, 1]
+        ok = (i1 >= 0) & (i2 >= 0)
+        out[ok] = (3.0 * fb[ok] - 4.0 * f.values[i1[ok]] + f.values[i2[ok]]) / (2.0 * grid.h)
     return out

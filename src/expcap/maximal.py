@@ -63,20 +63,6 @@ def _cover(V: np.ndarray) -> np.ndarray:
     return U
 
 
-def _scatter_full(f_vals: np.ndarray, grid: WeightedGrid, pad: int) -> np.ndarray:
-    """|f| on the padded cell array (zeros off the interior)."""
-    m = grid.n + 2
-    if grid.ndim == 1:
-        full = np.zeros(m + 2 * pad)
-        full[grid.interior_lattice + pad] = np.abs(f_vals)
-        return full
-    full = np.zeros((m + 2 * pad, m + 2 * pad))
-    ii = grid.interior_lattice // m
-    jj = grid.interior_lattice % m
-    full[ii + pad, jj + pad] = np.abs(f_vals)
-    return full
-
-
 def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     """M[f] on every cell of the padded cube (flat interior values via
     `maximal_interior`)."""
@@ -85,7 +71,7 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
         raise GridMismatch("field length does not match grid")
     if pad < 0:
         raise ValueError("pad must be >= 0")
-    full = _scatter_full(vals, grid, pad)
+    full = grid.to_lattice(np.abs(vals), pad)
 
     if grid.ndim == 1:
         N = full.size
@@ -109,13 +95,7 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
 
 def maximal_interior(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     """M[f] restricted to the interior nodes."""
-    M = maximal_function(f, grid, pad)
-    m = grid.n + 2
-    if grid.ndim == 1:
-        return M[grid.interior_lattice + pad]
-    ii = grid.interior_lattice // m
-    jj = grid.interior_lattice % m
-    return M[ii + pad, jj + pad]
+    return maximal_function(f, grid, pad)[grid.lattice_index(pad)]
 
 
 def llnl_norm(f, grid: WeightedGrid, weight: str = "lebesgue", pad: int = 1) -> float:
