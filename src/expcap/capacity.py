@@ -2,7 +2,8 @@
 
 Primal programs minimise a conjugate-side Luxemburg norm over cutoff
 fields eta pinned to 1 on the target set (optionally dilated by one
-stencil ring), 0 on a collar inside the boundary, boxed to [0, 1]:
+stencil ring) and boxed to [0, 1]; the stencil extends every field by
+zero at the boundary nodes, which is the discrete compact support:
 
     interior:  inf || -Lap eta ||_{L_{P*}}                  (Lebesgue weight)
     boundary:  inf || rho^{-1} Lap(rho* P[eta]) ||_{L_{P*, rho}}
@@ -100,12 +101,6 @@ class CompactSet:
 @dataclass
 class CapacityOptions:
     dilation: int = 1          # stencil rings added to the pinned-1 set
-    # Interior rings pinned to 0 before the boundary.  The stencil already
-    # extends every field by zero at boundary nodes, which is the discrete
-    # compact-support condition, so the default adds no extra ring: a hard
-    # ring at h > 0 inflates the primal by a boundary-layer cost the dual
-    # program never pays.
-    collar: int = 0
     maxiter: int = 600         # quasi-Newton iteration cap (primals)
     # Quasi-Newton iteration cap of the interior dual; the boundary dual
     # is a closed-form certificate at the boundary primal's final eta.
@@ -232,19 +227,16 @@ def _green_columns(ks: KernelSet, nodes: np.ndarray) -> np.ndarray:
 
 
 def _interior_pin(K: CompactSet, ks: KernelSet, opts: CapacityOptions):
-    """(ones, zeros, fixed, free_idx) of the interior admissible class:
-    eta = 1 on K dilated by opts.dilation rings, 0 on the opts.collar
-    rings inside the boundary, free elsewhere."""
+    """(ones, fixed, free_idx) of the interior admissible class: eta = 1
+    on K dilated by opts.dilation rings, free elsewhere.
+
+    Nothing inside the boundary is pinned to 0: the zero boundary values
+    of the stencil are the compact-support condition, and the interior
+    dual is exact for this class only."""
     ones = dilate_interior(ks, K.nodes, opts.dilation)
-    zeros = boundary_collar(ks, opts.collar)
-    if np.intersect1d(ones, zeros).size:
-        raise Infeasible("target set (dilated) touches the boundary collar")
     fixed = np.zeros(ks.grid.n_interior)
     fixed[ones] = 1.0
-    mask_free = np.ones(ks.grid.n_interior, dtype=bool)
-    mask_free[ones] = False
-    mask_free[zeros] = False
-    return ones, zeros, fixed, np.flatnonzero(mask_free)
+    return ones, fixed, np.flatnonzero(fixed == 0.0)
 
 
 def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
@@ -282,7 +274,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     if K.kind != "interior":
         raise SupportError("primal_interior needs an interior target set")
     nf = exponential_pair()
-    ones, zeros, fixed, free_idx = _interior_pin(K, ks, opts)
+    ones, fixed, free_idx = _interior_pin(K, ks, opts)
 
     def norm_of(eta):
         return luxemburg_norm(ks.lap @ eta, grid, nf, side="conjugate",
@@ -294,8 +286,8 @@ def primal_interior(K: CompactSet, ks: KernelSet,
         return k, ks.lap @ g
 
     # alignment witness from the dual measure: impose the aligned source
-    # p(khat G[mu]) on the free rows of the pinned system, so the collar
-    # and the pin are satisfied without stomping values afterwards
+    # p(khat G[mu]) on the free rows of the pinned system, so the pin is
+    # satisfied without stomping values afterwards
     # (overwriting a solved field with zeros puts O(1/h^2) jumps into
     # its Laplacian and ruins the seed).  Without a positive potential
     # the source is 0 and the seed is the harmonic fill.
@@ -312,9 +304,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
 
     est = _polish("primal-interior", [seed], norm_of, value_and_grad, fixed,
                   free_idx, opts.maxiter)
-    est.aux.update(maximal_functional=llnl_norm(ks.lap @ est.eta_star, grid,
-                                                "lebesgue"),
-                   ones=ones, zeros=zeros)
+    est.aux["ones"] = ones
     return est
 
 
@@ -631,7 +621,7 @@ def mixed_energy_functional(K: CompactSet, ks: KernelSet,
     grid.require_same(K.grid)
     if K.kind != "interior":
         raise SupportError("mixed_energy_functional needs an interior target set")
-    _, _, fixed, free_idx = _interior_pin(K, ks, opts)
+    _, fixed, free_idx = _interior_pin(K, ks, opts)
     vol = grid.cell_measure
     eta = pinned_harmonic_fill(ks, fixed, free_idx)
 

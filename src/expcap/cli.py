@@ -197,8 +197,8 @@ def _cmd_capacity(args) -> int:
     grid = ks.grid
     nodes = xp.target_nodes(grid, args.kind, args.target)
     K = CompactSet(grid, nodes, args.kind, label=args.target)
-    opts = CapacityOptions(dilation=args.dilation, collar=args.collar,
-                           maxiter=args.maxiter, dual_iters=args.dual_iters)
+    opts = CapacityOptions(dilation=args.dilation, maxiter=args.maxiter,
+                           dual_iters=args.dual_iters)
     est = capacity_pair(K, ks, opts)
     gap = (est.gap / est.primal_value if est.primal_value > 0 else float("nan"))
     print(f"target {args.kind}:{args.target} -> {nodes.size} node(s)")
@@ -320,7 +320,6 @@ def main(argv=None) -> int:
                    choices=("interior", "boundary"))
     p.add_argument("--target", default="center")
     p.add_argument("--dilation", type=int, default=CapacityOptions.dilation)
-    p.add_argument("--collar", type=int, default=CapacityOptions.collar)
     p.add_argument("--maxiter", type=int, default=CapacityOptions.maxiter)
     p.add_argument("--dual-iters", dest="dual_iters", type=int,
                    default=CapacityOptions.dual_iters)

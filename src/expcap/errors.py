@@ -52,7 +52,7 @@ class TestNotAdmissible(ExpcapError):
 
 
 class Infeasible(ExpcapError):
-    """A capacity program has an empty feasible set (target set touches the collar)."""
+    """A capacity program or cutoff family has an empty feasible set."""
 
 
 class BadLambda(ExpcapError):

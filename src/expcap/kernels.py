@@ -28,13 +28,10 @@ from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
-# Column ordering for the LUs factored per call: the Newton Jacobian
-# A + diag(e^u) and the pinned blocks of A.  They are symmetric M-matrices,
-# for which minimum degree on A^T + A leaves about half the fill of splu's
-# default COLAMD on the square n=128 grid.  The LU of A kept by `assemble`
-# stays on COLAMD: every kernel solve goes through it, and the interior
-# capacity primal's L-BFGS-B path is sensitive to that rounding (on the
-# square n=16 cluster pair MMD took it from 291 to 295 iterations).
+# Column ordering of every sparse LU: A, the Newton Jacobian A + diag(e^u)
+# and the pinned blocks of A.  They are symmetric M-matrices, for which
+# minimum degree on A^T + A leaves about half the fill of splu's default
+# COLAMD on the square n=128 grid.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
@@ -88,7 +85,7 @@ class KernelSet:
 def assemble(grid: WeightedGrid) -> KernelSet:
     """Assemble operators and precompute eigenpair and torsion field."""
     A, B = _assemble_matrices(grid)
-    ks = KernelSet(grid=grid, lap=A, coupling=B, _lu=spla.splu(A.tocsc()))
+    ks = KernelSet(grid=grid, lap=A, coupling=B, _lu=spla.splu(A.tocsc(), permc_spec=PERMC_SPEC))
     rho_star, lam, iters = _principal_eigen(ks)
     ks.rho_star = rho_star
     ks.eigenvalue = lam

@@ -198,7 +198,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     ks.grid.require_same(mu.grid)
     if levels is None:
         levels = [2.0 ** j for j in range(0, 8)]
-    sing, reg = mu.split()
+    sing, _ = mu.split()
     # screen the singular part: its harmonic extension must stay in exp range
     pot = ks.solve(ks.coupling @ sing.dirichlet_data())
     if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
@@ -213,9 +213,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     monotone = True
     rep = None
     for k in sorted(levels):
-        data_k = BoundaryMeasure(ks.grid, atoms=list(sing.atoms),
-                                 density=(None if reg.density is None
-                                          else np.minimum(reg.density, k)))
+        data_k = mu.truncated(k)
         rep = solve_boundary(data_k, ks)
         gain = 0.0
         if prev_u is not None:
@@ -230,7 +228,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
             bound_rhs=c_flux * total,
             min_gain=gain,
         ))
-    dens_max = 0.0 if reg.density is None else float(reg.density.max(initial=0.0))
+    dens_max = 0.0 if mu.density is None else float(mu.density.max(initial=0.0))
     return TruncationReport(
         levels=rows, final=rep, flux_constant=c_flux, total_mass=total,
         monotone=monotone, saturated=max(levels) >= dens_max,

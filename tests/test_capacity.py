@@ -11,7 +11,7 @@ from expcap.capacity import (CapacityEstimate, CapacityOptions, ChebyshevReport,
                              dilate_interior, dual_boundary, dual_interior,
                              pairing, primal_boundary, primal_interior,
                              weak_l1_hessian)
-from expcap.errors import BadLambda, Infeasible, SupportError
+from expcap.errors import BadLambda, SupportError
 from expcap.grids import Field
 from expcap.kernels import green_column
 from expcap.luxemburg import luxemburg_norm, orlicz_norm, orlicz_norm_and_argmin
@@ -80,13 +80,6 @@ def test_interior_dilation_matches_a_relaxation(fixture, request):
             grown = inside.copy()
             grown[rows[inside[cols]]] = True
             inside = grown
-
-
-def test_pinned_set_in_the_collar_is_infeasible(ks16):
-    ring = boundary_collar(ks16, 1)
-    K = CompactSet(ks16.grid, ring[:1], "interior")
-    with pytest.raises(Infeasible):
-        primal_interior(K, ks16, CapacityOptions(dilation=0, collar=1))
 
 
 def test_undilated_pair_is_tight(ks16):

@@ -62,12 +62,21 @@ def test_capacity_pair_output(capsys):
     assert float(gapline.split("=")[1].split("%")[0]) >= -1e-6
 
 
-def test_capacity_defaults_match_the_library(capsys):
+def test_capacity_defaults_match_the_library(capsys, monkeypatch):
     # the CLI reads its option defaults from CapacityOptions, so at its
-    # defaults it prints the numbers capacity_pair gives with CapacityOptions();
-    # on n=24 the primal runs past 400 iterations, so a CLI cap of its own shows
+    # defaults it passes CapacityOptions() and prints the numbers
+    # capacity_pair gives with them; the options are compared directly
+    # because the primal stops too early for a different cap to show
+    seen = []
+
+    def spy(K, ks, opts):
+        seen.append(opts)
+        return capacity_pair(K, ks, opts)
+
+    monkeypatch.setattr("expcap.cli.capacity_pair", spy)
     code, out = run(["capacity", "--shape", "square", "--n", "24"], capsys)
     assert code == 0
+    assert seen == [CapacityOptions()]
     ks = assemble(build_grid("square", 24))
     K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", "center"),
                    "interior")
