@@ -85,7 +85,8 @@ class KernelSet:
 def assemble(grid: WeightedGrid) -> KernelSet:
     """Assemble operators and precompute eigenpair and torsion field."""
     A, B = _assemble_matrices(grid)
-    ks = KernelSet(grid=grid, lap=A, coupling=B, _lu=spla.splu(A.tocsc(), permc_spec=PERMC_SPEC))
+    ks = KernelSet(grid=grid, lap=A, coupling=B,
+                   _lu=spla.splu(A.tocsc(), permc_spec=PERMC_SPEC))
     rho_star, lam, iters = _principal_eigen(ks)
     ks.rho_star = rho_star
     ks.eigenvalue = lam
@@ -175,8 +176,7 @@ def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:
     degree = np.asarray(adjacent.sum(axis=1)).ravel()
     out = (degree * fb - adjacent @ f.values) / grid.h
     if order == 2:
-        i1 = grid.boundary_inward[:, 0]
-        i2 = grid.boundary_inward[:, 1]
+        i1, i2 = grid.boundary_inward.T
         ok = (i1 >= 0) & (i2 >= 0)
         out[ok] = (3.0 * fb[ok] - 4.0 * f.values[i1[ok]] + f.values[i2[ok]]) / (2.0 * grid.h)
     return out
