@@ -6,12 +6,13 @@ Conventions used throughout the package:
   `n` counts interior nodes per axis on the interval and square;
 * interior nodes carry fields and the quadrature weight h^d (midpoint
   rule), so the constant 1 on the square integrates to (n/(n+1))^2;
+* every shape is a mask on the (n+2)^d lattice: interior nodes lie in
+  the inner block (index 1..n on every axis), on the disk also strictly
+  inside the inscribed circle (centre (1/2,1/2), radius 1/2), so no
+  interior node sits on the lattice edge; boundary nodes are the
+  outside nodes stencil-adjacent to an interior one, in lattice order
+  (the square's edge by edge), and square corners never enter;
 * boundary nodes carry Dirichlet data and the surface weight h^(d-1);
-  square corners never enter any 5-point stencil and are dropped;
-* the disk is the inscribed disk of the unit square (centre (1/2,1/2),
-  radius 1/2) realised as a mask: interior nodes are lattice nodes
-  strictly inside the circle, boundary nodes are the outside nodes
-  stencil-adjacent to an interior one;
 * rho is the distance to the boundary (exact formulas, not a solve):
   min(x, 1-x, ...) on interval/square, R - |x-c| on the disk;
 * only this module knows which lattice cell holds which node: other
@@ -23,7 +24,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import csv
-import io
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -163,10 +164,6 @@ class Field:
         return Field(self.grid, self.values.copy(), bv)
 
 
-def _lat(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    return i * (n + 2) + j
-
-
 def build_grid(shape: str, n: int) -> WeightedGrid:
     """Construct the lattice for one of the supported shapes.
 
@@ -178,157 +175,88 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
     if n < 3:
         raise TooCoarse(f"need n >= 3 interior nodes per axis, got {n}")
     h = 1.0 / (n + 1)
-
-    if shape == "interval":
-        return _build_interval(n, h)
+    ndim = 1 if shape == "interval" else 2
+    m = n + 2
+    pos = np.indices((m,) * ndim).reshape(ndim, -1).T  # lattice order
+    inside = ((pos >= 1) & (pos <= n)).all(axis=1)
+    if shape == "disk":
+        inside &= np.hypot(pos[:, 0] * h - 0.5, pos[:, 1] * h - 0.5) < 0.5
+    # inside stays off the lattice edge, so no stencil step from it wraps
+    near = np.zeros_like(inside)
+    for s in m ** np.arange(ndim):
+        near[s:] |= inside[:-s]
+        near[:-s] |= inside[s:]
+    int_lat = np.flatnonzero(inside)
+    bdy_lat = np.flatnonzero(near & ~inside)
+    bpos = pos[bdy_lat]
     if shape == "square":
-        return _build_square(n, h)
-    return _build_disk(n, h)
+        # edge by edge: (0,k), (n+1,k), (k,0), (k,n+1) for k = 1..n
+        edge = (bpos[:, 0] == 0) | (bpos[:, 0] == n + 1)
+        side = 2 * ~edge + (bpos.max(axis=1) == n + 1)
+        order = np.argsort(4 * np.where(edge, bpos[:, 1], bpos[:, 0]) + side)
+        bdy_lat, bpos = bdy_lat[order], bpos[order]
 
-
-def _build_interval(n: int, h: float) -> WeightedGrid:
-    xs = (np.arange(1, n + 1)) * h
-    rho = np.minimum(xs, 1.0 - xs)
-    int_lat = np.arange(1, n + 1)
-    bdy_lat = np.array([0, n + 1])
-    int_of_lat = -np.ones(n + 2, dtype=int)
-    int_of_lat[int_lat] = np.arange(n)
-    bdy_of_lat = -np.ones(n + 2, dtype=int)
-    bdy_of_lat[bdy_lat] = np.arange(2)
-
-    inward = np.array([[0, 1], [n - 1, n - 2]], dtype=int)
-    normal = np.array([[-1.0], [1.0]])
-
-    return WeightedGrid(
-        shape="interval", n=n, h=h, ndim=1,
-        interior_coords=xs[:, None], rho=rho, interior_lattice=int_lat,
-        boundary_coords=np.array([[0.0], [1.0]]), boundary_lattice=bdy_lat,
-        boundary_inward=inward, boundary_normal=normal,
-        _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
-    )
-
-
-def _build_square(n: int, h: float) -> WeightedGrid:
-    m = n + 2
-    ii, jj = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    coords = np.column_stack([ii * h, jj * h])
-    rho = np.min(np.column_stack([coords, 1.0 - coords]), axis=1)
-    int_lat = _lat(n, ii, jj)
-    int_of_lat = -np.ones(m * m, dtype=int)
+    ic = pos[int_lat] * h
+    bc = bpos * h
+    if shape == "disk":
+        rho = 0.5 - np.hypot(ic[:, 0] - 0.5, ic[:, 1] - 0.5)
+        rvec = bc - 0.5
+        normal = rvec / np.hypot(rvec[:, 0], rvec[:, 1])[:, None]
+    else:
+        rho = functools.reduce(np.minimum, np.minimum(ic, 1.0 - ic).T)
+        normal = (bpos == n + 1).astype(float) - (bpos == 0)
+        if ndim == 1:
+            bc[-1] = 1.0  # (n+1) h rounds below 1 for some n
+    int_of_lat = np.full(m ** ndim, -1)
     int_of_lat[int_lat] = np.arange(int_lat.size)
-
-    # four sides, corners excluded
-    sides = []
-    normals = []
-    for k in range(1, n + 1):
-        sides.append((0, k)); normals.append((-1.0, 0.0))
-        sides.append((n + 1, k)); normals.append((1.0, 0.0))
-        sides.append((k, 0)); normals.append((0.0, -1.0))
-        sides.append((k, n + 1)); normals.append((0.0, 1.0))
-    bi = np.array([s[0] for s in sides])
-    bj = np.array([s[1] for s in sides])
-    bdy_lat = _lat(n, bi, bj)
-    bdy_of_lat = -np.ones(m * m, dtype=int)
+    bdy_of_lat = np.full(int_of_lat.size, -1)
     bdy_of_lat[bdy_lat] = np.arange(bdy_lat.size)
-    bcoords = np.column_stack([bi * h, bj * h])
-    normal = np.array(normals)
-
-    di, dj = -normal.astype(int).T
-    inward = np.column_stack([int_of_lat[_lat(n, bi + s * di, bj + s * dj)]
-                              for s in (1, 2)])
 
     return WeightedGrid(
-        shape="square", n=n, h=h, ndim=2,
-        interior_coords=coords, rho=rho, interior_lattice=int_lat,
-        boundary_coords=bcoords, boundary_lattice=bdy_lat,
-        boundary_inward=inward, boundary_normal=normal,
+        shape=shape, n=n, h=h, ndim=ndim,
+        interior_coords=ic, rho=rho, interior_lattice=int_lat,
+        boundary_coords=bc, boundary_lattice=bdy_lat,
+        boundary_inward=_inward_pairs(bpos, normal, int_of_lat, m),
+        boundary_normal=normal,
         _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
     )
 
 
-def _build_disk(n: int, h: float) -> WeightedGrid:
-    m = n + 2
-    centre = np.array([0.5, 0.5])
-    radius = 0.5
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-    xx = ii * h
-    yy = jj * h
-    dist = np.hypot(xx - centre[0], yy - centre[1])
-    inside = dist < radius
+def _inward_pairs(bpos, normal, int_of_lat, m: int) -> np.ndarray:
+    """Interior ordinals one and two stencil steps in from each boundary
+    node, along the first direction whose two steps are both interior.
 
-    int_mask = inside
-    if not int_mask.any():
-        raise TooCoarse("no lattice node falls inside the disk")
-
-    # boundary: outside nodes 4-adjacent to an inside node
-    bdy_mask = np.zeros_like(inside)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        shifted = np.zeros_like(inside)
-        src = inside[max(0, -di):m - max(0, di), max(0, -dj):m - max(0, dj)]
-        shifted[max(0, di):m - max(0, -di), max(0, dj):m - max(0, -dj)] = src
-        bdy_mask |= shifted
-    bdy_mask &= ~inside
-
-    int_idx = np.flatnonzero(int_mask.ravel())
-    bdy_idx = np.flatnonzero(bdy_mask.ravel())
-    int_of_lat = -np.ones(m * m, dtype=int)
-    int_of_lat[int_idx] = np.arange(int_idx.size)
-    bdy_of_lat = -np.ones(m * m, dtype=int)
-    bdy_of_lat[bdy_idx] = np.arange(bdy_idx.size)
-
-    ic = np.column_stack([xx.ravel()[int_idx], yy.ravel()[int_idx]])
-    bc = np.column_stack([xx.ravel()[bdy_idx], yy.ravel()[bdy_idx]])
-    rho = radius - np.hypot(ic[:, 0] - centre[0], ic[:, 1] - centre[1])
-
-    # outward normal = radial direction from the centre
-    rvec = bc - centre[None, :]
-    rlen = np.hypot(rvec[:, 0], rvec[:, 1])
-    normal = rvec / rlen[:, None]
-
-    bi, bj = np.divmod(bdy_idx, m)
-    inward = np.array([_disk_inward(normal[b], bi[b], bj[b], m, int_of_lat)
-                       for b in range(bdy_idx.size)], dtype=int)
-
-    return WeightedGrid(
-        shape="disk", n=n, h=h, ndim=2,
-        interior_coords=ic, rho=rho, interior_lattice=int_idx,
-        boundary_coords=bc, boundary_lattice=bdy_idx,
-        boundary_inward=inward, boundary_normal=normal,
-        _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
-    )
-
-
-def _disk_inward(outward: np.ndarray, bi: int, bj: int, m: int, int_of_lat: np.ndarray):
-    """Pick one- and two-step inward nodes along the stencil-rounded normal.
-
-    Tries the octant-rounded inward direction first, then the dominant
-    axis, then any axis with an interior neighbour.  Returns (-1, -1)
-    only for pathological mask corners.
+    Directions tried, in order: the octant-rounded inward normal, its
+    dominant axis, then +x, -x, +y, -y.  A node no direction serves keeps
+    (-1, -1).  The lookup is padded by two cells of -1, so no step needs
+    a bounds check.
     """
-    u = -outward
-    cands = []
-    d = (int(np.sign(u[0])) if abs(u[0]) > _OCT else 0,
-         int(np.sign(u[1])) if abs(u[1]) > _OCT else 0)
-    cands.append(d)
-    dom = (int(np.sign(u[0])), 0) if abs(u[0]) >= abs(u[1]) else (0, int(np.sign(u[1])))
-    cands.append(dom)
-    cands.extend([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    for di, dj in cands:
-        if di == 0 and dj == 0:
-            continue
-        ok = True
-        picks = []
-        for s in (1, 2):
-            i2, j2 = bi + s * di, bj + s * dj
-            if not (0 <= i2 < m and 0 <= j2 < m) or int_of_lat[i2 * m + j2] < 0:
-                ok = False
-                break
-            picks.append(int(int_of_lat[i2 * m + j2]))
-        if ok:
-            return picks
-    return [-1, -1]
+    nb, ndim = bpos.shape
+    lookup = np.full((m + 4,) * ndim, -1)
+    lookup[(slice(2, -2),) * ndim] = int_of_lat.reshape((m,) * ndim)
+    lookup = lookup.ravel()
+    stride = (m + 4) ** np.arange(ndim - 1, -1, -1)
+    at = (bpos + 2) @ stride
+    u = -normal
+
+    def offsets():
+        yield (np.sign(u).astype(int) * (np.abs(u) > _OCT)) @ stride
+        axis = np.argmax(np.abs(u), axis=1)
+        yield np.sign(u[np.arange(nb), axis]).astype(int) * stride[axis]
+        for s in stride:
+            yield s
+            yield -s
+
+    inward = np.full((nb, 2), -1)
+    todo = np.ones(nb, dtype=bool)
+    for off in offsets():
+        one, two = lookup[at + off], lookup[at + 2 * off]
+        hit = todo & (one >= 0) & (two >= 0)
+        inward[hit, 0], inward[hit, 1] = one[hit], two[hit]
+        todo &= ~hit
+        if not todo.any():
+            break
+    return inward
 
 
 def integrate(f, grid: WeightedGrid, weight: str = "lebesgue") -> float:
@@ -341,24 +269,21 @@ def integrate(f, grid: WeightedGrid, weight: str = "lebesgue") -> float:
 
 def dump_field_csv(f: Field, path: str) -> None:
     """Write a field as CSV (header row carries shape and n for reload)."""
+    g = f.grid
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["shape", f.grid.shape, "n", f.grid.n])
-        cols = ["index"] + [f"x{k}" for k in range(f.grid.ndim)] + ["value"]
-        w.writerow(cols)
-        for i in range(f.grid.n_interior):
-            row = [i] + ["%.17g" % c for c in f.grid.interior_coords[i]] + ["%.17g" % f.values[i]]
-            w.writerow(row)
+        w.writerow(["shape", g.shape, "n", g.n])
+        w.writerow(["index"] + [f"x{k}" for k in range(g.ndim)] + ["value"])
+        rows = np.column_stack([np.arange(g.n_interior), g.interior_coords, f.values])
+        np.savetxt(fh, rows, fmt=["%d"] + ["%.17g"] * (g.ndim + 1), delimiter=",",
+                   newline="\r\n")
 
 
 def load_field_csv(path: str) -> Field:
     with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        head = next(r)
-        shape, n = head[1], int(head[3])
-        next(r)  # column names
-        grid = build_grid(shape, n)
-        vals = np.zeros(grid.n_interior)
-        for row in r:
-            vals[int(row[0])] = float(row[-1])
+        head = next(csv.reader(fh))
+        grid = build_grid(head[1], int(head[3]))
+        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    vals = np.zeros(grid.n_interior)
+    vals[rows[:, 0].astype(int)] = rows[:, -1]
     return Field(grid, vals)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from expcap.errors import GridMismatch
-from expcap.grids import (Field, build_grid, dump_field_csv, integrate,
-                          load_field_csv)
+from expcap.grids import (Field, _inward_pairs, build_grid, dump_field_csv,
+                          integrate, load_field_csv)
 from expcap.kernels import assemble
 
 
@@ -104,3 +104,70 @@ def test_csv_roundtrip(tmp_path, rng):
     assert np.abs(back.values - f.values).max() < 1e-12
     # the CSV format persists interior values only
     assert back.boundary_values is None
+
+
+@pytest.mark.parametrize("n", [97, 195])
+def test_disk_interior_stays_off_the_lattice_edge(n):
+    # (n+1) h rounds below 1 at these n, so the far lattice edge falls
+    # inside the circle; the inner-block rule keeps that edge out of the interior
+    g = build_grid("disk", n)
+    for axis in g.lattice_index():
+        assert axis.min() >= 1 and axis.max() <= n
+    ks = assemble(g)
+    ones = ks.solve(ks.coupling @ np.ones(g.n_boundary))
+    assert np.abs(ones - 1.0).max() < 1e-11
+
+
+def test_square_boundary_runs_edge_by_edge():
+    n, m = 4, 6
+    edge_by_edge = [(i, j) for k in range(1, n + 1)
+                    for i, j in ((0, k), (n + 1, k), (k, 0), (k, n + 1))]
+    assert build_grid("square", n).boundary_lattice.tolist() == [
+        i * m + j for i, j in edge_by_edge]
+
+
+_OCT = np.sin(np.pi / 8.0)
+
+
+def _reference_inward(bpos, normal, ordinal):
+    """Per-node inward search: the first of the octant-rounded inward
+    normal, its dominant axis, +x, -x, +y, -y whose one- and two-step
+    lattice nodes are both interior (ordinal >= 0); (-1, -1) if none."""
+    m = ordinal.shape[0]
+    out = []
+    for (bi, bj), (u0, u1) in zip(bpos, -normal):
+        octant = (int(np.sign(u0)) if abs(u0) > _OCT else 0,
+                  int(np.sign(u1)) if abs(u1) > _OCT else 0)
+        dominant = (int(np.sign(u0)), 0) if abs(u0) >= abs(u1) else (0, int(np.sign(u1)))
+        picks = [-1, -1]
+        for di, dj in (octant, dominant, (1, 0), (-1, 0), (0, 1), (0, -1)):
+            steps = [(bi + s * di, bj + s * dj) for s in (1, 2)]
+            if (di, dj) != (0, 0) and all(0 <= i < m and 0 <= j < m and ordinal[i, j] >= 0
+                                          for i, j in steps):
+                picks = [int(ordinal[i, j]) for i, j in steps]
+                break
+        out.append(picks)
+    return np.array(out, dtype=int).reshape(-1, 2)
+
+
+def test_disk_inward_pairs_match_a_per_node_search():
+    for n in range(3, 41):
+        g = build_grid("disk", n)
+        ordinal = np.rint(g.to_lattice(np.arange(1.0, g.n_interior + 1))).astype(int) - 1
+        bpos = np.column_stack(np.divmod(g.boundary_lattice, n + 2))
+        assert np.array_equal(g.boundary_inward,
+                              _reference_inward(bpos, g.boundary_normal, ordinal))
+
+
+def test_inward_search_falls_back_in_order(rng):
+    # on real grids the octant direction always serves; random masks and
+    # directions reach every fallback and the (-1, -1) case
+    m = 12
+    for _ in range(20):
+        inside = rng.random((m, m)) < 0.6
+        ordinal = np.where(inside, np.cumsum(inside).reshape(m, m) - 1, -1)
+        bpos = np.argwhere(~inside)
+        angle = rng.uniform(0.0, 2.0 * np.pi, len(bpos))
+        normal = np.column_stack([np.cos(angle), np.sin(angle)])
+        assert np.array_equal(_inward_pairs(bpos, normal, ordinal.ravel(), m),
+                              _reference_inward(bpos, normal, ordinal))
