@@ -524,10 +524,7 @@ def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
     """
     grid = ks.grid
     grid.require_same(mu.grid)
-    eta_b = np.asarray(eta_b, dtype=float)
-    v = ks.solve(ks.coupling @ eta_b)
-    z = ks.rho_star * v
-    minus_lap_z = ks.lap @ z
+    minus_lap_z = _boundary_forward(ks, np.asarray(eta_b, dtype=float))
     vol = grid.cell_measure
 
     pot = ks.solve(ks.coupling @ mu.dirichlet_data())

@@ -36,7 +36,7 @@ import numpy as np
 
 from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
                        capacity_pair, pairing, pinned_harmonic_fill,
-                       _hop_distance)
+                       _boundary_forward, _hop_distance)
 from .errors import Infeasible, LadderTooCoarse, SupportError
 from .grids import build_grid, integrate
 from .kernels import assemble, green_column
@@ -106,18 +106,14 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
     """
     coords = grid.interior_coords if kind == "interior" else grid.boundary_coords
 
-    def nearest(pt, count=1):
-        d2 = np.sum((coords - np.asarray(pt)[None, :]) ** 2, axis=1)
-        return np.sort(np.argsort(d2)[:count])
-
     if name.startswith("point:"):
         pt = tuple(float(v) for v in name.split(":", 1)[1].split(","))
-        return nearest(pt, 1)
+        return grid.nearest(pt, kind)
     if kind == "interior":
         if name == "center":
-            return nearest(_domain_center(grid.shape), 1)
+            return grid.nearest(_domain_center(grid.shape), kind)
         if name == "cluster":
-            return nearest(_domain_center(grid.shape), 3)
+            return grid.nearest(_domain_center(grid.shape), kind, 3)
         if name == "segment":
             if grid.ndim == 1:
                 sel = (coords[:, 0] >= 0.4) & (coords[:, 0] <= 0.6)
@@ -130,9 +126,9 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
             return nodes
     else:
         if name == "bottom-mid":
-            return nearest((0.5, 0.0), 1)
+            return grid.nearest((0.5, 0.0), kind)
         if name == "bottom-cluster":
-            return nearest((0.5, 0.0), 3)
+            return grid.nearest((0.5, 0.0), kind, 3)
         if name == "bottom-arc":
             sel = ((coords[:, 1] < 0.51 * grid.h)
                    & (coords[:, 0] >= 0.35) & (coords[:, 0] <= 0.65))
@@ -286,9 +282,7 @@ def run_vanishing_inequality(cfg: ExperimentConfig) -> VanishingResult:
     rows = []
     mu1 = MeasureSpec("interior", atoms=((center, 1.0),),
                       name="unit-atom").instantiate(grid)
-    # take K from the snapped atom so the charged case really charges K
-    # (the center tie-break can differ between the two resolvers)
-    K1 = np.flatnonzero(mu1.node_masses() > 0)
+    K1 = target_nodes(grid, "interior", "center")
     rows += _interior_triple("interior-charged", mu1, K1, ks, cfg.radii)
 
     mu2 = MeasureSpec("interior", atoms=(((0.25,) * grid.ndim, 2.0),),
@@ -428,10 +422,8 @@ class BoundaryProbeResult:
 
 def _est_integral(ks, eta_b: np.ndarray) -> float:
     """int |w| ln(1 + rho^-2 |w|) dx with w = Lap(rho* P[eta])."""
-    grid = ks.grid
-    w = ks.lap @ (ks.rho_star * ks.solve(ks.coupling @ eta_b))
-    aw = np.abs(w)
-    return integrate(aw * np.log1p(aw / grid.rho ** 2), grid, "lebesgue")
+    aw = np.abs(_boundary_forward(ks, eta_b))
+    return integrate(aw * np.log1p(aw / ks.grid.rho ** 2), ks.grid, "lebesgue")
 
 
 def run_boundary_probe(cfg: ExperimentConfig) -> BoundaryProbeResult:
@@ -515,9 +507,8 @@ def run_convergence_suite(cfg: ExperimentConfig) -> ConvergenceResult:
                      prev.get("eig", float("nan")) / err if "eig" in prev else float("nan")))
         prev["eig"] = err
 
-        c = grid.interior_coords
-        node = int(np.argmin(np.sum((c - 0.5) ** 2, axis=1)))
-        tc = ks.zeta0[node]
+        center = target_nodes(grid, "interior", "center")
+        tc = ks.zeta0[center[0]]
         err_t = abs(tc - ref_tc)
         rows.append(("torsion-center", "square", n, tc, ref_tc, err_t,
                      prev.get("tc", float("nan")) / err_t if "tc" in prev else float("nan")))
@@ -535,8 +526,7 @@ def run_convergence_suite(cfg: ExperimentConfig) -> ConvergenceResult:
                      prev.get("wr", float("nan")) / maxR if "wr" in prev else float("nan")))
         prev["wr"] = maxR
 
-        Kc = CompactSet(grid, target_nodes(grid, "interior", "center"),
-                        "interior")
+        Kc = CompactSet(grid, center, "interior")
         pair = capacity_pair(Kc, ks)
         cap = pair.primal_value
         rows.append(("capacity-center", "square", n, cap, pair.dual_value,

@@ -92,6 +92,13 @@ class WeightedGrid:
             raise ValueError(f"unknown weight kind {weight!r}")
         return w * self.cell_measure
 
+    def nearest(self, point, kind: str = "interior", count: int = 1) -> np.ndarray:
+        """Sorted ordinals of the `count` interior (or boundary) nodes
+        nearest to `point`; among equidistant nodes the lowest ordinal wins."""
+        coords = self.interior_coords if kind == "interior" else self.boundary_coords
+        d2 = np.sum((coords - np.atleast_1d(np.asarray(point, dtype=float))) ** 2, axis=1)
+        return np.sort(np.argsort(d2, kind="stable")[:count])
+
     def lattice_index(self, pad: int = 0) -> tuple:
         """Per-axis indices of the interior nodes in a lattice array grown
         by `pad` cells on every side; pad=-1 indexes the inner n^d block

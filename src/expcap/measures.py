@@ -72,13 +72,10 @@ class BoundaryMeasure:
     grid: WeightedGrid
     atoms: Sequence[tuple[int, float]] = field(default_factory=list)
     density: Optional[np.ndarray] = None
-    overlapping: bool = field(init=False, default=False)
 
     def __post_init__(self):
         _check_masses(self.atoms, self.grid.n_boundary, "boundary")
         self.density = _check_density(self.density, self.grid.n_boundary, "boundary")
-        if self.density is not None:
-            self.overlapping = any(self.density[node] > 0 for node, _ in self.atoms)
 
     def dirichlet_data(self) -> np.ndarray:
         """Boundary density (mass per unit surface), atoms included."""
@@ -136,11 +133,8 @@ class MeasureSpec:
             coords, n_nodes = grid.boundary_coords, grid.n_boundary
         else:
             raise ValueError(f"kind must be interior or boundary, got {self.kind!r}")
-        atoms = []
-        for loc, mass in self.atoms:
-            loc = np.atleast_1d(np.asarray(loc, dtype=float))
-            d2 = np.sum((coords - loc[None, :]) ** 2, axis=1)
-            atoms.append((int(np.argmin(d2)), float(mass)))
+        atoms = [(int(grid.nearest(loc, self.kind)[0]), float(mass))
+                 for loc, mass in self.atoms]
         dens = None
         if self.density is not None:
             dens = np.asarray(self.density(coords, grid.h), dtype=float)

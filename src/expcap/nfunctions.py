@@ -17,7 +17,7 @@ equality, which is slow but only meant for cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -50,7 +50,6 @@ class NFunction:
     conjugate: Callable[[np.ndarray], np.ndarray]
     density: Callable[[np.ndarray], np.ndarray]
     conjugate_density: Callable[[np.ndarray], np.ndarray]
-    doubling_conjugate: bool = True
 
     def P(self, t):
         t = np.asarray(t, dtype=float)
@@ -98,7 +97,6 @@ def exponential_pair() -> NFunction:
         conjugate=_exp_Pstar,
         density=_exp_p,
         conjugate_density=_exp_pbar,
-        doubling_conjugate=True,
     )
 
 
@@ -112,7 +110,6 @@ def quadratic_pair() -> NFunction:
         conjugate=sq,
         density=ident,
         conjugate_density=ident,
-        doubling_conjugate=True,
     )
 
 
@@ -150,7 +147,6 @@ def pair_from_density(name: str, principal: Callable, density: Callable,
         conjugate=conj,
         density=lambda s: np.sign(s) * p(np.abs(s)),
         conjugate_density=lambda s: np.sign(s) * pbar(s),
-        doubling_conjugate=False,
     )
 
 
@@ -171,8 +167,6 @@ def q_function(r):
     a = np.abs(np.asarray(r, dtype=float))
     return (a + 0.5) * np.log1p(2.0 * a) - a
 
-
-Q_LOG_BOUND_CONSTANT = 3.0
 
 
 def pstar_sandwich(a):

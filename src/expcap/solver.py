@@ -39,7 +39,7 @@ Keller-Osserman diagnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ class SolveReport:
     u: Field
     iterations: int
     residual_history: list
-    step_history: list
     monotone: bool
     supersolution: bool
     absorption_dx: float       # int (e^u - 1) dx
@@ -108,7 +107,7 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
     # linear potential, and lifts c to it, so a charged hole still needs a
     # budget that grows with its height.
     limit = max(MAX_OUTER, int(np.ceil(float(u.max(initial=0.0)))) + 60)
-    res_hist, step_hist = [], []
+    res_hist = []
     monotone = True
     supersolution = True
     for it in range(1, limit + 1):
@@ -121,8 +120,7 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
         u = u + delta
-        step_hist.append(float(np.abs(delta).max()))
-        if step_hist[-1] < STEP_TOL:
+        if float(np.abs(delta).max()) < STEP_TOL:
             r = A @ u + mask * np.expm1(u) - b
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
@@ -140,7 +138,6 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
         u=uf,
         iterations=it,
         residual_history=res_hist,
-        step_history=step_hist,
         monotone=monotone,
         supersolution=supersolution,
         absorption_dx=integrate(absorb, ks.grid, "lebesgue"),

@@ -14,7 +14,8 @@ from expcap.experiments import (ExperimentConfig, boundary_family,
                                 run_removability_threshold,
                                 run_vanishing_inequality, target_nodes,
                                 write_csv)
-from expcap.measures import InteriorMeasure
+from expcap.grids import build_grid
+from expcap.measures import InteriorMeasure, MeasureSpec
 
 
 def test_config_validation():
@@ -194,3 +195,17 @@ def test_write_csv_formats(tmp_path):
         lines = fh.read().splitlines()
     assert lines[0] == "a,b"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("shape,n", [("square", 16), ("square", 32), ("square", 64),
+                                     ("disk", 24), ("disk", 32)])
+def test_center_target_is_the_snapped_centre_atom(shape, n):
+    grid = build_grid(shape, n)
+    mu = MeasureSpec("interior", atoms=(((0.5, 0.5), 1.0),)).instantiate(grid)
+    assert target_nodes(grid, "interior", "center").tolist() == [mu.atoms[0][0]]
+
+
+def test_nearest_breaks_ties_to_the_lowest_ordinal():
+    grid = build_grid("square", 16)  # the centre is equidistant from four nodes
+    assert grid.nearest((0.5, 0.5), count=4).tolist() == [119, 120, 135, 136]
+    assert grid.nearest((0.5, 0.5)).tolist() == [119]

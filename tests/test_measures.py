@@ -28,7 +28,6 @@ def test_boundary_dirichlet_data_units():
     assert d[1] == 0.5
     assert mu.total_mass == pytest.approx(
         2.0 + 0.5 * G.n_boundary * G.boundary_cell_measure)
-    assert mu.overlapping  # the atom sits on charged density
 
 
 def test_validation_rejects_bad_input():

@@ -99,4 +99,3 @@ def test_numeric_legendre_transform_recovers_conjugate():
     pts = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
     assert np.allclose(num.Pstar(pts), NF.Pstar(pts), rtol=1e-8, atol=1e-10)
     assert np.allclose(num.pbar(pts), NF.pbar(pts), rtol=1e-8, atol=1e-10)
-    assert num.doubling_conjugate is False
