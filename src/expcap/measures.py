@@ -128,9 +128,9 @@ class MeasureSpec:
 
     def instantiate(self, grid: WeightedGrid):
         if self.kind == "interior":
-            coords, n_nodes = grid.interior_coords, grid.n_interior
+            coords = grid.interior_coords
         elif self.kind == "boundary":
-            coords, n_nodes = grid.boundary_coords, grid.n_boundary
+            coords = grid.boundary_coords
         else:
             raise ValueError(f"kind must be interior or boundary, got {self.kind!r}")
         atoms = [(int(grid.nearest(loc, self.kind)[0]), float(mass))

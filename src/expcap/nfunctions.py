@@ -168,7 +168,6 @@ def q_function(r):
     return (a + 0.5) * np.log1p(2.0 * a) - a
 
 
-
 def pstar_sandwich(a):
     """Return (lower, P*(a), upper) for the two-sided L log L comparison.
 
