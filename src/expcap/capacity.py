@@ -88,10 +88,7 @@ class CompactSet:
     def __post_init__(self):
         object.__setattr__(self, "nodes",
                            np.unique(np.asarray(self.nodes, dtype=int)))
-        if self.kind not in ("interior", "boundary"):
-            raise ValueError("kind must be 'interior' or 'boundary'")
-        count = (self.grid.n_interior if self.kind == "interior"
-                 else self.grid.n_boundary)
+        count = len(self.grid.coords(self.kind))  # ValueError for another kind
         if self.nodes.size == 0:
             raise SupportError("target set is empty")
         if self.nodes.min() < 0 or self.nodes.max() >= count:
@@ -523,11 +520,10 @@ def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
     difference is pure floating-point reassociation.
     """
     grid = ks.grid
-    grid.require_same(mu.grid)
     minus_lap_z = _boundary_forward(ks, np.asarray(eta_b, dtype=float))
     vol = grid.cell_measure
 
-    pot = ks.solve(ks.coupling @ mu.dirichlet_data())
+    pot = ks.solve(mu.load(ks))
     a = vol * float(pot @ minus_lap_z)
 
     masses = mu.node_masses()

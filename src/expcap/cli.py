@@ -17,11 +17,11 @@ import numpy as np
 
 from . import experiments as xp
 from .capacity import CapacityOptions, CompactSet, capacity_pair
-from .grids import Field, build_grid, dump_field_csv, load_field_csv
+from .grids import SHAPES, Field, build_grid, dump_field_csv, load_field_csv
 from .kernels import assemble
 from .luxemburg import luxemburg_norm, orlicz_norm
 from .maximal import llnl_norm
-from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
+from .measures import MeasureSpec
 from .nfunctions import exponential_pair
 from .solver import (keller_osserman_diagnostic, solve_boundary,
                      solve_interior, truncation_scheme)
@@ -87,7 +87,7 @@ def _experiment_config(args, experiment: str) -> xp.ExperimentConfig:
 def _add_experiment_flags(p):
     p.add_argument("--config", help="key = value parameter file")
     p.add_argument("--out", help="CSV output path")
-    p.add_argument("--shape", choices=("interval", "square", "disk"))
+    p.add_argument("--shape", choices=SHAPES)
     p.add_argument("--ladder", help="comma-separated grid sizes, increasing")
     p.add_argument("--masses", help="comma-separated mass ladder")
     p.add_argument("--target", help="named target set (e.g. center, bottom-mid)")
@@ -147,38 +147,28 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_solve(args) -> int:
     ks = assemble(build_grid(args.shape, args.n))
-    grid = ks.grid
-    boundary_given = args.boundary_atoms or args.boundary_constant is not None
-    interior_given = args.interior_atoms or args.interior_constant is not None
-    if boundary_given and interior_given:
+    kind = ("boundary" if args.boundary_atoms or args.boundary_constant is not None
+            else "interior")
+    if kind == "boundary" and (args.interior_atoms or args.interior_constant is not None):
         raise SystemExit("choose boundary data or an interior source, not both")
-    if boundary_given:
-        atoms = _parse_atoms(args.boundary_atoms or "", grid.ndim)
-        dens = (np.full(grid.n_boundary, args.boundary_constant)
-                if args.boundary_constant is not None else None)
-        spec = MeasureSpec("boundary", atoms=atoms, name="cli")
-        mu = spec.instantiate(grid)
-        mu = BoundaryMeasure(grid, atoms=mu.atoms, density=dens)
-        if args.truncation:
-            rep_t = truncation_scheme(mu, ks)
-            print("level  mass        lhs          rhs         min_gain")
-            for row in rep_t.levels:
-                print(f"{row.level:<6g} {row.mass:<11.6g} {row.bound_lhs:<12.6g} "
-                      f"{row.bound_rhs:<11.6g} {row.min_gain:.3e}")
-            print(f"monotone={rep_t.monotone} saturated={rep_t.saturated}")
-            rep = rep_t.final
-        else:
-            rep = solve_boundary(mu, ks)
-    else:
-        atoms = _parse_atoms(args.interior_atoms or "", grid.ndim)
-        dens = (np.full(grid.n_interior, args.interior_constant)
-                if args.interior_constant is not None else None)
-        spec = MeasureSpec("interior", atoms=atoms, name="cli")
-        mu = spec.instantiate(grid)
-        mu = InteriorMeasure(grid, atoms=mu.atoms, density=dens)
+    atoms = _parse_atoms(getattr(args, f"{kind}_atoms") or "", ks.grid.ndim)
+    const = getattr(args, f"{kind}_constant")
+    density = None if const is None else lambda coords, h: np.full(len(coords), const)
+    mu = MeasureSpec(kind, atoms=atoms, density=density, name="cli").instantiate(ks.grid)
+    if kind == "interior":
         if args.truncation:
             print("truncation ladder applies to boundary data only; ignoring")
         rep = solve_interior(mu, ks)
+    elif args.truncation:
+        rep_t = truncation_scheme(mu, ks)
+        print("level  mass        lhs          rhs         min_gain")
+        for row in rep_t.levels:
+            print(f"{row.level:<6g} {row.mass:<11.6g} {row.bound_lhs:<12.6g} "
+                  f"{row.bound_rhs:<11.6g} {row.min_gain:.3e}")
+        print(f"monotone={rep_t.monotone} saturated={rep_t.saturated}")
+        rep = rep_t.final
+    else:
+        rep = solve_boundary(mu, ks)
     print(f"iterations = {rep.iterations}  residual = {rep.residual_history[-1]:.3e}")
     print(f"monotone descent = {rep.monotone}  supersolution path = {rep.supersolution}")
     print(f"int (e^u - 1) dx = {rep.absorption_dx:.10g}")
@@ -266,9 +256,8 @@ def _cmd_converge(args) -> int:
     res = xp.run_convergence_suite(cfg)
     print("check               shape     n    value         error        ratio")
     for check, shape, n, value, ref, err, ratio in res.rows:
-        print(f"{check:<19} {shape:<9} {n:<4} {value:<13.6g} {err:<12.4g} "
-              f"{ratio:.3g}" if ratio == ratio else
-              f"{check:<19} {shape:<9} {n:<4} {value:<13.6g} {err:<12.4g} -")
+        shown = f"{ratio:.3g}" if ratio == ratio else "-"
+        print(f"{check:<19} {shape:<9} {n:<4} {value:<13.6g} {err:<12.4g} {shown}")
     return 0
 
 
@@ -278,11 +267,12 @@ def main(argv=None) -> int:
         description="Orlicz-capacity and exponential-absorption experiments "
                     "on finite-difference grids.")
     sub = parser.add_subparsers(dest="command", required=True)
+    on_grid = argparse.ArgumentParser(add_help=False)
+    on_grid.add_argument("--shape", default="square", choices=SHAPES)
+    on_grid.add_argument("--n", type=int, default=32)
 
-    p = sub.add_parser("norms", help="Orlicz norms of a field")
-    p.add_argument("--shape", default="square",
-                   choices=("interval", "square", "disk"))
-    p.add_argument("--n", type=int, default=32)
+    p = sub.add_parser("norms", parents=[on_grid],
+                       help="Orlicz norms of a field")
     p.add_argument("--field", help="CSV produced by a --dump flag")
     p.add_argument("--constant", type=float, help="use a constant field")
     p.add_argument("--weight", default="lebesgue", choices=("lebesgue", "rho"))
@@ -290,17 +280,13 @@ def main(argv=None) -> int:
                    help="divide the integrand argument by rho")
     p.set_defaults(fn=_cmd_norms)
 
-    p = sub.add_parser("kernel", help="assemble and report kernel data")
-    p.add_argument("--shape", default="square",
-                   choices=("interval", "square", "disk"))
-    p.add_argument("--n", type=int, default=32)
+    p = sub.add_parser("kernel", parents=[on_grid],
+                       help="assemble and report kernel data")
     p.add_argument("--dump-torsion", dest="dump_torsion")
     p.set_defaults(fn=_cmd_kernel)
 
-    p = sub.add_parser("solve", help="nonlinear solve with measure data")
-    p.add_argument("--shape", default="square",
-                   choices=("interval", "square", "disk"))
-    p.add_argument("--n", type=int, default=32)
+    p = sub.add_parser("solve", parents=[on_grid],
+                       help="nonlinear solve with measure data")
     p.add_argument("--boundary-atoms", help="'x,y:mass;...' boundary atoms")
     p.add_argument("--boundary-constant", type=float,
                    help="constant boundary density")
@@ -312,10 +298,8 @@ def main(argv=None) -> int:
     p.add_argument("--dump-u", dest="dump_u")
     p.set_defaults(fn=_cmd_solve)
 
-    p = sub.add_parser("capacity", help="primal and dual capacity of a set")
-    p.add_argument("--shape", default="square",
-                   choices=("interval", "square", "disk"))
-    p.add_argument("--n", type=int, default=32)
+    p = sub.add_parser("capacity", parents=[on_grid],
+                       help="primal and dual capacity of a set")
     p.add_argument("--kind", default="interior",
                    choices=("interior", "boundary"))
     p.add_argument("--target", default="center")

@@ -104,7 +104,7 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
     Boundary names: bottom-mid | bottom-cluster | bottom-arc (square),
     or nearest-node forms 'point:x,y'.
     """
-    coords = grid.interior_coords if kind == "interior" else grid.boundary_coords
+    coords = grid.coords(kind)
 
     if name.startswith("point:"):
         pt = tuple(float(v) for v in name.split(":", 1)[1].split(","))
@@ -187,16 +187,13 @@ def run_removability_threshold(cfg: ExperimentConfig) -> RemovabilityResult:
     """
     if cfg.shape == "interval":
         raise SupportError("threshold experiment needs a 2D shape")
-    cache = {}
-    base = assemble(build_grid(cfg.shape, cfg.ladder[0]))
-    cache[(cfg.shape, cfg.ladder[0])] = base
+    ladder = [assemble(build_grid(cfg.shape, n)) for n in cfg.ladder]
     center = _domain_center(cfg.shape)
     rows = []
     admissible, divergent = [], []
     for m in sorted(cfg.masses):
         spec = MeasureSpec("interior", atoms=((center, m),), name=f"atom-{m:g}")
-        rep = admissibility_test(spec, base, cfg.ladder,
-                                 slope_tol=cfg.slope_tol, _cache=cache)
+        rep = admissibility_test(spec, ladder, slope_tol=cfg.slope_tol)
         rows.append((m, rep.slope, rep.verdict))
         (admissible if rep.verdict == "Admissible" else divergent).append(m)
     if not admissible or not divergent:
@@ -228,7 +225,7 @@ class VanishingResult:
 def interior_pairing(eta: np.ndarray, mu: InteriorMeasure, ks):
     """(potential-side, node-side) evaluations of int eta dmu."""
     vol = ks.grid.cell_measure
-    pot = ks.solve(mu.density_vector())
+    pot = ks.solve(mu.load(ks))
     a = vol * float(pot @ (ks.lap @ eta))
     b = float(mu.node_masses() @ eta)
     return a, b
@@ -327,11 +324,11 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
     """
     grid = ks.grid
     mask = np.ones(grid.n_interior)
-    b = mu.density_vector()
+    b = mu.load(ks)
     if K_nodes.size:
         mask[K_nodes] = 0.0
         b[K_nodes] = charge / (K_nodes.size * grid.cell_measure)
-    rep = _semilinear_solve(ks, b, None, mask)
+    rep = _semilinear_solve(ks, b, mask=mask)
     return rep.u, rep.iterations
 
 

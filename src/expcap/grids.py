@@ -92,11 +92,19 @@ class WeightedGrid:
             raise ValueError(f"unknown weight kind {weight!r}")
         return w * self.cell_measure
 
+    def coords(self, kind: str) -> np.ndarray:
+        """Coordinates of the interior or the boundary nodes."""
+        if kind == "interior":
+            return self.interior_coords
+        if kind == "boundary":
+            return self.boundary_coords
+        raise ValueError(f"kind must be interior or boundary, got {kind!r}")
+
     def nearest(self, point, kind: str = "interior", count: int = 1) -> np.ndarray:
         """Sorted ordinals of the `count` interior (or boundary) nodes
         nearest to `point`; among equidistant nodes the lowest ordinal wins."""
-        coords = self.interior_coords if kind == "interior" else self.boundary_coords
-        d2 = np.sum((coords - np.atleast_1d(np.asarray(point, dtype=float))) ** 2, axis=1)
+        offset = self.coords(kind) - np.atleast_1d(np.asarray(point, dtype=float))
+        d2 = np.sum(offset ** 2, axis=1)
         return np.sort(np.argsort(d2, kind="stable")[:count])
 
     def lattice_index(self, pad: int = 0) -> tuple:
@@ -187,7 +195,8 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
     pos = np.indices((m,) * ndim).reshape(ndim, -1).T  # lattice order
     inside = ((pos >= 1) & (pos <= n)).all(axis=1)
     if shape == "disk":
-        inside &= np.hypot(pos[:, 0] * h - 0.5, pos[:, 1] * h - 0.5) < 0.5
+        # |a h - 1/2|^2 summed < 1/4, in integers, so nodes on the circle stay out
+        inside &= ((2 * pos - (n + 1)) ** 2).sum(axis=1) < (n + 1) ** 2
     # inside stays off the lattice edge, so no stencil step from it wraps
     near = np.zeros_like(inside)
     for s in m ** np.arange(ndim):

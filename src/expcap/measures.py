@@ -5,7 +5,9 @@ An InteriorMeasure (resp. BoundaryMeasure) is a finite list of atoms
 (resp. boundary) nodes.  Atoms convert to densities through the cell
 measure h^d (h^(d-1) on the boundary); that convention keeps total
 mass independent of resolution when a spec is re-instantiated on a
-refined grid.
+refined grid.  `load(ks)` is the right-hand side the measure puts into
+A u = b: an interior density as it stands, boundary data through the
+stencil's coupling.
 
 MeasureSpec describes the same data in continuum coordinates (atom
 locations, density callables) so refinement ladders can resample it;
@@ -15,7 +17,7 @@ atoms snap to the nearest node of the right kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -23,73 +25,72 @@ from .errors import NotComparable, SupportError
 from .grids import WeightedGrid
 
 
-def _check_masses(atoms, n_nodes, what):
-    for node, mass in atoms:
-        if not (0 <= node < n_nodes):
-            raise SupportError(f"{what} atom at node {node} outside 0..{n_nodes - 1}")
-        if not np.isfinite(mass) or mass < 0:
-            raise SupportError(f"{what} atom mass must be finite and >= 0, got {mass}")
-
-
-def _check_density(density, n_nodes, what):
-    if density is None:
-        return None
-    d = np.asarray(density, dtype=float)
-    if d.shape != (n_nodes,):
-        raise SupportError(f"{what} density has wrong length")
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise SupportError(f"{what} density must be finite and >= 0")
-    return d
-
-
 @dataclass
-class InteriorMeasure:
+class _NodeMeasure:
+    """Atoms (node ordinal, mass) plus an optional density on the nodes of
+    one kind; subclasses set `kind` and the load the measure puts into
+    A u = b."""
+
     grid: WeightedGrid
     atoms: Sequence[tuple[int, float]] = field(default_factory=list)
     density: Optional[np.ndarray] = None
+    kind: ClassVar[str]
 
     def __post_init__(self):
-        _check_masses(self.atoms, self.grid.n_interior, "interior")
-        self.density = _check_density(self.density, self.grid.n_interior, "interior")
+        n_nodes = len(self.grid.coords(self.kind))
+        for node, mass in self.atoms:
+            if not (0 <= node < n_nodes):
+                raise SupportError(
+                    f"{self.kind} atom at node {node} outside 0..{n_nodes - 1}")
+            if not np.isfinite(mass) or mass < 0:
+                raise SupportError(
+                    f"{self.kind} atom mass must be finite and >= 0, got {mass}")
+        if self.density is not None:
+            d = np.asarray(self.density, dtype=float)
+            if d.shape != (n_nodes,):
+                raise SupportError(f"{self.kind} density has wrong length")
+            if not np.all(np.isfinite(d)) or np.any(d < 0):
+                raise SupportError(f"{self.kind} density must be finite and >= 0")
+            self.density = d
+
+    @property
+    def _cell(self) -> float:
+        return (self.grid.cell_measure if self.kind == "interior"
+                else self.grid.boundary_cell_measure)
 
     def density_vector(self) -> np.ndarray:
         """Total density (atoms spread over their cells)."""
-        d = np.zeros(self.grid.n_interior) if self.density is None else self.density.copy()
+        d = (np.zeros(len(self.grid.coords(self.kind))) if self.density is None
+             else self.density.copy())
         for node, mass in self.atoms:
-            d[node] += mass / self.grid.cell_measure
+            d[node] += mass / self._cell
         return d
 
     def node_masses(self) -> np.ndarray:
-        return self.density_vector() * self.grid.cell_measure
+        return self.density_vector() * self._cell
 
     @property
     def total_mass(self) -> float:
         return float(self.node_masses().sum())
 
 
-@dataclass
-class BoundaryMeasure:
-    grid: WeightedGrid
-    atoms: Sequence[tuple[int, float]] = field(default_factory=list)
-    density: Optional[np.ndarray] = None
+class InteriorMeasure(_NodeMeasure):
+    kind = "interior"
 
-    def __post_init__(self):
-        _check_masses(self.atoms, self.grid.n_boundary, "boundary")
-        self.density = _check_density(self.density, self.grid.n_boundary, "boundary")
+    def load(self, ks) -> np.ndarray:
+        """Right-hand side of A u = b: the source density."""
+        ks.grid.require_same(self.grid)
+        return self.density_vector()
 
-    def dirichlet_data(self) -> np.ndarray:
-        """Boundary density (mass per unit surface), atoms included."""
-        d = np.zeros(self.grid.n_boundary) if self.density is None else self.density.copy()
-        for node, mass in self.atoms:
-            d[node] += mass / self.grid.boundary_cell_measure
-        return d
 
-    def node_masses(self) -> np.ndarray:
-        return self.dirichlet_data() * self.grid.boundary_cell_measure
+class BoundaryMeasure(_NodeMeasure):
+    kind = "boundary"
 
-    @property
-    def total_mass(self) -> float:
-        return float(self.node_masses().sum())
+    def load(self, ks) -> np.ndarray:
+        """Right-hand side of A u = b: the density as Dirichlet data,
+        through the stencil's boundary coupling."""
+        ks.grid.require_same(self.grid)
+        return ks.coupling @ self.density_vector()
 
     def split(self):
         """(singular part, truncatable part) as separate measures."""
@@ -127,17 +128,11 @@ class MeasureSpec:
     name: str = ""
 
     def instantiate(self, grid: WeightedGrid):
-        if self.kind == "interior":
-            coords = grid.interior_coords
-        elif self.kind == "boundary":
-            coords = grid.boundary_coords
-        else:
-            raise ValueError(f"kind must be interior or boundary, got {self.kind!r}")
+        coords = grid.coords(self.kind)
+        cls = InteriorMeasure if self.kind == "interior" else BoundaryMeasure
         atoms = [(int(grid.nearest(loc, self.kind)[0]), float(mass))
                  for loc, mass in self.atoms]
         dens = None
         if self.density is not None:
             dens = np.asarray(self.density(coords, grid.h), dtype=float)
-        if self.kind == "interior":
-            return InteriorMeasure(grid, atoms=atoms, density=dens)
-        return BoundaryMeasure(grid, atoms=atoms, density=dens)
+        return cls(grid, atoms=atoms, density=dens)

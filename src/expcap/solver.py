@@ -47,9 +47,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (NoConvergence, NotAdmissible, NotComparable,
-                     SupportError, TestNotAdmissible)
-from .grids import Field, WeightedGrid, build_grid, integrate
-from .kernels import PERMC_SPEC, KernelSet, assemble, normal_derivative
+                     TestNotAdmissible)
+from .grids import Field, integrate
+from .kernels import PERMC_SPEC, KernelSet, normal_derivative
 from .measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
                        compare_measures)
 from .nfunctions import EXP_ARG_MAX
@@ -75,20 +75,19 @@ class SolveReport:
     data_max: float
 
 
-def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray],
+def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] = None,
                       mask: Optional[np.ndarray] = None) -> SolveReport:
-    """Newton solve of A u + mask (e^u - 1) = rhs + B gdata.
+    """Newton solve of A u + mask (e^u - 1) = b.
 
-    `mask` weights the absorption per interior node (all ones when None);
-    a zero drops the equation's absorption there, as the punctured solve
+    `b` is the full load, boundary data included; `gdata` only sets the
+    boundary trace the solution carries (zero when None).  `mask`
+    weights the absorption per interior node (all ones when None); a
+    zero drops the equation's absorption there, as the punctured solve
     does on its hole.
     """
     A = ks.lap
     if mask is None:
         mask = np.ones(ks.grid.n_interior)
-    b = rhs.copy()
-    if gdata is not None:
-        b = b + ks.coupling @ gdata
     # start at the least of two supersolutions (module docstring)
     u_lin = ks.solve(b)
     on = mask > 0
@@ -149,15 +148,12 @@ def _semilinear_solve(ks: KernelSet, rhs: np.ndarray, gdata: Optional[np.ndarray
 
 def solve_interior(mu: InteriorMeasure, ks: KernelSet) -> SolveReport:
     """Zero boundary values, interior measure as source."""
-    ks.grid.require_same(mu.grid)
-    return _semilinear_solve(ks, mu.density_vector(), None)
+    return _semilinear_solve(ks, mu.load(ks))
 
 
 def solve_boundary(mu: BoundaryMeasure, ks: KernelSet) -> SolveReport:
     """Boundary measure as Dirichlet data, no interior source."""
-    ks.grid.require_same(mu.grid)
-    return _semilinear_solve(ks, np.zeros(ks.grid.n_interior),
-                             mu.dirichlet_data())
+    return _semilinear_solve(ks, mu.load(ks), mu.density_vector())
 
 
 @dataclass
@@ -192,12 +188,11 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     makes the left side equal a flux pairing dominated by c * mass, so
     the inequality is structural, not tuned.
     """
-    ks.grid.require_same(mu.grid)
     if levels is None:
         levels = [2.0 ** j for j in range(0, 8)]
     sing, _ = mu.split()
     # screen the singular part: its harmonic extension must stay in exp range
-    pot = ks.solve(ks.coupling @ sing.dirichlet_data())
+    pot = ks.solve(sing.load(ks))
     if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
         raise NotAdmissible("singular part already overflows exp at this grid")
 
@@ -317,45 +312,30 @@ class AdmissibilityReport:
     overflowed: bool
 
 
-def admissibility_test(spec: MeasureSpec, ks: KernelSet,
-                       refinements: Sequence[int],
-                       slope_tol: float = SLOPE_TOL,
-                       _cache: Optional[dict] = None) -> AdmissibilityReport:
+def admissibility_test(spec: MeasureSpec, ladder: Sequence[KernelSet],
+                       slope_tol: float = SLOPE_TOL) -> AdmissibilityReport:
     """Trend of I_h = int exp(potential) w dx over a refinement ladder.
 
-    w = dx for interior specs, rho dx for boundary specs.  The verdict is
-    DivergentTrend when the least-squares slope of log I_h against
-    log(1/h) exceeds slope_tol (or the integrand overflows outright).
-    At least three refinements are required for the fit.
+    `ladder` holds the assembled kernel sets, one per refinement, and the
+    table keeps their order.  w = dx for interior specs, rho dx for
+    boundary specs.  The verdict is DivergentTrend when the least-squares
+    slope of log I_h against log(1/h) exceeds slope_tol (or the integrand
+    overflows outright).  At least three refinements are required for the
+    fit.
     """
-    if len(refinements) < 3:
+    if len(ladder) < 3:
         raise ValueError("need at least 3 refinements for a slope fit")
-    shape = ks.grid.shape
+    wkind = "lebesgue" if spec.kind == "interior" else "rho"
     rows = []
     overflow = False
-    for n in sorted(refinements):
-        key = (shape, n)
-        if _cache is not None and key in _cache:
-            ks_n = _cache[key]
-        elif n == ks.grid.n:
-            ks_n = ks
-        else:
-            ks_n = assemble(build_grid(shape, n))
-            if _cache is not None:
-                _cache[key] = ks_n
-        mu = spec.instantiate(ks_n.grid)
-        if spec.kind == "interior":
-            pot = ks_n.solve(mu.density_vector())
-            wkind = "lebesgue"
-        else:
-            pot = ks_n.solve(ks_n.coupling @ mu.dirichlet_data())
-            wkind = "rho"
+    for ks_n in ladder:
+        grid = ks_n.grid
+        pot = ks_n.solve(spec.instantiate(grid).load(ks_n))
         if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
             overflow = True
-            rows.append((n, ks_n.grid.h, np.inf))
+            rows.append((grid.n, grid.h, np.inf))
             continue
-        val = integrate(np.exp(pot), ks_n.grid, wkind)
-        rows.append((n, ks_n.grid.h, val))
+        rows.append((grid.n, grid.h, integrate(np.exp(pot), grid, wkind)))
 
     if overflow:
         return AdmissibilityReport("DivergentTrend", np.inf, rows, True)

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import cached_kernels
 from expcap.capacity import CapacityOptions, CompactSet, capacity_pair
 from expcap.cli import main, read_config, _parse_atoms
 from expcap.experiments import target_nodes
 from expcap.grids import build_grid, load_field_csv
 from expcap.kernels import assemble
+from expcap.measures import BoundaryMeasure, InteriorMeasure
+from expcap.solver import solve_interior, truncation_scheme
 
 
 def run(argv, capsys):
@@ -44,6 +47,49 @@ def test_solve_with_dump(tmp_path, capsys):
     code, out = run(["norms", "--shape", "square", "--n", "12",
                      "--field", path], capsys)
     assert code == 0
+
+
+def _final_lines(rep):
+    return [f"iterations = {rep.iterations}  residual = {rep.residual_history[-1]:.3e}",
+            f"int (e^u - 1) dx = {rep.absorption_dx:.10g}",
+            f"int (u + (e^u - 1) zeta0) dx = {rep.mass_bound_integral:.10g}",
+            f"max u = {rep.u.values.max():.10g}"]
+
+
+def test_solve_boundary_truncation_matches_the_library(capsys):
+    code, out = run(["solve", "--shape", "square", "--n", "16",
+                     "--boundary-atoms", "0.5,0:4", "--boundary-constant", "1",
+                     "--truncation"], capsys)
+    assert code == 0
+    ks = cached_kernels("square", 16)
+    grid = ks.grid
+    mu = BoundaryMeasure(grid, atoms=[(int(grid.nearest((0.5, 0.0), "boundary")[0]), 4.0)],
+                         density=np.ones(grid.n_boundary))
+    rep = truncation_scheme(mu, ks)
+    lines = out.splitlines()
+    assert lines[0].split() == ["level", "mass", "lhs", "rhs", "min_gain"]
+    table = np.array([[float(v) for v in line.split()]
+                      for line in lines[1:1 + len(rep.levels)]])
+    expected = np.array([[r.level, r.mass, r.bound_lhs, r.bound_rhs, r.min_gain]
+                         for r in rep.levels])
+    # printed to 6 significant digits, min_gain to 4
+    assert np.allclose(table[:, :4], expected[:, :4], rtol=1e-5)
+    assert np.allclose(table[:, 4], expected[:, 4], rtol=1e-3, atol=1e-15)
+    assert lines[1 + len(rep.levels)] == (
+        f"monotone={rep.monotone} saturated={rep.saturated}")
+    for line in _final_lines(rep.final):
+        assert line in lines
+
+
+def test_solve_interior_constant_matches_the_library(capsys):
+    code, out = run(["solve", "--shape", "square", "--n", "16",
+                     "--interior-constant", "2.5"], capsys)
+    assert code == 0
+    ks = cached_kernels("square", 16)
+    grid = ks.grid
+    rep = solve_interior(InteriorMeasure(grid, density=np.full(grid.n_interior, 2.5)), ks)
+    for line in _final_lines(rep):
+        assert line in out.splitlines()
 
 
 def test_solve_rejects_mixed_sources(capsys):

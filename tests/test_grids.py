@@ -118,6 +118,14 @@ def test_disk_interior_stays_off_the_lattice_edge(n):
     assert np.abs(ones - 1.0).max() < 1e-11
 
 
+@pytest.mark.parametrize("n", [33, 67, 169, 373, 393])
+def test_disk_nodes_on_the_circle_are_not_interior(n):
+    # a lattice node of these grids lies exactly on the circle; a float
+    # distance test rounds it inside, with rho of order 1e-16
+    g = build_grid("disk", n)
+    assert g.rho.min() > g.h ** 2 / 4
+
+
 def test_square_boundary_runs_edge_by_edge():
     n, m = 4, 6
     edge_by_edge = [(i, j) for k in range(1, n + 1)

@@ -21,9 +21,9 @@ def test_interior_masses_add_up():
     assert dv[3] == pytest.approx(1.0 + 3.0 / G.cell_measure)
 
 
-def test_boundary_dirichlet_data_units():
+def test_boundary_density_units():
     mu = BoundaryMeasure(G, atoms=[(0, 2.0)], density=np.full(G.n_boundary, 0.5))
-    d = mu.dirichlet_data()
+    d = mu.density_vector()
     assert d[0] == pytest.approx(0.5 + 2.0 / G.boundary_cell_measure)
     assert d[1] == 0.5
     assert mu.total_mass == pytest.approx(
@@ -51,8 +51,8 @@ def test_split_and_truncation():
     assert cut.node_masses()[5] == pytest.approx(
         4.0 + 1.0 * G.boundary_cell_measure)
     # a level above the density is the identity on the regular part
-    assert np.allclose(mu.truncated(10.0).dirichlet_data(),
-                       mu.dirichlet_data())
+    assert np.allclose(mu.truncated(10.0).density_vector(),
+                       mu.density_vector())
 
 
 def test_compare_measures():
@@ -80,6 +80,6 @@ def test_spec_density_callable_and_bad_kind():
     spec = MeasureSpec("boundary", density=lambda coords, h: coords[:, 0])
     mu = spec.instantiate(G)
     assert isinstance(mu, BoundaryMeasure)
-    assert np.allclose(mu.dirichlet_data(), G.boundary_coords[:, 0])
+    assert np.allclose(mu.density_vector(), G.boundary_coords[:, 0])
     with pytest.raises(ValueError):
         MeasureSpec("edge").instantiate(G)
