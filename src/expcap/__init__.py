@@ -19,9 +19,7 @@ from .luxemburg import (holder_young_pairing, luxemburg_norm,
                         luxemburg_subgradient, orlicz_norm,
                         orlicz_norm_and_argmin)
 from .maximal import llnl_norm, maximal_function, maximal_interior
-from .kernels import (KernelSet, assemble, green_column, green_potential,
-                      harmonic_extension, normal_derivative, poisson_column,
-                      principal_eigen, solve_zeta0)
+from .kernels import KernelSet, assemble, green_column, normal_derivative
 from .measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
                        compare_measures)
 from .solver import (AdmissibilityReport, SolveReport, TruncationReport,

@@ -13,17 +13,22 @@ makes the discrete Green identities used by the weak-residual and
 capacity layers hold to solver precision.  Every solve reuses one sparse
 LU factorisation of A: the capacity optimisers call the operators
 thousands of times.
+
+`assemble` factors A and solves for the torsion field zeta0, which every
+Newton solve reads.  The principal eigenpair costs 9-11 more solves and
+few callers read it, so a `KernelSet` computes it on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverDiverged, SupportError
+from .errors import SolverDiverged
 from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
@@ -66,13 +71,15 @@ def _assemble_matrices(grid: WeightedGrid):
 
 @dataclass
 class KernelSet:
-    """Assembled operators plus the derived fields the solvers lean on."""
+    """Assembled operators plus the derived fields the solvers lean on.
+
+    The first read of `rho_star` or `eigenvalue` computes and keeps both;
+    `eig_iterations` counts its inverse-power steps and reads 0 until then.
+    """
 
     grid: WeightedGrid
     lap: sp.csr_matrix
     coupling: sp.csr_matrix
-    rho_star: np.ndarray = None
-    eigenvalue: float = 0.0
     zeta0: np.ndarray = None
     eig_iterations: int = 0
     _lu: object = field(default=None, repr=False)
@@ -81,16 +88,27 @@ class KernelSet:
         """Solve A x = rhs; rhs may be (Ni,) or (Ni, k)."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
+    @cached_property
+    def _eigenpair(self):
+        rho_star, lam, self.eig_iterations = _principal_eigen(self)
+        return rho_star, lam
+
+    @property
+    def rho_star(self) -> np.ndarray:
+        """Positive principal eigenfield of A, scaled to max 1."""
+        return self._eigenpair[0]
+
+    @property
+    def eigenvalue(self) -> float:
+        """Lowest eigenvalue of A."""
+        return self._eigenpair[1]
+
 
 def assemble(grid: WeightedGrid) -> KernelSet:
-    """Assemble operators and precompute eigenpair and torsion field."""
+    """Assemble A and B, factor A and solve for the torsion field."""
     A, B = _assemble_matrices(grid)
     ks = KernelSet(grid=grid, lap=A, coupling=B,
                    _lu=spla.splu(A.tocsc(), permc_spec=PERMC_SPEC))
-    rho_star, lam, iters = _principal_eigen(ks)
-    ks.rho_star = rho_star
-    ks.eigenvalue = lam
-    ks.eig_iterations = iters
     ks.zeta0 = ks.solve(np.ones(grid.n_interior))
     return ks
 
@@ -114,46 +132,11 @@ def _principal_eigen(ks: KernelSet):
     )
 
 
-def principal_eigen(ks: KernelSet):
-    """(rho_star, lambda): positive eigenfield scaled to max 1, lowest eigenvalue."""
-    return Field(ks.grid, ks.rho_star.copy()), ks.eigenvalue
-
-
-def solve_zeta0(ks: KernelSet) -> Field:
-    """Torsion field: -Lap zeta0 = 1, zero boundary values."""
-    return Field(ks.grid, ks.zeta0.copy(), np.zeros(ks.grid.n_boundary))
-
-
-def green_potential(ks: KernelSet, density: np.ndarray) -> Field:
-    """Potential of an interior density vector (mass per unit volume)."""
-    density = np.asarray(density, dtype=float)
-    if density.shape != (ks.grid.n_interior,):
-        raise SupportError("interior density has wrong length")
-    u = ks.solve(density)
-    return Field(ks.grid, u, np.zeros(ks.grid.n_boundary))
-
-
-def harmonic_extension(ks: KernelSet, gdata: np.ndarray) -> Field:
-    """Discrete harmonic extension of boundary data (density units)."""
-    gdata = np.asarray(gdata, dtype=float)
-    if gdata.shape != (ks.grid.n_boundary,):
-        raise SupportError("boundary data has wrong length")
-    u = ks.solve(ks.coupling @ gdata)
-    return Field(ks.grid, u, gdata.copy())
-
-
 def green_column(ks: KernelSet, node: int) -> np.ndarray:
     """Green kernel column: potential of a unit atom at an interior node."""
     e = np.zeros(ks.grid.n_interior)
     e[node] = 1.0 / ks.grid.cell_measure
     return ks.solve(e)
-
-
-def poisson_column(ks: KernelSet, bnode: int) -> np.ndarray:
-    """Harmonic-measure column: extension of a unit atom at a boundary node."""
-    g = np.zeros(ks.grid.n_boundary)
-    g[bnode] = 1.0 / ks.grid.boundary_cell_measure
-    return ks.solve(ks.coupling @ g)
 
 
 def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:

@@ -31,6 +31,15 @@ start is min(u_lin, log(1 + max data^+)); a node where the mask drops
 the absorption is never clipped, since no constant is a supersolution
 of its purely linear equation.
 
+A solve handed a known supersolution w starts at min(u_0, w).  If
+b' >= b nodewise, the solution w for b' is a supersolution for b, as
+A w + e^w - 1 = b' >= b.  The minimum of two supersolutions is one too:
+where it takes w_i, every neighbour is at most its w value and A has
+nonpositive off-diagonals, so the row keeps at least w's residual.  The
+truncation ladder starts each level from the solution one level up (a
+level with the same data then takes one step), and the comparison
+starts mu1 from u2.
+
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
 potential-integrability screen over a refinement ladder, and the
@@ -76,14 +85,17 @@ class SolveReport:
 
 
 def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] = None,
-                      mask: Optional[np.ndarray] = None) -> SolveReport:
+                      mask: Optional[np.ndarray] = None,
+                      upper: Optional[np.ndarray] = None) -> SolveReport:
     """Newton solve of A u + mask (e^u - 1) = b.
 
     `b` is the full load, boundary data included; `gdata` only sets the
     boundary trace the solution carries (zero when None).  `mask`
     weights the absorption per interior node (all ones when None); a
     zero drops the equation's absorption there, as the punctured solve
-    does on its hole.
+    does on its hole.  `upper`, when given, is a known supersolution for
+    `b` (say the solution for larger data), and the start is lowered to
+    it (module docstring).
     """
     A = ks.lap
     if mask is None:
@@ -94,6 +106,8 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     c = max(float(np.log1p(b[on].max(initial=0.0))),
             float(u_lin[~on].max(initial=0.0)))
     u = np.where(on, np.minimum(u_lin, c), u_lin)
+    if upper is not None:
+        u = np.minimum(u, upper)
     if float(u.max(initial=0.0)) > EXP_ARG_MAX:
         raise NotAdmissible(
             "Newton start reaches %.1f; exp(u) overflows at this resolution"
@@ -162,7 +176,7 @@ class TruncationLevel:
     mass: float
     bound_lhs: float
     bound_rhs: float
-    min_gain: float  # min over nodes of u_k - u_{k-1}
+    min_gain: float = 0.0  # min over nodes of u_k - u_{k-1}
 
 
 @dataclass
@@ -200,29 +214,30 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     c_flux = float(np.abs(normal_derivative(ks, zeta0, order=2)).max())
     total = mu.total_mass
 
+    # top-down from the clipped start, each level started from the one
+    # above (module docstring); a row's gain is set once the next is solved
     rows = []
-    prev_u = None
+    above = final = None
     monotone = True
-    rep = None
-    for k in sorted(levels):
+    for k in sorted(levels, reverse=True):
         data_k = mu.truncated(k)
-        rep = solve_boundary(data_k, ks)
-        gain = 0.0
-        if prev_u is not None:
-            gain = float((rep.u.values - prev_u).min())
-            if gain < -1e-12 * max(1.0, float(np.abs(prev_u).max())):
+        rep = _semilinear_solve(ks, data_k.load(ks), data_k.density_vector(),
+                                upper=None if above is None else above.u.values)
+        if above is None:
+            final = rep
+        else:
+            gain = float((above.u.values - rep.u.values).min())
+            rows[-1].min_gain = gain
+            if gain < -1e-12 * max(1.0, float(np.abs(rep.u.values).max())):
                 monotone = False
-        prev_u = rep.u.values
-        rows.append(TruncationLevel(
-            level=float(k),
-            mass=data_k.total_mass,
-            bound_lhs=rep.mass_bound_integral,
-            bound_rhs=c_flux * total,
-            min_gain=gain,
-        ))
+        above = rep
+        rows.append(TruncationLevel(level=float(k), mass=data_k.total_mass,
+                                    bound_lhs=rep.mass_bound_integral,
+                                    bound_rhs=c_flux * total))
+    rows.reverse()
     dens_max = 0.0 if mu.density is None else float(mu.density.max(initial=0.0))
     return TruncationReport(
-        levels=rows, final=rep, flux_constant=c_flux, total_mass=total,
+        levels=rows, final=final, flux_constant=c_flux, total_mass=total,
         monotone=monotone, saturated=max(levels) >= dens_max,
     )
 
@@ -355,12 +370,14 @@ def monotone_comparison(mu1, mu2, ks: KernelSet):
     """Solve both problems and check u1 <= u2 pointwise.
 
     Requires mu1 <= mu2 nodewise (NotComparable otherwise).  Returns
-    (holds, margin) with margin = max(u1 - u2).
+    (holds, margin) with margin = max(u1 - u2).  u2 is solved first and
+    starts the solve for mu1, as a supersolution for its smaller data.
     """
     if not compare_measures(mu1, mu2):
         raise NotComparable("mu1 is not nodewise dominated by mu2")
-    solve = solve_interior if isinstance(mu1, InteriorMeasure) else solve_boundary
-    r1 = solve(mu1, ks)
-    r2 = solve(mu2, ks)
+    interior = isinstance(mu1, InteriorMeasure)
+    r2 = (solve_interior if interior else solve_boundary)(mu2, ks)
+    r1 = _semilinear_solve(ks, mu1.load(ks), None if interior else mu1.density_vector(),
+                           upper=r2.u.values)
     margin = float((r1.u.values - r2.u.values).max())
     return margin <= 1e-10 * max(1.0, float(np.abs(r2.u.values).max())), margin

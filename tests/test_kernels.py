@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from expcap.grids import Field, build_grid, integrate
-from expcap.kernels import (_assemble_matrices, assemble, green_column,
-                            green_potential, harmonic_extension,
-                            normal_derivative, poisson_column,
-                            principal_eigen, solve_zeta0)
+from expcap.kernels import (KernelSet, _assemble_matrices, _principal_eigen,
+                            assemble, green_column, normal_derivative)
 
 
 def test_interval_green_column_exact():
@@ -22,9 +20,10 @@ def test_interval_green_column_exact():
 
 def test_interval_torsion_exact(ks_interval):
     xs = ks_interval.grid.interior_coords[:, 0]
-    z = solve_zeta0(ks_interval)
-    assert np.abs(z.values - 0.5 * xs * (1.0 - xs)).max() < 1e-12
-    assert np.all(z.boundary_values == 0.0)
+    z = ks_interval.zeta0
+    assert np.abs(z - 0.5 * xs * (1.0 - xs)).max() < 1e-12
+    # -Lap zeta0 = 1 with zero boundary values: no boundary data enters
+    assert np.abs(ks_interval.lap @ z - 1.0).max() < 1e-12
 
 
 def test_square_eigenvalue_matches_stencil_formula(ks32):
@@ -33,11 +32,11 @@ def test_square_eigenvalue_matches_stencil_formula(ks32):
     h = ks32.grid.h
     expect = 8.0 / h ** 2 * np.sin(np.pi * h / 2.0) ** 2
     assert ks32.eigenvalue == pytest.approx(expect, rel=1e-10)
-    rho_star, lam = principal_eigen(ks32)
-    assert lam == ks32.eigenvalue
-    assert rho_star.values.max() == pytest.approx(1.0, abs=1e-14)
-    assert rho_star.values.min() > 0.0
-    resid = ks32.lap @ rho_star.values - lam * rho_star.values
+    rho_star, lam = ks32.rho_star, ks32.eigenvalue
+    assert ks32.eig_iterations > 0
+    assert rho_star.max() == pytest.approx(1.0, abs=1e-14)
+    assert rho_star.min() > 0.0
+    resid = ks32.lap @ rho_star - lam * rho_star
     assert np.linalg.norm(resid) <= 1e-7 * lam
 
 
@@ -53,18 +52,19 @@ def test_green_symmetry_and_sign(ks16, rng):
 
 def test_harmonic_extension_max_principle(ks16, rng):
     gdata = rng.uniform(-2.0, 3.0, ks16.grid.n_boundary)
-    H = harmonic_extension(ks16, gdata)
-    assert H.values.max() <= gdata.max() + 1e-12
-    assert H.values.min() >= gdata.min() - 1e-12
-    const = harmonic_extension(ks16, np.full(ks16.grid.n_boundary, 1.7))
-    assert np.abs(const.values - 1.7).max() < 1e-10
+    H = ks16.solve(ks16.coupling @ gdata)
+    assert H.max() <= gdata.max() + 1e-12
+    assert H.min() >= gdata.min() - 1e-12
+    const = ks16.solve(ks16.coupling @ np.full(ks16.grid.n_boundary, 1.7))
+    assert np.abs(const - 1.7).max() < 1e-10
 
 
 def test_poisson_columns_form_a_partition(ks16):
+    # column b extends a unit atom at boundary node b
     grid = ks16.grid
-    tot = np.zeros(grid.n_interior)
-    for b in range(grid.n_boundary):
-        tot += poisson_column(ks16, b) * grid.boundary_cell_measure
+    cols = ks16.solve(ks16.coupling.toarray() / grid.boundary_cell_measure)
+    assert cols.shape == (grid.n_interior, grid.n_boundary)
+    tot = cols.sum(axis=1) * grid.boundary_cell_measure
     assert np.abs(tot - 1.0).max() < 1e-10
 
 
@@ -73,7 +73,7 @@ def test_flux_closes_the_green_identity(ks16):
     # when the flux is the Green-identity-consistent first-order one
     grid = ks16.grid
     f = np.exp(grid.interior_coords[:, 0])
-    u = green_potential(ks16, f)
+    u = Field(grid, ks16.solve(f), np.zeros(grid.n_boundary))
     dnu = normal_derivative(ks16, u, order=1)
     lhs = integrate(f, grid)
     assert -float(dnu.sum()) * grid.boundary_cell_measure == pytest.approx(
@@ -83,7 +83,8 @@ def test_flux_closes_the_green_identity(ks16):
 
 def test_interval_normal_derivative_exact_on_quadratics(ks_interval):
     # the one-sided second-order difference is exact on the torsion field
-    z = solve_zeta0(ks_interval)
+    z = Field(ks_interval.grid, ks_interval.zeta0,
+              np.zeros(ks_interval.grid.n_boundary))
     dnu = normal_derivative(ks_interval, z, order=2)
     assert np.allclose(dnu, -0.5, atol=1e-12)
     with pytest.raises(ValueError):
@@ -121,3 +122,30 @@ def test_disk_partition_and_torsion_sign(ks_disk):
     ones = ks_disk.solve(ks_disk.coupling @ np.ones(ks_disk.grid.n_boundary))
     assert np.abs(ones - 1.0).max() < 1e-10
     assert ks_disk.zeta0.min() > 0.0
+
+
+def test_eigenpair_waits_for_its_first_read(monkeypatch):
+    solves = []
+    orig = KernelSet.solve
+
+    def counting(self, rhs):
+        solves.append(np.shape(rhs))
+        return orig(self, rhs)
+
+    monkeypatch.setattr(KernelSet, "solve", counting)
+    grid = build_grid("square", 24)
+    ks = assemble(grid)
+    # assembly solves for zeta0 only
+    assert ks.eig_iterations == 0
+    assert solves == [(grid.n_interior,)]
+    ref_rho, ref_lam, ref_iters = _principal_eigen(assemble(grid))
+    del solves[:]
+    rho_star = ks.rho_star
+    assert np.array_equal(rho_star, ref_rho)
+    assert ks.eigenvalue == ref_lam
+    assert ks.eig_iterations == ref_iters > 0
+    assert len(solves) == ref_iters
+    # later reads of either half come from the cache
+    assert ks.rho_star is rho_star
+    assert ks.eigenvalue == ref_lam
+    assert len(solves) == ref_iters

@@ -11,7 +11,7 @@ from conftest import cached_kernels
 from expcap import errors
 from expcap.errors import NoConvergence, NotAdmissible, NotComparable
 from expcap.grids import Field, build_grid
-from expcap.kernels import assemble, harmonic_extension
+from expcap.kernels import assemble
 from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from expcap.solver import (admissibility_test, default_test_basis,
                            keller_osserman_diagnostic, monotone_comparison,
@@ -43,9 +43,9 @@ def test_boundary_solve_sits_below_the_harmonic_extension(ks16):
     grid = ks16.grid
     mu = BoundaryMeasure(grid, density=np.full(grid.n_boundary, 3.0))
     rep = solve_boundary(mu, ks16)
-    lin = harmonic_extension(ks16, mu.density_vector())
+    lin = ks16.solve(ks16.coupling @ mu.density_vector())
     # absorption only pulls the profile down
-    assert np.all(rep.u.values <= lin.values + 1e-12)
+    assert np.all(rep.u.values <= lin + 1e-12)
     assert np.all(rep.u.values >= 0.0)
     assert rep.supersolution
     # constant trace g enters the rhs as g/h^2; corner nodes see two edges
@@ -234,3 +234,76 @@ def test_clipped_start_reaches_the_linear_start_solution(ks32):
         ref = _linear_start_newton(ks32, ks32.coupling @ mu.density_vector())
         u = solve_boundary(mu, ks32).u.values
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _criterion7_measures(grid):
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    nb = grid.n_boundary
+    return [
+        ("atom", BoundaryMeasure(grid, atoms=[(bm, 3.0)])),
+        ("atom", BoundaryMeasure(grid, atoms=[(bm, 1.5), (bm + 7, 2.5)])),
+        ("density", BoundaryMeasure(grid, density=np.full(nb, 2.0))),
+        ("mixed", BoundaryMeasure(grid, atoms=[(bm, 1.0)], density=np.full(nb, 1.0))),
+        ("atom", BoundaryMeasure(grid, atoms=[(bm, 8.0)])),
+    ]
+
+
+def _count_factorizations(monkeypatch):
+    """One count per Newton step: each step factors its Jacobian once."""
+    count = [0]
+    orig = solver.spla.splu
+
+    def counting(*args, **kw):
+        count[0] += 1
+        return orig(*args, **kw)
+
+    monkeypatch.setattr(solver.spla, "splu", counting)
+    return count
+
+
+def test_truncation_ladder_runs_top_down(ks32, monkeypatch):
+    # each level starts from the solution above it and must still land on
+    # the solution an independent solve finds
+    solutions = []
+    orig = solver._semilinear_solve
+
+    def spy(*args, **kw):
+        rep = orig(*args, **kw)
+        solutions.append(rep.u.values)
+        return rep
+
+    monkeypatch.setattr(solver, "_semilinear_solve", spy)
+    steps = _count_factorizations(monkeypatch)
+    levels = [2.0 ** j for j in range(8)]
+    criterion7_steps = 0
+    for kind, mu in _criterion7_measures(ks32.grid):
+        del solutions[:]
+        steps[0] = 0
+        rep = truncation_scheme(mu, ks32)
+        ladder_steps = steps[0]
+        ladder = list(solutions)
+        assert [lv.level for lv in rep.levels] == levels
+        assert all(lv.min_gain >= -1e-12 for lv in rep.levels)
+        assert rep.monotone
+        assert len(ladder) == len(levels)
+        for k, u in zip(sorted(levels, reverse=True), ladder):
+            ref = solve_boundary(mu.truncated(k), ks32).u.values
+            assert np.abs(u - ref).max() <= 1e-13
+        if kind == "atom":
+            # every level carries the same data: one step each below the top
+            assert ladder_steps <= rep.final.iterations + len(levels) - 1
+        criterion7_steps += ladder_steps + solve_boundary(mu, ks32).iterations
+    # with every level solved from scratch this path takes 360 steps
+    assert criterion7_steps <= 130
+
+
+@pytest.mark.parametrize("masses", [(2.0, 16.0), (8.0, 16.0)])
+def test_comparison_starts_the_smaller_problem_from_the_larger(ks32, monkeypatch, masses):
+    mu1, mu2 = _bottom_atoms(ks32, masses)
+    cold1, cold2 = solve_boundary(mu1, ks32), solve_boundary(mu2, ks32)
+    margin_cold = float((cold1.u.values - cold2.u.values).max())
+    steps = _count_factorizations(monkeypatch)
+    holds, margin = monotone_comparison(mu1, mu2, ks32)
+    assert holds
+    assert margin == pytest.approx(margin_cold, abs=1e-14)
+    assert steps[0] - cold2.iterations < cold1.iterations
