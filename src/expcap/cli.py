@@ -169,7 +169,8 @@ def _cmd_solve(args) -> int:
         rep = rep_t.final
     else:
         rep = solve_boundary(mu, ks)
-    print(f"iterations = {rep.iterations}  residual = {rep.residual_history[-1]:.3e}")
+    print(f"iterations = {rep.iterations}  factorizations = {rep.factorizations}  "
+          f"residual = {rep.residual_history[-1]:.3e}")
     print(f"monotone descent = {rep.monotone}  supersolution path = {rep.supersolution}")
     print(f"int (e^u - 1) dx = {rep.absorption_dx:.10g}")
     print(f"int (e^u - 1) rho dx = {rep.absorption_rho:.10g}")

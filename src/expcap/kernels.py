@@ -17,6 +17,12 @@ thousands of times.
 `assemble` factors A and solves for the torsion field zeta0, which every
 Newton solve reads.  The principal eigenpair costs 9-11 more solves and
 few callers read it, so a `KernelSet` computes it on first read.
+
+`KernelSet.factor_shifted` factors a Newton Jacobian A + diag(d), d >= 0,
+in the column order of A's own LU: a copy of A permuted into that order
+on first use gets its diagonal patched, and no ordering is paid per
+factor.  The pivots stay on the diagonal of this diagonally dominant
+M-matrix, so L + U has the fill of A's factor.
 """
 
 from __future__ import annotations
@@ -33,10 +39,10 @@ from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
-# Column ordering of every sparse LU: A, the Newton Jacobian A + diag(e^u)
-# and the pinned blocks of A.  They are symmetric M-matrices, for which
-# minimum degree on A^T + A leaves about half the fill of splu's default
-# COLAMD on the square n=128 grid.
+# Column ordering of every sparse LU: A (whose order the Newton Jacobian
+# A + diag(e^u) reuses) and the pinned blocks of A.  They are symmetric
+# M-matrices, for which minimum degree on A^T + A leaves about half the
+# fill of splu's default COLAMD on the square n=128 grid.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
@@ -103,6 +109,31 @@ class KernelSet:
         """Lowest eigenvalue of A."""
         return self._eigenpair[1]
 
+    @cached_property
+    def _shifted_pattern(self):
+        """A's column order, A permuted symmetrically into it (canonical
+        CSC) and the positions of its diagonal in the data array."""
+        order = np.argsort(self._lu.perm_c)
+        Ap = self.lap[order][:, order].tocsc()
+        Ap.sort_indices()
+        cols = np.repeat(np.arange(Ap.shape[1]), np.diff(Ap.indptr))
+        return order, Ap, np.flatnonzero(Ap.indices == cols)
+
+    def factor_shifted(self, d: np.ndarray):
+        """Factor A + diag(d) in A's column order; returns its solve,
+        which maps rhs of shape (Ni,) to x with (A + diag(d)) x = rhs."""
+        order, Ap, diag = self._shifted_pattern
+        # shares Ap's index arrays: splu sorts only a non-canonical matrix
+        J = sp.csc_matrix((Ap.data.copy(), Ap.indices, Ap.indptr), shape=Ap.shape)
+        J.data[diag] += d[order]
+        lu = spla.splu(J, permc_spec="NATURAL")
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            x = np.empty_like(rhs)
+            x[order] = lu.solve(rhs[order])
+            return x
+        return solve
+
 
 def assemble(grid: WeightedGrid) -> KernelSet:
     """Assemble A and B, factor A and solve for the torsion field."""
@@ -139,8 +170,12 @@ def green_column(ks: KernelSet, node: int) -> np.ndarray:
     return ks.solve(e)
 
 
-def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:
+def normal_derivative(ks: KernelSet, f: Field | np.ndarray, order: int = 2) -> np.ndarray:
     """Outward normal derivative of a field at every boundary node.
+
+    `f` is a Field, or an (Ni, k) stack of interior values with a zero
+    boundary trace, one field per column, whose derivatives come back as
+    the columns of an (Nb, k) array.
 
     order=2: one-sided second-order difference along the stencil-rounded
     inward direction, (3 f_b - 4 f_1 + f_2) / (2h), and order 1 where
@@ -151,15 +186,20 @@ def normal_derivative(ks: KernelSet, f: Field, order: int = 2) -> np.ndarray:
     precision on every shape.
     """
     grid = ks.grid
-    grid.require_same(f.grid)
-    fb = f.boundary_values if f.boundary_values is not None else np.zeros(grid.n_boundary)
+    if isinstance(f, Field):
+        grid.require_same(f.grid)
+        values, fb = f.values, f.boundary_values
+    else:
+        values, fb = f, None
+    if fb is None:
+        fb = np.zeros((grid.n_boundary,) + values.shape[1:])
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     adjacent = ks.coupling.T.astype(bool)
-    degree = np.asarray(adjacent.sum(axis=1)).ravel()
-    out = (degree * fb - adjacent @ f.values) / grid.h
+    degree = np.asarray(adjacent.sum(axis=1)).reshape((-1,) + (1,) * (values.ndim - 1))
+    out = (degree * fb - adjacent @ values) / grid.h
     if order == 2:
         i1, i2 = grid.boundary_inward.T
         ok = (i1 >= 0) & (i2 >= 0)
-        out[ok] = (3.0 * fb[ok] - 4.0 * f.values[i1[ok]] + f.values[i2[ok]]) / (2.0 * grid.h)
+        out[ok] = (3.0 * fb[ok] - 4.0 * values[i1[ok]] + values[i2[ok]]) / (2.0 * grid.h)
     return out

@@ -15,6 +15,34 @@ convergence; a plain fixed-point sweep u <- data - G[e^u - 1]
 alternates around the solution instead of descending and blows up for
 atoms, so it is not used.
 
+A step may reuse the Jacobian factored at an earlier iterate u_f, a
+chord step with a lagged Jacobian (Shamanskii's method; Kelley, Solving
+Nonlinear Equations with Newton's Method, 2003):
+
+    J_f delta = -F(u_m),   J_f = A + diag(e^{u_f}),   F(u) = A u + e^u - 1 - data.
+
+The iterates only decrease, so u_m <= u_f and J_f >= F'(u_m): J_f
+differs from the true Jacobian by the diagonal e^{u_f} - e^{u_m} >= 0.
+The step is still monotone (J_f is an M-matrix and F(u_m) >= 0), and
+by convexity F(u_m + delta) >= F(u_m) + F'(u_m) delta
+= (J_f - F'(u_m)) (-delta) >= 0, so the new iterate stays a
+supersolution.  Consecutive steps contract: nodewise
+|delta_{m+1}| <= J_f^{-1} diag(e^{u_f} - e^{u_{m+1}}) |delta_m|, and
+A 1 >= 0 gives J_f 1 >= e^{u_f}, hence J_f^{-1} e^{u_f} <= 1 and
+
+    |delta_{m+1}|_inf <= q |delta_m|_inf,   q = 1 - exp(-max(u_f - u_{m+1})).
+
+With an absorption mask every e^u carries the mask and the max runs over
+absorbing nodes.  A factor is kept while q <= REUSE_TOL, and refreshed
+when a step does not contract: at the rounding plateau the steps of a
+stale factor stop shrinking.  What is left after a step of size s is
+about q s, so the loop stops when s < STEP_TOL and q s is at rounding,
+eps max(1, |u|_inf), with q the smaller of the bound and the observed
+ratio of the last two steps; STEP_TOL alone would stop a chord at errors
+of about 5e-12.  A fresh Newton step has q <= s, so for it the rule is
+s < STEP_TOL.  Every Jacobian is factored in A's own column order
+(`KernelSet.factor_shifted`).
+
 The start is the least of two supersolutions, not the linear potential
 u_lin = A^{-1} data alone: while e^u dominates, Newton lowers u by about
 one per step, so a tall potential would cost a step per unit of height.
@@ -52,18 +80,18 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import (NoConvergence, NotAdmissible, NotComparable,
                      TestNotAdmissible)
 from .grids import Field, integrate
-from .kernels import PERMC_SPEC, KernelSet, normal_derivative
+from .kernels import KernelSet, normal_derivative
 from .measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
                        compare_measures)
 from .nfunctions import EXP_ARG_MAX
 
 STEP_TOL = 1e-10
+# a Jacobian factor is kept while its contraction bound stays at or below this
+REUSE_TOL = 0.01
 RES_TOL = 1e-8
 MAX_OUTER = 100
 SLOPE_TOL = 0.2
@@ -74,7 +102,8 @@ class SolveReport:
     """Converged solution plus the iteration evidence the tests inspect."""
 
     u: Field
-    iterations: int
+    iterations: int            # Newton steps taken
+    factorizations: int        # Jacobians factored, at most one per step
     residual_history: list
     monotone: bool
     supersolution: bool
@@ -123,17 +152,27 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     res_hist = []
     monotone = True
     supersolution = True
+    factorizations = 0
+    refactor = True
     for it in range(1, limit + 1):
         r = A @ u + mask * np.expm1(u) - b
         res_hist.append(float(np.abs(r).max()))
         if r.min() < -1e-9 * scale:
             supersolution = False
-        J = (A + sp.diags(mask * np.exp(u))).tocsc()
-        delta = spla.splu(J, permc_spec=PERMC_SPEC).solve(-r)
+        if refactor:
+            solve = None  # free the old factor before building the next
+            solve = ks.factor_shifted(mask * np.exp(u))
+            factorizations += 1
+            u_f, last = u, np.inf
+        delta = -solve(r)
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
         u = u + delta
-        if float(np.abs(delta).max()) < STEP_TOL:
+        step = float(np.abs(delta).max())
+        # the factor's contraction bound at the new iterate (module docstring)
+        bound = -float(np.expm1(-(u_f - u)[on].max(initial=0.0)))
+        rounding = np.finfo(float).eps * max(1.0, float(np.abs(u).max()))
+        if step < STEP_TOL and min(bound, step / last) * step <= rounding:
             r = A @ u + mask * np.expm1(u) - b
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
@@ -141,6 +180,8 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
                     "step converged but residual %.3e above tolerance" % res_hist[-1]
                 )
             break
+        refactor = bound > REUSE_TOL or step >= last
+        last = step
     else:
         raise NoConvergence(f"no convergence in {limit} outer steps")
 
@@ -150,6 +191,7 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     return SolveReport(
         u=uf,
         iterations=it,
+        factorizations=factorizations,
         residual_history=res_hist,
         monotone=monotone,
         supersolution=supersolution,
@@ -295,24 +337,19 @@ def weak_residual(u: Field, mu, ks: KernelSet, tests: Sequence[Field],
     """
     grid = ks.grid
     grid.require_same(u.grid)
-    vol = grid.cell_measure
-    absorb = np.expm1(u.values)
-    out = []
     for zeta in tests:
         grid.require_same(zeta.grid)
         if zeta.boundary_values is not None and np.any(zeta.boundary_values != 0.0):
             raise TestNotAdmissible("test function must vanish on the boundary nodes")
-        lap_zeta = ks.lap @ zeta.values  # = -Lap zeta with zero extension
-        r = vol * float(u.values @ lap_zeta + absorb @ zeta.values)
-        if isinstance(mu, BoundaryMeasure):
-            dnu = normal_derivative(ks, zeta, order=flux_order)
-            r += float(dnu @ mu.node_masses())
-        elif isinstance(mu, InteriorMeasure):
-            r -= float(zeta.values @ mu.node_masses())
-        else:
-            raise NotComparable("mu must be an InteriorMeasure or BoundaryMeasure")
-        out.append(r)
-    out = np.array(out)
+    # one test per column; ks.lap @ Z = -Lap zeta with zero extension
+    Z = np.stack([zeta.values for zeta in tests], axis=1)
+    out = grid.cell_measure * (u.values @ (ks.lap @ Z) + np.expm1(u.values) @ Z)
+    if isinstance(mu, BoundaryMeasure):
+        out += mu.node_masses() @ normal_derivative(ks, Z, order=flux_order)
+    elif isinstance(mu, InteriorMeasure):
+        out -= mu.node_masses() @ Z
+    else:
+        raise NotComparable("mu must be an InteriorMeasure or BoundaryMeasure")
     return float(np.abs(out).max()), out
 
 

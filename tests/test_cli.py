@@ -50,7 +50,8 @@ def test_solve_with_dump(tmp_path, capsys):
 
 
 def _final_lines(rep):
-    return [f"iterations = {rep.iterations}  residual = {rep.residual_history[-1]:.3e}",
+    return [f"iterations = {rep.iterations}  factorizations = {rep.factorizations}  "
+            f"residual = {rep.residual_history[-1]:.3e}",
             f"int (e^u - 1) dx = {rep.absorption_dx:.10g}",
             f"int (u + (e^u - 1) zeta0) dx = {rep.mass_bound_integral:.10g}",
             f"max u = {rep.u.values.max():.10g}"]

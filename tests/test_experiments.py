@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+import expcap.kernels as kernels
 import expcap.solver as solver
 from expcap.errors import Infeasible, NoConvergence, SupportError
 from expcap.experiments import (ExperimentConfig, boundary_family,
@@ -122,7 +123,7 @@ def test_punctured_solve_raises_when_newton_stalls(ks16, monkeypatch):
         def solve(self, rhs):
             return np.full_like(rhs, 1e-3)
 
-    monkeypatch.setattr(solver.spla, "splu", lambda J, **kw: Stalled())
+    monkeypatch.setattr(kernels.spla, "splu", lambda J, **kw: Stalled())
     grid = ks16.grid
     mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
     with pytest.raises(NoConvergence):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+
+import expcap.kernels as kernels
 
 from expcap.grids import Field, build_grid, integrate
 from expcap.kernels import (KernelSet, _assemble_matrices, _principal_eigen,
@@ -89,6 +92,45 @@ def test_interval_normal_derivative_exact_on_quadratics(ks_interval):
     assert np.allclose(dnu, -0.5, atol=1e-12)
     with pytest.raises(ValueError):
         normal_derivative(ks_interval, z, order=3)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stacked_normal_derivative_is_the_per_field_one(ks16, ks_disk, ks_interval,
+                                                         rng, order):
+    for ks in (ks16, ks_disk, ks_interval):
+        grid = ks.grid
+        Z = rng.standard_normal((grid.n_interior, 3))
+        stacked = normal_derivative(ks, Z, order=order)
+        assert stacked.shape == (grid.n_boundary, 3)
+        for j in range(3):
+            one = normal_derivative(ks, Field(grid, Z[:, j], np.zeros(grid.n_boundary)),
+                                    order=order)
+            assert np.array_equal(stacked[:, j], one)
+
+
+def test_factor_shifted_keeps_the_fill_of_a(ks16, ks32, ks_disk, ks_interval, rng,
+                                            monkeypatch):
+    # A + diag(d) in A's column order: diagonal pivots, A's fill, and the
+    # solve maps back to the original node order
+    factors = []
+    splu = kernels.spla.splu
+    monkeypatch.setattr(kernels.spla, "splu",
+                        lambda *a, **kw: factors.append(splu(*a, **kw)) or factors[-1])
+    for ks in (ks16, ks32, ks_disk, ks_interval):
+        n = ks.grid.n_interior
+        d = rng.uniform(0.0, 50.0, n)
+        rhs = rng.standard_normal(n)
+        _, Ap, _ = ks._shifted_pattern
+        pattern = Ap.copy()
+        x = ks.factor_shifted(d)(rhs)
+        # the cached pattern comes back untouched for the next factor
+        assert (Ap != pattern).nnz == 0
+        assert np.array_equal(Ap.indices, pattern.indices)
+        J = ks.lap + sp.diags(d)
+        assert np.abs(J @ x - rhs).max() <= 1e-12 * abs(J).sum(axis=1).max() * np.abs(x).max()
+        lu = factors[-1]
+        assert np.array_equal(lu.perm_r, np.arange(n))
+        assert lu.L.nnz + lu.U.nnz == ks._lu.L.nnz + ks._lu.U.nnz
 
 
 def test_solve_round_trip(ks16, rng):
