@@ -20,8 +20,7 @@ few callers read it, so a `KernelSet` computes it on first read.
 
 `KernelSet.factor_shifted` factors a Newton Jacobian A + diag(d), d >= 0,
 in the column order of A's own LU: a copy of A permuted into that order
-on first use gets its diagonal patched, and no ordering is paid per
-factor.  The pivots stay on the diagonal of this diagonally dominant
+on first use gets d added, and no ordering is paid per factor.  The pivots stay on the diagonal of this diagonally dominant
 M-matrix, so L + U has the fill of A's factor.
 """
 
@@ -111,22 +110,15 @@ class KernelSet:
 
     @cached_property
     def _shifted_pattern(self):
-        """A's column order, A permuted symmetrically into it (canonical
-        CSC) and the positions of its diagonal in the data array."""
+        """A's column order and A permuted symmetrically into it."""
         order = np.argsort(self._lu.perm_c)
-        Ap = self.lap[order][:, order].tocsc()
-        Ap.sort_indices()
-        cols = np.repeat(np.arange(Ap.shape[1]), np.diff(Ap.indptr))
-        return order, Ap, np.flatnonzero(Ap.indices == cols)
+        return order, self.lap[order][:, order]
 
     def factor_shifted(self, d: np.ndarray):
         """Factor A + diag(d) in A's column order; returns its solve,
         which maps rhs of shape (Ni,) to x with (A + diag(d)) x = rhs."""
-        order, Ap, diag = self._shifted_pattern
-        # shares Ap's index arrays: splu sorts only a non-canonical matrix
-        J = sp.csc_matrix((Ap.data.copy(), Ap.indices, Ap.indptr), shape=Ap.shape)
-        J.data[diag] += d[order]
-        lu = spla.splu(J, permc_spec="NATURAL")
+        order, Ap = self._shifted_pattern
+        lu = spla.splu((Ap + sp.diags(d[order])).tocsc(), permc_spec="NATURAL")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             x = np.empty_like(rhs)
