@@ -64,11 +64,10 @@ from typing import Optional
 import numpy as np
 import scipy.optimize as sopt
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import BadLambda, Infeasible, SupportError
 from .grids import Field, WeightedGrid, integrate
-from .kernels import PERMC_SPEC, KernelSet
+from .kernels import KernelSet, green_column
 from .luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
                         orlicz_norm_and_argmin)
 from .maximal import llnl_norm
@@ -105,6 +104,7 @@ class CapacityOptions:
 
 
 PAIR_GAP_TOL = 1e-9  # relative gap at which a pair's bracket proves it optimal
+CHEBYSHEV_SLACK = 0.15  # optimizer allowance over the level-set bound
 
 
 @dataclass
@@ -216,13 +216,6 @@ def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
                             aux={"evaluations": evals})
 
 
-def _green_columns(ks: KernelSet, nodes: np.ndarray) -> np.ndarray:
-    grid = ks.grid
-    e = np.zeros((grid.n_interior, nodes.size))
-    e[nodes, np.arange(nodes.size)] = 1.0 / grid.cell_measure
-    return ks.solve(e)
-
-
 def _interior_pin(K: CompactSet, ks: KernelSet, opts: CapacityOptions):
     """(ones, fixed, free_idx) of the interior admissible class: eta = 1
     on K dilated by opts.dilation rings, free elsewhere.
@@ -242,13 +235,11 @@ def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
     elsewhere, and clip the free values to [0, 1]."""
     eta = fixed.copy()
     if free_idx.size:
-        A = ks.lap
-        rhs = -(A[free_idx] @ fixed)
+        rhs = -(ks.lap[free_idx] @ fixed)
         if source is not None:
             rhs += source[free_idx]
-        sub = A[free_idx][:, free_idx].tocsc()
-        lu = spla.splu(sub, permc_spec=PERMC_SPEC)
-        eta[free_idx] = np.clip(lu.solve(rhs), 0.0, 1.0)
+        solve = ks.factor_shifted(np.zeros(ks.grid.n_interior), free_idx)
+        eta[free_idx] = np.clip(solve(rhs), 0.0, 1.0)
     return eta
 
 
@@ -290,7 +281,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     # the source is 0 and the seed is the harmonic fill.
     if dual is None:
         dual = dual_interior(K, ks, opts)
-    pot = _green_columns(ks, dual.mu_nodes) @ dual.mu_masses
+    pot = green_column(ks, dual.mu_nodes) @ dual.mu_masses
     w_star = None
     if float(pot.max(initial=0.0)) > 0:
         _, khat = orlicz_norm_and_argmin(pot, grid, nf, "principal", "lebesgue")
@@ -401,7 +392,7 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     nf = exponential_pair()
     W = grid.weight_vector("lebesgue")
     support = dilate_interior(ks, K.nodes, opts.dilation)
-    cols = _green_columns(ks, support)
+    cols = green_column(ks, support)
     m = np.full(support.size, 1.0 / support.size)
     iters, converged = 0, True
     if support.size > 1:
@@ -547,18 +538,17 @@ class ChebyshevReport:
 
 
 def chebyshev_bound(eta: Field, lam: float, ks: KernelSet,
-                    opts: CapacityOptions = CapacityOptions(),
-                    slack: float = 0.15) -> ChebyshevReport:
+                    opts: CapacityOptions = CapacityOptions()) -> ChebyshevReport:
     """Level-set capacity bound (||eta||_L1 + ||Lap eta||_{L_P*}) / lam.
 
     Compares the bound against the measured primal value of the raw
     superlevel set {eta >= lam}: eta/lam witnesses feasibility for that
     set itself, not for a dilated neighbourhood, so the comparison runs
     with dilation zero whatever opts carries.  `satisfied` allows the
-    optimizer slack fraction on top of the bound.  For fat level sets
-    the pinned program (eta equal to one on the whole set) can sit above
-    the bound legitimately: the witness eta/lam exceeds one inside the
-    set and is not admissible for the pin.
+    optimizer the fraction CHEBYSHEV_SLACK on top of the bound.  For fat
+    level sets the pinned program (eta equal to one on the whole set) can
+    sit above the bound legitimately: the witness eta/lam exceeds one
+    inside the set and is not admissible for the pin.
     """
     if not (lam > 0):
         raise BadLambda("level must be strictly positive")
@@ -575,7 +565,7 @@ def chebyshev_bound(eta: Field, lam: float, ks: KernelSet,
     K = CompactSet(grid, nodes, "interior")
     est = primal_interior(K, ks, replace(opts, dilation=0))
     return ChebyshevReport(bound, est.primal_value, int(nodes.size),
-                           est.primal_value <= bound * (1.0 + slack) + 1e-9)
+                           est.primal_value <= bound * (1.0 + CHEBYSHEV_SLACK) + 1e-9)
 
 
 def weak_l1_hessian(eta: Field, ks: KernelSet):

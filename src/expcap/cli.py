@@ -64,20 +64,18 @@ _SCALAR_KEYS = {"charge": float, "slope_tol": float, "residual_tol": float,
 
 
 def _experiment_config(args, experiment: str) -> xp.ExperimentConfig:
-    data = {}
-    if getattr(args, "config", None):
-        data.update(read_config(args.config))
+    data = read_config(args.config) if getattr(args, "config", None) else {}
+    unknown = sorted(set(data) - set(_LIST_KEYS) - set(_SCALAR_KEYS))
+    if unknown:
+        raise ValueError(f"{args.config}: not an experiment flag: {', '.join(unknown)}")
     for key in list(_LIST_KEYS) + list(_SCALAR_KEYS):
-        val = getattr(args, key, None)
-        if val is not None:
-            data[key] = val
+        if getattr(args, key, None) is not None:
+            data[key] = getattr(args, key)
     kw = {"experiment": experiment}
     for key, conv in _LIST_KEYS.items():
-        if key in data:
-            v = data[key]
-            if isinstance(v, str):
-                v = [conv(t) for t in v.replace(";", ",").split(",") if t.strip()]
-            kw[key] = tuple(v)
+        if key in data:  # a comma- or semicolon-separated string
+            kw[key] = tuple(conv(t) for t in data[key].replace(";", ",").split(",")
+                            if t.strip())
     for key, conv in _SCALAR_KEYS.items():
         if key in data:
             kw[key] = conv(data[key])

@@ -102,8 +102,12 @@ class WeightedGrid:
 
     def nearest(self, point, kind: str = "interior", count: int = 1) -> np.ndarray:
         """Sorted ordinals of the `count` interior (or boundary) nodes
-        nearest to `point`; among equidistant nodes the lowest ordinal wins."""
-        offset = self.coords(kind) - np.atleast_1d(np.asarray(point, dtype=float))
+        nearest to `point` (ndim coordinates, or ValueError); among
+        equidistant nodes the lowest ordinal wins."""
+        point = np.atleast_1d(np.asarray(point, dtype=float))
+        if point.shape != (self.ndim,):
+            raise ValueError(f"point {point.tolist()} needs {self.ndim} coordinates")
+        offset = self.coords(kind) - point
         d2 = np.sum(offset ** 2, axis=1)
         return np.sort(np.argsort(d2, kind="stable")[:count])
 

@@ -5,8 +5,8 @@ Dirichlet rows eliminated: A u = f holds on interior nodes, boundary
 values enter through the coupling matrix B (one 1/h^2 entry per
 stencil adjacency).  With that convention:
 
-* green(density)            solves A u = density             (u = 0 on the boundary)
-* harmonic(boundary data)   solves A u = B g                 (u = g on the boundary)
+* ks.solve(f)                 solves A u = f        (u = 0 on the boundary)
+* ks.solve(ks.coupling @ g)   solves A u = B g      (u = g on the boundary)
 
 Both are exact inverses of the same symmetric M-matrix, which is what
 makes the discrete Green identities used by the weak-residual and
@@ -18,10 +18,14 @@ thousands of times.
 Newton solve reads.  The principal eigenpair costs 9-11 more solves and
 few callers read it, so a `KernelSet` computes it on first read.
 
-`KernelSet.factor_shifted` factors a Newton Jacobian A + diag(d), d >= 0,
-in the column order of A's own LU: a copy of A permuted into that order
-on first use gets d added, and no ordering is paid per factor.  The pivots stay on the diagonal of this diagonally dominant
-M-matrix, so L + U has the fill of A's factor.
+Every sparse factorisation lives here.  `KernelSet.factor_shifted`
+factors (A + diag(d))_FF, d >= 0, on a free node set F: the Newton
+Jacobian A + diag(e^u) on all nodes, or the pinned block A_FF of a
+harmonic fill.  It reuses the column order of A's LU and pays no
+ordering.  Fill runs along paths through earlier-eliminated nodes and a
+path inside F is one in A, so that order fills no entry A's factor does
+not; the pivots stay on the diagonal of these diagonally dominant
+M-matrices, so L + U has at most the nonzeros of A's factor.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ from .grids import Field, WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
-# Column ordering of every sparse LU: A (whose order the Newton Jacobian
-# A + diag(e^u) reuses) and the pinned blocks of A.  They are symmetric
-# M-matrices, for which minimum degree on A^T + A leaves about half the
-# fill of splu's default COLAMD on the square n=128 grid.
+# Column ordering of A's LU, which every other factor reuses.  For this
+# symmetric M-matrix minimum degree on A^T + A leaves about half the fill
+# of splu's default COLAMD on the square n=128 grid.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 
 
@@ -114,15 +117,23 @@ class KernelSet:
         order = np.argsort(self._lu.perm_c)
         return order, self.lap[order][:, order]
 
-    def factor_shifted(self, d: np.ndarray):
-        """Factor A + diag(d) in A's column order; returns its solve,
-        which maps rhs of shape (Ni,) to x with (A + diag(d)) x = rhs."""
+    def factor_shifted(self, d: np.ndarray, free: np.ndarray | None = None):
+        """Factor (A + diag(d)) restricted to the `free` nodes (all nodes
+        when None) in A's column order; returns its solve, which maps rhs
+        indexed like `free` to x with (A + diag(d))_FF x = rhs."""
         order, Ap = self._shifted_pattern
-        lu = spla.splu((Ap + sp.diags(d[order])).tocsc(), permc_spec="NATURAL")
+        if free is None:
+            keep, block = order, Ap
+        else:
+            pos = self._lu.perm_c[free]
+            keep = np.argsort(pos)
+            block = Ap[pos[keep]][:, pos[keep]]
+            d = d[free]
+        lu = spla.splu((block + sp.diags(d[keep])).tocsc(), permc_spec="NATURAL")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             x = np.empty_like(rhs)
-            x[order] = lu.solve(rhs[order])
+            x[keep] = lu.solve(rhs[keep])
             return x
         return solve
 
@@ -155,11 +166,13 @@ def _principal_eigen(ks: KernelSet):
     )
 
 
-def green_column(ks: KernelSet, node: int) -> np.ndarray:
-    """Green kernel column: potential of a unit atom at an interior node."""
-    e = np.zeros(ks.grid.n_interior)
-    e[node] = 1.0 / ks.grid.cell_measure
-    return ks.solve(e)
+def green_column(ks: KernelSet, nodes: int | np.ndarray) -> np.ndarray:
+    """Green kernel columns: the potential of a unit atom at each interior
+    node, (Ni,) for one node and (Ni, k) for an array of k nodes."""
+    nodes = np.asarray(nodes)
+    e = np.zeros((ks.grid.n_interior, nodes.size))
+    e[nodes.ravel(), np.arange(nodes.size)] = 1.0 / ks.grid.cell_measure
+    return ks.solve(e.reshape((-1,) + nodes.shape))
 
 
 def normal_derivative(ks: KernelSet, f: Field | np.ndarray, order: int = 2) -> np.ndarray:

@@ -93,19 +93,19 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     return np.maximum(full, _cover(V), out=full)
 
 
-def maximal_interior(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
-    """M[f] restricted to the interior nodes."""
-    return maximal_function(f, grid, pad)[grid.lattice_index(pad)]
+def maximal_interior(f, grid: WeightedGrid) -> np.ndarray:
+    """M[f] restricted to the interior nodes (one cell of padding)."""
+    return maximal_function(f, grid)[grid.lattice_index(1)]
 
 
-def llnl_norm(f, grid: WeightedGrid, weight: str = "lebesgue", pad: int = 1) -> float:
+def llnl_norm(f, grid: WeightedGrid, weight: str = "lebesgue") -> float:
     """int_{Q0} M[f] w dx.  The rho weight vanishes off the interior, so
     only interior cells contribute there; the Lebesgue version integrates
     over the whole padded cube."""
     if weight == "lebesgue":
-        M = maximal_function(f, grid, pad)
+        M = maximal_function(f, grid)
         return float(M.sum() * grid.cell_measure)
     if weight == "rho":
-        Mi = maximal_interior(f, grid, pad)
+        Mi = maximal_interior(f, grid)
         return float((Mi * grid.rho).sum() * grid.cell_measure)
     raise ValueError(f"unknown weight kind {weight!r}")

@@ -27,6 +27,7 @@ from .errors import OverflowInIntegrand
 # exp overflows near 709 in float64; refuse a little earlier so the
 # integrand is still finite when we test it.
 EXP_ARG_MAX = 700.0
+SEARCH_CAP = 1e6  # pair_from_density's bisection bracket stops doubling here
 
 
 def _check_exp_range(t: np.ndarray) -> None:
@@ -113,24 +114,24 @@ def quadratic_pair() -> NFunction:
     )
 
 
-def pair_from_density(name: str, principal: Callable, density: Callable,
-                      search_cap: float = 1e6) -> NFunction:
+def pair_from_density(name: str, principal: Callable, density: Callable) -> NFunction:
     """Build an NFunction from scalar (P, p), with P* by Young's equality.
 
     pbar = p^{-1} comes from one vectorised bisection of the increasing
-    density on [0, x_hi], x_hi doubled until p(x_hi) >= |y|; then
-    P*(y) = |y| pbar(|y|) - P(pbar(|y|)), whose error is second order in
-    that of pbar.  Intended for cross-checking, not production hot paths.
+    density on [0, x_hi], x_hi doubled until p(x_hi) >= |y| or it reaches
+    SEARCH_CAP; then P*(y) = |y| pbar(|y|) - P(pbar(|y|)), whose error is
+    second order in that of pbar.  Intended for cross-checking, not
+    production hot paths.
     """
     P, p = (np.vectorize(f, otypes=[float]) for f in (principal, density))
 
     def pbar(y):
         ay = np.abs(np.asarray(y, dtype=float))
         lo, hi = np.zeros_like(ay), np.ones_like(ay)
-        short = (p(hi) < ay) & (hi < search_cap)
+        short = (p(hi) < ay) & (hi < SEARCH_CAP)
         while short.any():
             hi = np.where(short, 2.0 * hi, hi)
-            short = (p(hi) < ay) & (hi < search_cap)
+            short = (p(hi) < ay) & (hi < SEARCH_CAP)
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             below = p(mid) < ay

@@ -95,6 +95,8 @@ REUSE_TOL = 0.01
 RES_TOL = 1e-8
 MAX_OUTER = 100
 SLOPE_TOL = 0.2
+TRUNCATION_LEVELS = tuple(2.0 ** j for j in range(7, -1, -1))  # caps k, top down
+TEST_MODES = np.array([[0, 0, 1, 1, 0, 2, 1, 2, 2, 0], [0, 1, 0, 1, 2, 0, 2, 1, 2, 3]])
 
 
 @dataclass
@@ -231,9 +233,9 @@ class TruncationReport:
     saturated: bool
 
 
-def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
-                     levels: Optional[Sequence[float]] = None) -> TruncationReport:
-    """Truncation ladder mu_S + min(k, mu_R) with the uniform mass bound.
+def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
+    """Truncation ladder mu_S + min(k, mu_R), k in TRUNCATION_LEVELS, with
+    the uniform mass bound.
 
     At every level the report records
 
@@ -244,8 +246,6 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     makes the left side equal a flux pairing dominated by c * mass, so
     the inequality is structural, not tuned.
     """
-    if levels is None:
-        levels = [2.0 ** j for j in range(0, 8)]
     sing, _ = mu.split()
     # screen the singular part: its harmonic extension must stay in exp range
     pot = ks.solve(sing.load(ks))
@@ -261,7 +261,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     rows = []
     above = final = None
     monotone = True
-    for k in sorted(levels, reverse=True):
+    for k in TRUNCATION_LEVELS:
         data_k = mu.truncated(k)
         rep = _semilinear_solve(ks, data_k.load(ks), data_k.density_vector(),
                                 upper=None if above is None else above.u.values)
@@ -280,46 +280,38 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet,
     dens_max = 0.0 if mu.density is None else float(mu.density.max(initial=0.0))
     return TruncationReport(
         levels=rows, final=final, flux_constant=c_flux, total_mass=total,
-        monotone=monotone, saturated=max(levels) >= dens_max,
+        monotone=monotone, saturated=TRUNCATION_LEVELS[0] >= dens_max,
     )
 
 
 # ---------------------------------------------------------------------------
 # weak residual
 
-def default_test_basis(ks: KernelSet, count: int = 10) -> list:
-    """Smooth discrete test fields vanishing on the boundary nodes.
+def default_test_basis(ks: KernelSet) -> list:
+    """Ten smooth discrete test fields vanishing on the boundary nodes.
 
     Square/interval: bubble-times-cosine products x(1-x) cos(i pi x)
-    (and the y factor in 2D).  The bubble keeps the second normal
+    (and the y factor in 2D; TEST_MODES holds the ten (i, j) of least
+    i^2 + j^2, ties by (i, j)).  The bubble keeps the second normal
     derivative away from zero on the boundary, so one-sided flux errors
     show their leading O(h) term instead of a degenerate higher order.
     Disk: Green potentials of cosine sources, zero on the boundary ring
     by construction.
     """
     grid = ks.grid
-    xs = grid.interior_coords
-    tests = []
+    x = grid.interior_coords[:, 0]
     if grid.shape == "interval":
-        x = xs[:, 0]
-        for j in range(count):
-            tests.append(Field(grid, x * (1.0 - x) * np.cos(np.pi * j * x),
-                               np.zeros(grid.n_boundary)))
-        return tests
-    pairs = [(i, j) for i in range(count) for j in range(count)]
-    pairs.sort(key=lambda p: (p[0] ** 2 + p[1] ** 2, p))
-    pairs = pairs[:count]
-    x, y = xs[:, 0], xs[:, 1]
-    bubble = x * (1.0 - x) * y * (1.0 - y)
-    for i, j in pairs:
-        vals = np.cos(np.pi * i * x) * np.cos(np.pi * j * y)
+        rows = x * (1.0 - x) * np.cos(np.pi * np.arange(10)[:, None] * x)
+    else:
+        y = grid.interior_coords[:, 1]
+        freq = np.pi * np.arange(4)[:, None]
+        rows = np.cos(freq * x)[TEST_MODES[0]] * np.cos(freq * y)[TEST_MODES[1]]
         if grid.shape == "disk":
-            vals = ks.solve(vals)
-            vals = vals / max(1e-300, np.abs(vals).max())
+            cols = ks.solve(rows.T)
+            rows = (cols / np.maximum(1e-300, np.abs(cols).max(axis=0))).T
         else:
-            vals = bubble * vals
-        tests.append(Field(grid, vals, np.zeros(grid.n_boundary)))
-    return tests
+            rows = x * (1.0 - x) * y * (1.0 - y) * rows
+    return [Field(grid, r, np.zeros(grid.n_boundary)) for r in rows]
 
 
 def weak_residual(u: Field, mu, ks: KernelSet, tests: Sequence[Field],

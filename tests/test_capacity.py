@@ -4,20 +4,21 @@ import numpy as np
 import pytest
 
 import expcap.capacity as capacity
+import expcap.kernels as kernels
 from expcap.capacity import (CapacityEstimate, CapacityOptions, ChebyshevReport,
                              CompactSet, mixed_energy_functional, boundary_collar,
                              boundary_measure, boundary_test_norm,
                              capacity_pair, chebyshev_bound,
                              dilate_interior, dual_boundary, dual_interior,
-                             pairing, primal_boundary, primal_interior,
-                             weak_l1_hessian)
+                             pairing, pinned_harmonic_fill, primal_boundary,
+                             primal_interior, weak_l1_hessian)
 from expcap.errors import BadLambda, SupportError
 from expcap.grids import Field
 from expcap.kernels import green_column
 from expcap.luxemburg import luxemburg_norm, orlicz_norm, orlicz_norm_and_argmin
 from expcap.measures import BoundaryMeasure
 from expcap.nfunctions import exponential_pair
-from expcap.experiments import target_nodes
+from expcap.experiments import interior_family, target_nodes
 
 # frozen on the 16x16 square, centre node, default options
 PAIR16_DIL0 = 4.2172024791
@@ -317,3 +318,38 @@ def test_boundary_certificate_reproduces_its_value(ks16):
     assert neg <= 0.0
     expect = (est.mu_masses.sum() + neg) / est.aux["potential_norm"]
     assert est.dual_value == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("fixture", ["ks32", "ks_disk", "ks_interval"])
+def test_pinned_fill_factors_the_free_block_in_a_order(fixture, request, rng,
+                                                       monkeypatch):
+    # the fill solves A_FF against an independent dense solve, for a
+    # dilated cluster pin with a source and for an interior_family
+    # annulus; its factor keeps diagonal pivots and at most A's fill
+    ks = request.getfixturevalue(fixture)
+    factors = []
+    splu = kernels.spla.splu
+    monkeypatch.setattr(kernels.spla, "splu",
+                        lambda *a, **kw: factors.append(splu(*a, **kw)) or factors[-1])
+    ni = ks.grid.n_interior
+    K = target_nodes(ks.grid, "interior", "cluster")
+    A = ks.lap.toarray()
+    fixed = np.zeros(ni)
+    fixed[dilate_interior(ks, K, 1)] = 1.0
+    annulus = capacity._hop_distance(abs(ks.lap), K)
+    cases = [(fixed, np.flatnonzero(fixed == 0.0), rng.uniform(0.0, 5.0, ni)),
+             (fixed, np.flatnonzero((annulus > 1) & (annulus <= 4)), None)]
+    for fixed, free, source in cases:
+        rhs = -(A[free] @ fixed) + (0.0 if source is None else source[free])
+        exact = np.linalg.solve(A[np.ix_(free, free)], rhs)
+        x = ks.factor_shifted(np.zeros(ni), free)(rhs)
+        assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+        eta = pinned_harmonic_fill(ks, fixed, free, source)
+        want = fixed.copy()
+        want[free] = np.clip(exact, 0.0, 1.0)
+        assert np.abs(eta - want).max() <= 1e-12
+        lu = factors[-1]
+        assert np.array_equal(lu.perm_r, np.arange(free.size))
+        assert lu.L.nnz + lu.U.nnz <= ks._lu.L.nnz + ks._lu.U.nnz
+    # the last case is the R = 4 member of the family
+    assert np.abs(interior_family(K, ks, [4])[0] - want).max() <= 1e-12

@@ -188,6 +188,13 @@ def test_config_file_feeds_experiments(tmp_path, capsys):
     assert parsed["slope_tol"] == "0.15"
 
 
+def test_config_file_rejects_an_unknown_key(tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("ladderr = 8,12,16\n")
+    with pytest.raises(ValueError, match="ladderr"):
+        main(["converge", "--config", str(cfg)])
+
+
 def test_read_config_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("just words\n")

@@ -210,3 +210,16 @@ def test_nearest_breaks_ties_to_the_lowest_ordinal():
     grid = build_grid("square", 16)  # the centre is equidistant from four nodes
     assert grid.nearest((0.5, 0.5), count=4).tolist() == [119, 120, 135, 136]
     assert grid.nearest((0.5, 0.5)).tolist() == [119]
+
+
+def test_nearest_rejects_a_point_of_another_dimension():
+    interval, square = build_grid("interval", 16), build_grid("square", 16)
+    with pytest.raises(ValueError):
+        interval.nearest((0.5, 0.0), "boundary")
+    with pytest.raises(ValueError):
+        square.nearest((0.3,))
+    with pytest.raises(ValueError):
+        target_nodes(interval, "boundary", "point:0,0.5")
+    with pytest.raises(ValueError):
+        target_nodes(interval, "boundary", "bottom-mid")
+    assert target_nodes(interval, "boundary", "point:1").tolist() == [1]

@@ -128,6 +128,18 @@ def test_factor_shifted_keeps_the_fill_of_a(ks16, ks32, ks_disk, ks_interval, rn
         assert lu.L.nnz + lu.U.nnz == ks._lu.L.nnz + ks._lu.U.nnz
 
 
+def test_green_columns_stack_the_single_columns(ks16, ks_disk, ks_interval, rng):
+    for ks in (ks16, ks_disk, ks_interval):
+        ni = ks.grid.n_interior
+        nodes = rng.choice(ni, size=5, replace=False)
+        cols = green_column(ks, nodes)
+        assert cols.shape == (ni, 5)
+        for k, node in enumerate(nodes):
+            one = green_column(ks, node)
+            assert one.shape == (ni,)
+            assert np.abs(cols[:, k] - one).max() <= 1e-14 * np.abs(one).max()
+
+
 def test_solve_round_trip(ks16, rng):
     v = rng.standard_normal(ks16.grid.n_interior)
     assert np.abs(ks16.solve(ks16.lap @ v) - v).max() < 1e-9

@@ -76,6 +76,12 @@ def test_spec_snaps_atoms_to_nearest_node():
         assert d <= g.h  # never further than one cell from the target
 
 
+def test_spec_rejects_an_atom_of_another_dimension():
+    spec = MeasureSpec("interior", atoms=(((0.5, 0.5), 2.0),))
+    with pytest.raises(ValueError):
+        spec.instantiate(build_grid("interval", 16))
+
+
 def test_spec_density_callable_and_bad_kind():
     spec = MeasureSpec("boundary", density=lambda coords, h: coords[:, 0])
     mu = spec.instantiate(G)

@@ -157,6 +157,39 @@ def test_stacked_weak_residual_matches_the_per_test_loop(ks16, ks_disk, ks_inter
             assert top == float(np.abs(out).max())
 
 
+def _test_basis_per_field(ks):
+    """One field at a time: the loop default_test_basis broadcasts."""
+    grid = ks.grid
+    x = grid.interior_coords[:, 0]
+    if grid.shape == "interval":
+        return [x * (1.0 - x) * np.cos(np.pi * j * x) for j in range(10)]
+    pairs = sorted(((i, j) for i in range(10) for j in range(10)),
+                   key=lambda p: (p[0] ** 2 + p[1] ** 2, p))[:10]
+    y = grid.interior_coords[:, 1]
+    out = []
+    for i, j in pairs:
+        vals = np.cos(np.pi * i * x) * np.cos(np.pi * j * y)
+        if grid.shape == "disk":
+            vals = ks.solve(vals)
+            out.append(vals / np.abs(vals).max())
+        else:
+            out.append(x * (1.0 - x) * y * (1.0 - y) * vals)
+    return out
+
+
+def test_test_basis_matches_the_per_field_loop(ks32, ks_disk, ks_interval):
+    # the same products on square and interval; the disk solves the
+    # stack in one batch, which may round differently
+    for ks, tol in ((ks32, 0.0), (ks_interval, 0.0),
+                    (ks_disk, 16 * np.finfo(float).eps)):
+        basis = default_test_basis(ks)
+        ref = _test_basis_per_field(ks)
+        assert len(basis) == len(ref) == 10
+        for zeta, want in zip(basis, ref):
+            assert np.abs(zeta.values - want).max() <= tol
+            assert np.all(zeta.boundary_values == 0.0)
+
+
 def test_admissibility_ladder_verdicts():
     spec_small = MeasureSpec("boundary", atoms=(((0.5, 0.0), 0.5),))
     spec_large = MeasureSpec("boundary", atoms=(((0.5, 0.0), 16.0),))
