@@ -17,6 +17,7 @@ import numpy as np
 
 from . import experiments as xp
 from .capacity import CapacityOptions, CompactSet, capacity_pair
+from .errors import ExpcapError
 from .grids import SHAPES, Field, build_grid, dump_field_csv, load_field_csv
 from .kernels import assemble
 from .luxemburg import luxemburg_norm, orlicz_norm
@@ -184,13 +185,14 @@ def _cmd_solve(args) -> int:
 def _cmd_capacity(args) -> int:
     ks = assemble(build_grid(args.shape, args.n))
     grid = ks.grid
-    nodes = xp.target_nodes(grid, args.kind, args.target)
-    K = CompactSet(grid, nodes, args.kind, label=args.target)
+    target = args.target or ("center" if args.kind == "interior" else "bottom-mid")
+    nodes = xp.target_nodes(grid, args.kind, target)
+    K = CompactSet(grid, nodes, args.kind, label=target)
     opts = CapacityOptions(dilation=args.dilation, maxiter=args.maxiter,
                            dual_iters=args.dual_iters)
     est = capacity_pair(K, ks, opts)
     gap = (est.gap / est.primal_value if est.primal_value > 0 else float("nan"))
-    print(f"target {args.kind}:{args.target} -> {nodes.size} node(s)")
+    print(f"target {args.kind}:{target} -> {nodes.size} node(s)")
     print(f"primal = {est.primal_value:.10g}   ({est.iterations} iterations total)")
     how = ("signed measure of unit mass" if args.kind == "interior"
            else "adjoint certificate at the primal's eta")
@@ -301,7 +303,9 @@ def main(argv=None) -> int:
                        help="primal and dual capacity of a set")
     p.add_argument("--kind", default="interior",
                    choices=("interior", "boundary"))
-    p.add_argument("--target", default="center")
+    p.add_argument("--target",
+                   help="named target set (default: center, or bottom-mid "
+                        "for --kind boundary)")
     p.add_argument("--dilation", type=int, default=CapacityOptions.dilation)
     p.add_argument("--maxiter", type=int, default=CapacityOptions.maxiter)
     p.add_argument("--dual-iters", dest="dual_iters", type=int,
@@ -321,7 +325,11 @@ def main(argv=None) -> int:
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ExpcapError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

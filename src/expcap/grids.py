@@ -103,13 +103,16 @@ class WeightedGrid:
     def nearest(self, point, kind: str = "interior", count: int = 1) -> np.ndarray:
         """Sorted ordinals of the `count` interior (or boundary) nodes
         nearest to `point` (ndim coordinates, or ValueError); among
-        equidistant nodes the lowest ordinal wins."""
+        equidistant nodes the lowest ordinal wins.  Only the nodes no
+        farther than the `count`-th distance are sorted."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.shape != (self.ndim,):
             raise ValueError(f"point {point.tolist()} needs {self.ndim} coordinates")
         offset = self.coords(kind) - point
         d2 = np.sum(offset ** 2, axis=1)
-        return np.sort(np.argsort(d2, kind="stable")[:count])
+        k = min(count, d2.size) - 1
+        near = np.flatnonzero(d2 <= np.partition(d2, k)[k])
+        return np.sort(near[np.argsort(d2[near], kind="stable")[:count]])
 
     def lattice_index(self, pad: int = 0) -> tuple:
         """Per-axis indices of the interior nodes in a lattice array grown
@@ -125,15 +128,16 @@ class WeightedGrid:
         return full
 
     def stencil_neighbours(self) -> list:
-        """Per stencil step, (interior ordinal, boundary ordinal) of each
-        interior node's neighbour, -1 where it is not of that kind.
+        """Per stencil step, in ascending lattice offset ((-m, -1, +1, +m)
+        in 2D, (-1, +1) in 1D), (interior ordinal, boundary ordinal) of
+        each interior node's neighbour, -1 where it is not of that kind.
 
         Interior nodes never sit on the lattice edge, so a step never
         leaves the lattice or wraps a row, and it lands on an interior or
         a boundary node, never an exterior one.
         """
         m = self.n + 2
-        steps = (-1, 1) if self.ndim == 1 else (-m, m, -1, 1)
+        steps = (-1, 1) if self.ndim == 1 else (-m, -1, 1, m)
         return [(self._int_of_lat[t], self._bdy_of_lat[t])
                 for t in (self.interior_lattice + s for s in steps)]
 

@@ -26,6 +26,13 @@ ordering.  Fill runs along paths through earlier-eliminated nodes and a
 path inside F is one in A, so that order fills no entry A's factor does
 not; the pivots stay on the diagonal of these diagonally dominant
 M-matrices, so L + U has at most the nonzeros of A's factor.
+
+A's LU and every `factor_shifted` factor go through `_lu_factor`, with
+SuperLU's supernode relaxation off (`SUPERNODE_RELAX` = 1) and one-column
+panels (`PANEL_SIZE` = 1) in place of its defaults.  Relaxed supernodes pad
+these factors with explicit zeros (7,884 stored entries for A at square
+n=16, against a true fill of 4,192), and the supernodes of a 5-point
+M-matrix are too small for wide panels to save more than they cost.
 """
 
 from __future__ import annotations
@@ -46,35 +53,46 @@ EIG_MAXIT = 2000
 # symmetric M-matrix minimum degree on A^T + A leaves about half the fill
 # of splu's default COLAMD on the square n=128 grid.
 PERMC_SPEC = "MMD_AT_PLUS_A"
+# SuperLU's supernode relaxation and panel width for every factor; the
+# module docstring says why.
+SUPERNODE_RELAX = 1
+PANEL_SIZE = 1
 
 
 def _assemble_matrices(grid: WeightedGrid):
-    """Build A (interior x interior) and B (interior x boundary).
+    """Build A (interior x interior) and B (interior x boundary) in CSR.
 
-    One triplet block per stencil step, diagonal first; the COO->CSR
-    conversion is stable, so the entries of each row keep that order.
+    Ordinals ascend with the lattice index, so a row of A lists its
+    columns in ascending lattice offset, (-m, -1, self, +1, +m) in 2D
+    (m = n + 2) and (-1, self, +1) in 1D.  Boundary ordinals on the square run edge by
+    edge, not in lattice order, so B's rows are sorted after assembly.
     """
     h2 = grid.h ** 2
     ni = grid.n_interior
-    rows = np.arange(ni)
-    rows_a, cols_a, vals_a = [rows], [rows], [np.full(ni, 2.0 * grid.ndim / h2)]
-    rows_b, cols_b = [], []
-    for oi, ob in grid.stencil_neighbours():
-        hit = oi >= 0
-        rows_a.append(rows[hit])
-        cols_a.append(oi[hit])
-        vals_a.append(np.full(hit.sum(), -1.0 / h2))
-        hit = ob >= 0
-        rows_b.append(rows[hit])
-        cols_b.append(ob[hit])
-    rows_b = np.concatenate(rows_b)
-    A = sp.csr_matrix((np.concatenate(vals_a),
-                       (np.concatenate(rows_a), np.concatenate(cols_a))),
-                      shape=(ni, ni))
-    B = sp.csr_matrix((np.full(rows_b.size, 1.0 / h2),
-                       (rows_b, np.concatenate(cols_b))),
-                      shape=(ni, grid.n_boundary))
-    return A, B
+    steps = grid.stencil_neighbours()
+    half = len(steps) // 2
+    cols_a = np.column_stack([oi for oi, _ in steps[:half]] + [np.arange(ni)]
+                             + [oi for oi, _ in steps[half:]])
+    vals_a = np.full(cols_a.shape, -1.0 / h2)
+    vals_a[:, half] = 2.0 * grid.ndim / h2
+    cols_b = np.column_stack([ob for _, ob in steps])
+    B = _csr_rows(cols_b, np.full(cols_b.shape, 1.0 / h2), grid.n_boundary)
+    B.sort_indices()
+    return _csr_rows(cols_a, vals_a, ni), B
+
+
+def _csr_rows(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
+    """CSR matrix whose row i holds vals[i, k] at cols[i, k] >= 0."""
+    hit = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1))))
+    return sp.csr_matrix((vals[hit], cols[hit], indptr), shape=(cols.shape[0], n_cols))
+
+
+def _lu_factor(M: sp.csc_matrix, permc_spec: str):
+    """SuperLU factor of M with this module's supernode and panel settings
+    (`spla.splu` is looked up per call, so patching it is seen here)."""
+    return spla.splu(M, permc_spec=permc_spec, relax=SUPERNODE_RELAX,
+                     panel_size=PANEL_SIZE)
 
 
 @dataclass
@@ -129,7 +147,7 @@ class KernelSet:
             keep = np.argsort(pos)
             block = Ap[pos[keep]][:, pos[keep]]
             d = d[free]
-        lu = spla.splu((block + sp.diags(d[keep])).tocsc(), permc_spec="NATURAL")
+        lu = _lu_factor((block + sp.diags(d[keep])).tocsc(), "NATURAL")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             x = np.empty_like(rhs)
@@ -142,7 +160,7 @@ def assemble(grid: WeightedGrid) -> KernelSet:
     """Assemble A and B, factor A and solve for the torsion field."""
     A, B = _assemble_matrices(grid)
     ks = KernelSet(grid=grid, lap=A, coupling=B,
-                   _lu=spla.splu(A.tocsc(), permc_spec=PERMC_SPEC))
+                   _lu=_lu_factor(A.tocsc(), PERMC_SPEC))
     ks.zeta0 = ks.solve(np.ones(grid.n_interior))
     return ks
 

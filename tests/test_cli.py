@@ -132,6 +132,24 @@ def test_capacity_defaults_match_the_library(capsys, monkeypatch):
     assert f"dual   = {est.dual_value:.10g} " in out
 
 
+def test_boundary_capacity_defaults_to_the_bottom_mid_target(capsys):
+    code, out = run(["capacity", "--kind", "boundary", "--n", "16"], capsys)
+    assert code == 0
+    ks = cached_kernels("square", 16)
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "boundary", "bottom-mid"),
+                   "boundary")
+    est = capacity_pair(K, ks, CapacityOptions())
+    assert out.splitlines()[0] == "target boundary:bottom-mid -> 1 node(s)"
+    assert f"primal = {est.primal_value:.10g} " in out
+
+
+def test_library_errors_print_one_line_and_exit_1(capsys):
+    code = main(["removability", "--shape", "interval"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: threshold experiment needs a 2D shape\n"
+
+
 def test_removability_exit_code(capsys):
     code, out = run(["removability", "--ladder", "8,12,16",
                      "--masses", "4,10,16"], capsys)

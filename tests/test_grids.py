@@ -179,3 +179,14 @@ def test_inward_search_falls_back_in_order(rng):
         normal = np.column_stack([np.cos(angle), np.sin(angle)])
         assert np.array_equal(_inward_pairs(bpos, normal, ordinal.ravel(), m),
                               _reference_inward(bpos, normal, ordinal))
+
+
+def test_nearest_matches_a_stable_argsort_on_exact_ties():
+    # the centre of an even-n square is equidistant from four nodes, and
+    # the rings around it tie in fours and eights
+    for n in (8, 16):
+        grid = build_grid("square", n)
+        d2 = np.sum((grid.interior_coords - 0.5) ** 2, axis=1)
+        for count in range(1, 10):
+            want = np.sort(np.argsort(d2, kind="stable")[:count])
+            assert np.array_equal(grid.nearest((0.5, 0.5), count=count), want)

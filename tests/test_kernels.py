@@ -198,3 +198,48 @@ def test_eigenpair_waits_for_its_first_read(monkeypatch):
     assert ks.rho_star is rho_star
     assert ks.eigenvalue == ref_lam
     assert len(solves) == ref_iters
+
+
+def test_a_factor_stores_exactly_its_fill(ks16):
+    # with SuperLU's supernode relaxation the factor held 7,884 entries,
+    # explicit zeros included
+    assert ks16._lu.nnz == 4192
+
+
+def test_every_factor_uses_the_module_superlu_settings(ks16, monkeypatch):
+    from expcap.capacity import pinned_harmonic_fill
+    from expcap.measures import InteriorMeasure
+    from expcap.solver import solve_interior
+
+    seen = []
+    splu = kernels.spla.splu
+
+    def spy(*a, **kw):
+        seen.append((kw["relax"], kw["panel_size"]))
+        return splu(*a, **kw)
+
+    monkeypatch.setattr(kernels.spla, "splu", spy)
+    ks = assemble(ks16.grid)
+    assert len(seen) == 1
+    n = ks.grid.n_interior
+    solve_interior(InteriorMeasure(ks.grid, density=np.full(n, 50.0)), ks)
+    assert len(seen) > 1
+    fixed = np.zeros(n)
+    fixed[ks.grid.nearest((0.5, 0.5))] = 1.0
+    pinned_harmonic_fill(ks, fixed, np.flatnonzero(fixed == 0.0))
+    assert len(seen) > 2
+    assert set(seen) == {(kernels.SUPERNODE_RELAX, kernels.PANEL_SIZE)}
+
+
+@pytest.mark.parametrize("fixture", ["ks32", "ks_disk"])
+def test_factor_shifted_agrees_with_a_dense_solve(fixture, request, rng):
+    ks = request.getfixturevalue(fixture)
+    n = ks.grid.n_interior
+    d = rng.uniform(0.0, 50.0, n)
+    free = np.flatnonzero(rng.uniform(size=n) < 0.7)
+    A = ks.lap.toarray() + np.diag(d)
+    for nodes, J in ((None, A), (free, A[np.ix_(free, free)])):
+        rhs = rng.standard_normal((J.shape[0], 10))
+        exact = np.linalg.solve(J, rhs)
+        x = ks.factor_shifted(d, nodes)(rhs)
+        assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
