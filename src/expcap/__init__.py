@@ -7,8 +7,8 @@ programs (`capacity`), and batch experiments with a CLI
 (`experiments`, `cli`).
 """
 
-from .errors import (BadLambda, ExpcapError, GridMismatch, Infeasible,
-                     LadderTooCoarse, NoConvergence, NotAdmissible,
+from .errors import (BadInput, BadLambda, ExpcapError, GridMismatch,
+                     Infeasible, LadderTooCoarse, NoConvergence, NotAdmissible,
                      NotComparable, OverflowInIntegrand, SolverDiverged,
                      SupportError, TestNotAdmissible, TooCoarse, ZeroField)
 from .nfunctions import (NFunction, exponential_pair, pair_from_density,

@@ -54,6 +54,11 @@ extension and certifying the weighted mass sum_{b in K} (M m)_b, or
 pinning eta by (M eta)_b >= 1 instead of eta_b = 1, stays valid but
 leaves boundary gaps of 9-33% on the 32x32 square, where the adjoint
 certificate's are below 1e-5.
+
+The one optimiser, L-BFGS-B in `_box_minimise`, imports scipy.optimize
+at its call rather than with this module, so a process that runs no
+capacity program (assembly, the Newton solves, the removability ladder)
+never loads it.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-import scipy.optimize as sopt
 import scipy.sparse as sp
 
 from .errors import BadLambda, Infeasible, SupportError
@@ -178,10 +182,10 @@ def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.nda
 def _box_minimise(objective, x0, bounds, maxiter):
     """L-BFGS-B on objective(x) -> (value, gradient) within `bounds`: the
     one optimiser of every program in this module."""
-    return sopt.minimize(objective, x0, jac=True, method="L-BFGS-B",
-                         bounds=bounds,
-                         options={"maxiter": maxiter, "ftol": 1e-14,
-                                  "gtol": 1e-12, "maxcor": 25})
+    from scipy.optimize import minimize
+    return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                    options={"maxiter": maxiter, "ftol": 1e-14,
+                             "gtol": 1e-12, "maxcor": 25})
 
 
 def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,

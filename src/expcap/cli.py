@@ -4,7 +4,10 @@ Subcommands map one-to-one onto the library layers: `norms`, `kernel`,
 `solve`, and `capacity` expose single computations; `removability`,
 `vanishing`, `moderate`, `boundary-probe`, and `converge` drive the
 batch experiments.  Experiment parameters come from an optional
-key = value config file with individual flags taking precedence.
+key = value config file with individual flags taking precedence.  A
+malformed parameter raises BadInput and a file that will not open an
+OSError; `main` prints either, like every package error, as one
+`error: ...` line and exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import experiments as xp
 from .capacity import CapacityOptions, CompactSet, capacity_pair
-from .errors import ExpcapError
+from .errors import BadInput, ExpcapError
 from .grids import SHAPES, Field, build_grid, dump_field_csv, load_field_csv
 from .kernels import assemble
 from .luxemburg import luxemburg_norm, orlicz_norm
@@ -37,7 +40,7 @@ def read_config(path: str) -> dict:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"config line without '=': {raw.rstrip()}")
+                raise BadInput(f"{path}: config line without '=': {raw.rstrip()}")
             key, val = line.split("=", 1)
             out[key.strip().replace("-", "_")] = val.strip()
     return out
@@ -51,10 +54,14 @@ def _parse_atoms(text: str, ndim: int):
         if not chunk:
             continue
         loc, _, mass = chunk.rpartition(":")
-        coords = tuple(float(v) for v in loc.split(","))
+        try:
+            coords = tuple(float(v) for v in loc.split(","))
+            mass = float(mass)
+        except ValueError as exc:
+            raise BadInput(f"atom {chunk!r}: {exc}") from None
         if len(coords) != ndim:
-            raise ValueError(f"atom {chunk!r}: expected {ndim} coordinates")
-        atoms.append((coords, float(mass)))
+            raise BadInput(f"atom {chunk!r}: expected {ndim} coordinates")
+        atoms.append((coords, mass))
     return tuple(atoms)
 
 
@@ -68,18 +75,21 @@ def _experiment_config(args, experiment: str) -> xp.ExperimentConfig:
     data = read_config(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(data) - set(_LIST_KEYS) - set(_SCALAR_KEYS))
     if unknown:
-        raise ValueError(f"{args.config}: not an experiment flag: {', '.join(unknown)}")
+        raise BadInput(f"{args.config}: not an experiment flag: {', '.join(unknown)}")
     for key in list(_LIST_KEYS) + list(_SCALAR_KEYS):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
     kw = {"experiment": experiment}
-    for key, conv in _LIST_KEYS.items():
-        if key in data:  # a comma- or semicolon-separated string
-            kw[key] = tuple(conv(t) for t in data[key].replace(";", ",").split(",")
-                            if t.strip())
-    for key, conv in _SCALAR_KEYS.items():
-        if key in data:
-            kw[key] = conv(data[key])
+    try:
+        for key, conv in _LIST_KEYS.items():
+            if key in data:  # a comma- or semicolon-separated string
+                kw[key] = tuple(conv(t) for t in data[key].replace(";", ",").split(",")
+                                if t.strip())
+        for key, conv in _SCALAR_KEYS.items():
+            if key in data:
+                kw[key] = conv(data[key])
+    except ValueError as exc:
+        raise BadInput(f"{key}: {exc}") from None
     return xp.ExperimentConfig(**kw)
 
 
@@ -327,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExpcapError as exc:
+    except (ExpcapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,7 +3,8 @@
 Everything derives from ExpcapError so callers can catch broadly; the
 individual classes mirror the failure modes of the numerical layers
 (norm evaluation, grid construction, linear and nonlinear solves,
-capacity optimisation).
+capacity optimisation), and BadInput those of the user's own
+parameters, which the command line reports in one line.
 """
 
 
@@ -61,3 +62,7 @@ class BadLambda(ExpcapError):
 
 class LadderTooCoarse(ExpcapError):
     """A threshold search ladder produced no sign change."""
+
+
+class BadInput(ExpcapError, ValueError):
+    """A config file, flag value or experiment parameter is malformed."""

@@ -37,7 +37,7 @@ import numpy as np
 from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
                        capacity_pair, pairing, pinned_harmonic_fill,
                        _boundary_forward, _hop_distance)
-from .errors import Infeasible, LadderTooCoarse, SupportError
+from .errors import BadInput, Infeasible, LadderTooCoarse, SupportError
 from .grids import build_grid, integrate
 from .kernels import assemble, green_column
 from .luxemburg import luxemburg_norm
@@ -67,11 +67,11 @@ class ExperimentConfig:
     def __post_init__(self):
         lad = tuple(int(v) for v in self.ladder)
         if any(b <= a for a, b in zip(lad, lad[1:])):
-            raise ValueError("grid ladder must be strictly increasing")
+            raise BadInput("grid ladder must be strictly increasing")
         object.__setattr__(self, "ladder", lad)
         ms = tuple(float(v) for v in self.masses)
         if any(m < 0 for m in ms):
-            raise ValueError("masses must be >= 0")
+            raise BadInput("masses must be >= 0")
         object.__setattr__(self, "masses", ms)
         object.__setattr__(self, "radii", tuple(int(v) for v in self.radii))
 
@@ -187,6 +187,9 @@ def run_removability_threshold(cfg: ExperimentConfig) -> RemovabilityResult:
     """
     if cfg.shape == "interval":
         raise SupportError("threshold experiment needs a 2D shape")
+    if len(cfg.ladder) < 3:
+        raise BadInput("the slope fit needs a ladder of at least 3 grid sizes, "
+                       f"got {len(cfg.ladder)}")
     ladder = [assemble(build_grid(cfg.shape, n)) for n in cfg.ladder]
     center = _domain_center(cfg.shape)
     rows = []

@@ -29,16 +29,21 @@ logarithm of the level, which is linear in t where G is quadratic and
 far milder than the level itself where G grows exponentially: the
 quadratic guess x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2), ln 2
 steps in t until the root is bracketed, a pull-in while the upper end's
-integrand overflows, then Brent's method.  The log-level functions are
-module-level and reach brentq through its `args`: scipy wraps the
-function in a closure that refers to itself, so a closure over the
-field passed there would stay alive until the cyclic collector runs.
+integrand overflows, then Brent's method (scipy's brentq).  The
+log-level functions are module-level and `_unit_level_root` hands the
+field to brentq through its `args`: scipy wraps the function in a
+closure that refers to itself, so a closure over the field passed there
+would stay alive until the cyclic collector runs.
+
+`_unit_level_root` imports brentq at its call, not at module import:
+scipy.optimize brings scipy.special and some 170 modules with it, and a
+process that only assembles, solves or ladders never takes a norm, so
+`import expcap` leaves the optimiser unloaded until the first one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import GridMismatch, OverflowInIntegrand, ZeroField
 from .grids import Field, WeightedGrid
@@ -118,6 +123,7 @@ def _unit_level_root(log_level, b, W, *args) -> float:
             lo = mid
         else:
             hi, f_hi = mid, f_mid
+    from scipy.optimize import brentq
     return brentq(log_level, lo, hi, args=(b, W) + args, xtol=LEVEL_XTOL,
                   maxiter=LEVEL_MAXIT)
 

@@ -6,7 +6,9 @@ import pytest
 from conftest import cached_kernels
 from expcap.capacity import CapacityOptions, CompactSet, capacity_pair
 from expcap.cli import main, read_config, _parse_atoms
-from expcap.experiments import target_nodes
+from expcap.errors import BadInput
+from expcap.experiments import (ExperimentConfig, run_removability_threshold,
+                                target_nodes)
 from expcap.grids import build_grid, load_field_csv
 from expcap.kernels import assemble
 from expcap.measures import BoundaryMeasure, InteriorMeasure
@@ -206,11 +208,46 @@ def test_config_file_feeds_experiments(tmp_path, capsys):
     assert parsed["slope_tol"] == "0.15"
 
 
-def test_config_file_rejects_an_unknown_key(tmp_path):
+def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "typo.cfg"
     cfg.write_text("ladderr = 8,12,16\n")
-    with pytest.raises(ValueError, match="ladderr"):
-        main(["converge", "--config", str(cfg)])
+    assert main(["converge", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: not an experiment flag: ladderr\n")
+
+
+# each of these once ended in a traceback; "{tmp}" is the test's directory
+BAD_INPUT = {
+    "unknown-key": ["removability", "--config", "{tmp}/typo.cfg"],
+    "no-equals": ["removability", "--config", "{tmp}/words.cfg"],
+    "missing-config": ["removability", "--config", "{tmp}/absent.cfg"],
+    "decreasing-ladder": ["removability", "--ladder", "64,32,16"],
+    "short-ladder": ["removability", "--ladder", "32,64"],
+    "bad-ladder-entry": ["removability", "--ladder", "8,x,16"],
+    "one-coordinate-atom": ["solve", "--interior-atoms", "0.5:1"],
+    "missing-field": ["norms", "--field", "{tmp}/missing.csv"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_user_input_prints_one_line_and_exits_1(case, tmp_path, capsys):
+    (tmp_path / "typo.cfg").write_text("ladderr = 8,12\n")
+    (tmp_path / "words.cfg").write_text("ladder = 8,12,16\njust words\n")
+    code = main([arg.format(tmp=tmp_path) for arg in BAD_INPUT[case]])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_short_removability_ladder_is_refused_before_assembly(monkeypatch):
+    calls = []
+    monkeypatch.setattr("expcap.experiments.assemble",
+                        lambda grid: calls.append(grid))
+    with pytest.raises(BadInput, match="at least 3"):
+        run_removability_threshold(ExperimentConfig(ladder=(32, 64)))
+    assert calls == []
 
 
 def test_read_config_rejects_garbage(tmp_path):
