@@ -63,18 +63,17 @@ never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import BadLambda, Infeasible, SupportError
-from .grids import Field, WeightedGrid, integrate
+from .errors import BadInput, Infeasible, SupportError
+from .grids import WeightedGrid
 from .kernels import KernelSet, green_column
 from .luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
                         orlicz_norm_and_argmin)
-from .maximal import llnl_norm
 from .measures import BoundaryMeasure
 from .nfunctions import exponential_pair
 
@@ -106,9 +105,12 @@ class CapacityOptions:
     # is a closed-form certificate at the boundary primal's final eta.
     dual_iters: int = 800
 
+    def __post_init__(self):
+        if self.dilation < 0:
+            raise BadInput(f"dilation must be >= 0, got {self.dilation}")
+
 
 PAIR_GAP_TOL = 1e-9  # relative gap at which a pair's bracket proves it optimal
-CHEBYSHEV_SLACK = 0.15  # optimizer allowance over the level-set bound
 
 
 @dataclass
@@ -504,7 +506,7 @@ def capacity_pair(K: CompactSet, ks: KernelSet,
 
 
 # ---------------------------------------------------------------------------
-# pairings and side functionals
+# pairings
 
 def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
     """Two evaluation orders of -int P[mu] Lap(rho* P[eta]) dx.
@@ -531,103 +533,3 @@ def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
         inner = vol * (cols.T @ minus_lap_z)
         b = float(inner @ masses[idx])
     return a, b
-
-
-@dataclass
-class ChebyshevReport:
-    bound: float
-    primal_value: float
-    level_set_size: int
-    satisfied: bool
-
-
-def chebyshev_bound(eta: Field, lam: float, ks: KernelSet,
-                    opts: CapacityOptions = CapacityOptions()) -> ChebyshevReport:
-    """Level-set capacity bound (||eta||_L1 + ||Lap eta||_{L_P*}) / lam.
-
-    Compares the bound against the measured primal value of the raw
-    superlevel set {eta >= lam}: eta/lam witnesses feasibility for that
-    set itself, not for a dilated neighbourhood, so the comparison runs
-    with dilation zero whatever opts carries.  `satisfied` allows the
-    optimizer the fraction CHEBYSHEV_SLACK on top of the bound.  For fat
-    level sets the pinned program (eta equal to one on the whole set) can
-    sit above the bound legitimately: the witness eta/lam exceeds one
-    inside the set and is not admissible for the pin.
-    """
-    if not (lam > 0):
-        raise BadLambda("level must be strictly positive")
-    grid = ks.grid
-    grid.require_same(eta.grid)
-    nf = exponential_pair()
-    l1 = integrate(np.abs(eta.values), grid, "lebesgue")
-    lap_norm = luxemburg_norm(ks.lap @ eta.values, grid, nf,
-                              side="conjugate", weight="lebesgue")
-    bound = (l1 + lap_norm) / lam
-    nodes = np.flatnonzero(eta.values >= lam)
-    if nodes.size == 0:
-        return ChebyshevReport(bound, 0.0, 0, True)
-    K = CompactSet(grid, nodes, "interior")
-    est = primal_interior(K, ks, replace(opts, dilation=0))
-    return ChebyshevReport(bound, est.primal_value, int(nodes.size),
-                           est.primal_value <= bound * (1.0 + CHEBYSHEV_SLACK) + 1e-9)
-
-
-def weak_l1_hessian(eta: Field, ks: KernelSet):
-    """(weak-L1 quasinorm of |D^2 eta|, L log L functional of Lap eta).
-
-    The quasinorm is sup_t t * meas{|D^2 eta| > t} over the attained
-    levels.  Zero extension outside the interior nodes throughout.
-    """
-    grid = ks.grid
-    grid.require_same(eta.grid)
-    h2 = grid.h ** 2
-    E = grid.to_lattice(eta.values)
-    if grid.ndim == 1:
-        mag = np.abs((E[2:] - 2.0 * E[1:-1] + E[:-2]) / h2)
-    else:
-        dxx = (E[2:, 1:-1] - 2.0 * E[1:-1, 1:-1] + E[:-2, 1:-1]) / h2
-        dyy = (E[1:-1, 2:] - 2.0 * E[1:-1, 1:-1] + E[1:-1, :-2]) / h2
-        dxy = (E[2:, 2:] - E[2:, :-2] - E[:-2, 2:] + E[:-2, :-2]) / (4.0 * h2)
-        mag = np.sqrt(dxx ** 2 + dyy ** 2 + 2.0 * dxy ** 2)
-    mag = mag[grid.lattice_index(-1)]
-    vals = np.sort(mag)[::-1]
-    ranks = np.arange(1, vals.size + 1) * grid.cell_measure
-    lhs = float((vals * ranks).max(initial=0.0))
-    rhs = llnl_norm(ks.lap @ eta.values, grid, "lebesgue")
-    return lhs, rhs
-
-
-def mixed_energy_functional(K: CompactSet, ks: KernelSet,
-                   opts: CapacityOptions = CapacityOptions()) -> float:
-    """min int (|Lap eta| + |grad eta|^2) dx over the same admissible class.
-
-    The |.| is Huber-smoothed during the continuation and the reported
-    value re-evaluates the exact functional at the final feasible point.
-    """
-    grid = ks.grid
-    grid.require_same(K.grid)
-    if K.kind != "interior":
-        raise SupportError("mixed_energy_functional needs an interior target set")
-    _, fixed, free_idx = _interior_pin(K, ks, opts)
-    vol = grid.cell_measure
-    eta = pinned_harmonic_fill(ks, fixed, free_idx)
-
-    A = ks.lap
-    scale0 = max(1.0, float(np.abs(A @ eta).max()))
-    for eps in (1e-2 * scale0, 1e-4 * scale0, 1e-6 * scale0):
-        def objective(xf, eps=eps):
-            full = fixed.copy()
-            full[free_idx] = xf
-            v = A @ full
-            hub = np.sqrt(v * v + eps * eps) - eps
-            val = vol * float(hub.sum()) + vol * float(full @ v)
-            gv = v / np.sqrt(v * v + eps * eps)
-            grad = vol * (A @ gv) + 2.0 * vol * v
-            return val, grad[free_idx]
-
-        if free_idx.size:
-            res = _box_minimise(objective, eta[free_idx],
-                                [(0.0, 1.0)] * free_idx.size, opts.maxiter)
-            eta[free_idx] = res.x
-    v = A @ eta
-    return vol * float(np.abs(v).sum()) + vol * float(eta @ v)

@@ -56,10 +56,6 @@ class Infeasible(ExpcapError):
     """A capacity program or cutoff family has an empty feasible set."""
 
 
-class BadLambda(ExpcapError):
-    """Chebyshev level must be strictly positive."""
-
-
 class LadderTooCoarse(ExpcapError):
     """A threshold search ladder produced no sign change."""
 

@@ -73,7 +73,10 @@ class ExperimentConfig:
         if any(m < 0 for m in ms):
             raise BadInput("masses must be >= 0")
         object.__setattr__(self, "masses", ms)
-        object.__setattr__(self, "radii", tuple(int(v) for v in self.radii))
+        radii = tuple(int(v) for v in self.radii)
+        if any(r < 1 for r in radii):
+            raise BadInput("family radii must be >= 1")
+        object.__setattr__(self, "radii", radii)
 
 
 def write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -107,8 +110,11 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
     coords = grid.coords(kind)
 
     if name.startswith("point:"):
-        pt = tuple(float(v) for v in name.split(":", 1)[1].split(","))
-        return grid.nearest(pt, kind)
+        try:
+            pt = tuple(float(v) for v in name.split(":", 1)[1].split(","))
+            return grid.nearest(pt, kind)
+        except ValueError as exc:
+            raise BadInput(f"target {name!r}: {exc}") from None
     if kind == "interior":
         if name == "center":
             return grid.nearest(_domain_center(grid.shape), kind)

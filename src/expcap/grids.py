@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GridMismatch, TooCoarse
+from .errors import BadInput, GridMismatch, TooCoarse
 
 SHAPES = ("interval", "square", "disk")
 
@@ -182,10 +182,6 @@ class Field:
             if self.boundary_values.shape != (self.grid.n_boundary,):
                 raise GridMismatch("boundary trace has wrong length")
 
-    def copy(self) -> "Field":
-        bv = None if self.boundary_values is None else self.boundary_values.copy()
-        return Field(self.grid, self.values.copy(), bv)
-
 
 def build_grid(shape: str, n: int) -> WeightedGrid:
     """Construct the lattice for one of the supported shapes.
@@ -304,10 +300,24 @@ def dump_field_csv(f: Field, path: str) -> None:
 
 
 def load_field_csv(path: str) -> Field:
+    """Read a field written by dump_field_csv.
+
+    BadInput if the file is not one: a first line other than
+    shape,<shape>,n,<n>, a value that is not a number, or a row index
+    that is not an interior ordinal.
+    """
     with open(path, newline="") as fh:
-        head = next(csv.reader(fh))
-        grid = build_grid(head[1], int(head[3]))
-        rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        head = next(csv.reader(fh), [])
+        try:
+            if len(head) != 4 or head[0] != "shape" or head[2] != "n":
+                raise ValueError("first line is not shape,<shape>,n,<n>")
+            grid = build_grid(head[1], int(head[3]))
+            rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+        except ValueError as exc:
+            raise BadInput(f"{path}: {exc}") from None
+    nodes = rows[:, 0].astype(int)
+    if np.any((nodes != rows[:, 0]) | (nodes < 0) | (nodes >= grid.n_interior)):
+        raise BadInput(f"{path}: a row index is not in 0..{grid.n_interior - 1}")
     vals = np.zeros(grid.n_interior)
-    vals[rows[:, 0].astype(int)] = rows[:, -1]
+    vals[nodes] = rows[:, -1]
     return Field(grid, vals)

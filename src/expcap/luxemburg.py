@@ -213,22 +213,3 @@ def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
     if float(np.abs(vals).max(initial=0.0)) == 0.0:
         return 0.0
     return orlicz_norm_and_argmin(vals, grid, nf, side, weight)[0]
-
-
-def holder_young_pairing(f, g, grid: WeightedGrid, nf: NFunction,
-                         weight: str = "lebesgue"):
-    """Return (lhs, rhs) = (|int f g w dx|, ||f||_P ||g||_P*).
-
-    The pairing obeys lhs <= 2 rhs with both factors in gauge form
-    (Young's inequality applied under the two unit levels); the constant
-    1 version requires the Orlicz norm on one side and can genuinely
-    fail for aligned fields, so callers asserting lhs <= rhs should do
-    so only for sign-varying data.
-    """
-    fv = _resolve(f, grid)
-    gv = _resolve(g, grid)
-    W = grid.weight_vector(weight)
-    lhs = abs(float((fv * gv) @ W))
-    rhs = (luxemburg_norm(fv, grid, nf, "principal", weight)
-           * luxemburg_norm(gv, grid, nf, "conjugate", weight))
-    return lhs, rhs

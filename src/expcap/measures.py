@@ -21,7 +21,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotComparable, SupportError
+from .errors import SupportError
 from .grids import WeightedGrid
 
 
@@ -103,15 +103,6 @@ class BoundaryMeasure(_NodeMeasure):
         """Atoms kept, density capped at `level`."""
         d = None if self.density is None else np.minimum(self.density, level)
         return BoundaryMeasure(self.grid, atoms=list(self.atoms), density=d)
-
-
-def compare_measures(mu1, mu2) -> bool:
-    """Nodewise mu1 <= mu2; NotComparable if kinds or grids differ."""
-    if type(mu1) is not type(mu2):
-        raise NotComparable("measures live on different parts of the domain")
-    mu1.grid.require_same(mu2.grid)
-    m1, m2 = mu1.node_masses(), mu2.node_masses()
-    return bool(np.all(m1 <= m2 + 1e-15 * (1.0 + m2.max(initial=0.0))))
 
 
 @dataclass(frozen=True)

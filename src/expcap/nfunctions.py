@@ -9,10 +9,6 @@ with densities p(s) = sgn(s)(e^|s| - 1) and pbar(s) = sgn(s) ln(1 + |s|),
 each the inverse of the other.  P* satisfies the doubling condition,
 P does not; that asymmetry is why the conjugate side carries the
 maximal-function machinery elsewhere in the package.
-
-Generic pairs can be registered from a density; the conjugate is then
-evaluated through a numeric inverse of the density and Young's
-equality, which is slow but only meant for cross-checks.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .errors import OverflowInIntegrand
 # exp overflows near 709 in float64; refuse a little earlier so the
 # integrand is still finite when we test it.
 EXP_ARG_MAX = 700.0
-SEARCH_CAP = 1e6  # pair_from_density's bisection bracket stops doubling here
 
 
 def _check_exp_range(t: np.ndarray) -> None:
@@ -114,43 +109,6 @@ def quadratic_pair() -> NFunction:
     )
 
 
-def pair_from_density(name: str, principal: Callable, density: Callable) -> NFunction:
-    """Build an NFunction from scalar (P, p), with P* by Young's equality.
-
-    pbar = p^{-1} comes from one vectorised bisection of the increasing
-    density on [0, x_hi], x_hi doubled until p(x_hi) >= |y| or it reaches
-    SEARCH_CAP; then P*(y) = |y| pbar(|y|) - P(pbar(|y|)), whose error is
-    second order in that of pbar.  Intended for cross-checking, not
-    production hot paths.
-    """
-    P, p = (np.vectorize(f, otypes=[float]) for f in (principal, density))
-
-    def pbar(y):
-        ay = np.abs(np.asarray(y, dtype=float))
-        lo, hi = np.zeros_like(ay), np.ones_like(ay)
-        short = (p(hi) < ay) & (hi < SEARCH_CAP)
-        while short.any():
-            hi = np.where(short, 2.0 * hi, hi)
-            short = (p(hi) < ay) & (hi < SEARCH_CAP)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            below = p(mid) < ay
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
-
-    def conj(y):
-        x = pbar(y)
-        return np.abs(y) * x - P(x)
-
-    return NFunction(
-        name=name,
-        principal=lambda t: P(np.abs(t)),
-        conjugate=conj,
-        density=lambda s: np.sign(s) * p(np.abs(s)),
-        conjugate_density=lambda s: np.sign(s) * pbar(s),
-    )
-
-
 def young_gap(x, y, nf: NFunction | None = None):
     """P(x) + P*(y) - x*y.  Nonnegative; zero exactly on the graph y = p(x)."""
     if nf is None:
@@ -158,15 +116,6 @@ def young_gap(x, y, nf: NFunction | None = None):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     return nf.P(x) + nf.Pstar(y) - x * y
-
-
-def q_function(r):
-    """Q(r) = (|r| + 1/2) ln(2|r| + 1) - |r|.
-
-    A smoothed companion of P*; bounded above by 3 |r| ln(1 + |r|).
-    """
-    a = np.abs(np.asarray(r, dtype=float))
-    return (a + 0.5) * np.log1p(2.0 * a) - a
 
 
 def pstar_sandwich(a):

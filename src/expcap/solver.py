@@ -65,8 +65,7 @@ A w + e^w - 1 = b' >= b.  The minimum of two supersolutions is one too:
 where it takes w_i, every neighbour is at most its w value and A has
 nonpositive off-diagonals, so the row keeps at least w's residual.  The
 truncation ladder starts each level from the solution one level up (a
-level with the same data then takes one step), and the comparison
-starts mu1 from u2.
+level with the same data then takes one step).
 
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
@@ -85,8 +84,7 @@ from .errors import (NoConvergence, NotAdmissible, NotComparable,
                      TestNotAdmissible)
 from .grids import Field, integrate
 from .kernels import KernelSet, normal_derivative
-from .measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
-                       compare_measures)
+from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from .nfunctions import EXP_ARG_MAX
 
 STEP_TOL = 1e-10
@@ -393,20 +391,3 @@ def admissibility_test(spec: MeasureSpec, ladder: Sequence[KernelSet],
 def keller_osserman_diagnostic(u: Field) -> float:
     """D = max over interior nodes of u + 2 ln rho."""
     return float((u.values + 2.0 * np.log(u.grid.rho)).max())
-
-
-def monotone_comparison(mu1, mu2, ks: KernelSet):
-    """Solve both problems and check u1 <= u2 pointwise.
-
-    Requires mu1 <= mu2 nodewise (NotComparable otherwise).  Returns
-    (holds, margin) with margin = max(u1 - u2).  u2 is solved first and
-    starts the solve for mu1, as a supersolution for its smaller data.
-    """
-    if not compare_measures(mu1, mu2):
-        raise NotComparable("mu1 is not nodewise dominated by mu2")
-    interior = isinstance(mu1, InteriorMeasure)
-    r2 = (solve_interior if interior else solve_boundary)(mu2, ks)
-    r1 = _semilinear_solve(ks, mu1.load(ks), None if interior else mu1.density_vector(),
-                           upper=r2.u.values)
-    margin = float((r1.u.values - r2.u.values).max())
-    return margin <= 1e-10 * max(1.0, float(np.abs(r2.u.values).max())), margin

@@ -1,19 +1,17 @@
-"""Capacity programs: certificates, dual routes, side functionals."""
+"""Capacity programs: certificates, dual routes, pairings."""
 
 import numpy as np
 import pytest
 
 import expcap.capacity as capacity
 import expcap.kernels as kernels
-from expcap.capacity import (CapacityEstimate, CapacityOptions, ChebyshevReport,
-                             CompactSet, mixed_energy_functional, boundary_collar,
-                             boundary_measure, boundary_test_norm,
-                             capacity_pair, chebyshev_bound,
+from expcap.capacity import (CapacityEstimate, CapacityOptions, CompactSet,
+                             boundary_collar, boundary_measure,
+                             boundary_test_norm, capacity_pair,
                              dilate_interior, dual_boundary, dual_interior,
                              pairing, pinned_harmonic_fill, primal_boundary,
-                             primal_interior, weak_l1_hessian)
-from expcap.errors import BadLambda, SupportError
-from expcap.grids import Field
+                             primal_interior)
+from expcap.errors import SupportError
 from expcap.kernels import green_column
 from expcap.luxemburg import luxemburg_norm, orlicz_norm, orlicz_norm_and_argmin
 from expcap.measures import BoundaryMeasure
@@ -24,9 +22,6 @@ from expcap.experiments import interior_family, target_nodes
 PAIR16_DIL0 = 4.2172024791
 PAIR16_DIL1_PRIMAL = 4.7996993658
 PAIR16_DIL1_DUAL = 4.7996993657
-
-# frozen side functional values, same grid
-MIXED16 = {"center": 5.573945, "cluster": 6.848716, "segment": 8.714697}
 
 
 def _center_set(ks):
@@ -242,48 +237,6 @@ def test_estimate_gap_bookkeeping():
     assert np.isnan(est.gap)
     est2 = CapacityEstimate(kind="pair", primal_value=2.0, dual_value=1.5)
     assert est2.gap == pytest.approx(0.5)
-
-
-def test_chebyshev_level_sets(ks16):
-    grid = ks16.grid
-    x, y = grid.interior_coords[:, 0], grid.interior_coords[:, 1]
-    eta = Field(grid, np.sin(np.pi * x) * np.sin(np.pi * y))
-    rep = chebyshev_bound(eta, 0.9, ks16)
-    assert isinstance(rep, ChebyshevReport)
-    assert rep.level_set_size == 16
-    assert rep.satisfied
-    assert rep.primal_value <= rep.bound * 1.15 + 1e-9
-    empty = chebyshev_bound(eta, 2.0, ks16)
-    assert empty.level_set_size == 0
-    assert empty.primal_value == 0.0 and empty.satisfied
-    with pytest.raises(BadLambda):
-        chebyshev_bound(eta, 0.0, ks16)
-
-
-def test_weak_l1_hessian_is_dominated(ks16, rng):
-    grid = ks16.grid
-    x, y = grid.interior_coords[:, 0], grid.interior_coords[:, 1]
-    for _ in range(8):
-        c = rng.uniform(0.25, 0.75, size=2)
-        w = rng.uniform(30.0, 90.0)
-        eta = Field(grid, np.exp(-w * ((x - c[0]) ** 2 + (y - c[1]) ** 2)))
-        lhs, rhs = weak_l1_hessian(eta, ks16)
-        assert 0.0 < lhs < rhs
-        lhs2, rhs2 = weak_l1_hessian(Field(grid, 3.0 * eta.values), ks16)
-        assert lhs2 == pytest.approx(3.0 * lhs, rel=1e-12)
-        assert rhs2 == pytest.approx(3.0 * rhs, rel=1e-12)
-
-
-def test_mixed_energy_functional_frozen_and_monotone(ks16):
-    vals = {}
-    for name in ("center", "cluster", "segment"):
-        K = CompactSet(ks16.grid, target_nodes(ks16.grid, "interior", name),
-                       "interior")
-        vals[name] = mixed_energy_functional(K, ks16)
-        assert vals[name] == pytest.approx(MIXED16[name], rel=1e-3)
-    assert vals["center"] < vals["cluster"] < vals["segment"]
-    with pytest.raises(SupportError):
-        mixed_energy_functional(CompactSet(ks16.grid, np.array([0]), "boundary"), ks16)
 
 
 def test_pairing_orders_agree(ks16, rng):

@@ -216,6 +216,16 @@ def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
         f"error: {cfg}: not an experiment flag: ladderr\n")
 
 
+# files that are not field CSVs, written to the test's directory
+BAD_FIELDS = {
+    "empty": "",
+    "two-cells": "a,b\n",
+    "n-not-an-integer": "shape,square,n,x\nindex,x0,x1,value\n",
+    "unknown-shape": "shape,blob,n,8\nindex,x0,x1,value\n",
+    "value-not-a-number": "shape,square,n,8\nindex,x0,x1,value\n0,0.1,0.1,abc\n",
+    "index-past-the-grid": "shape,square,n,8\nindex,x0,x1,value\n64,0.1,0.1,1\n",
+}
+
 # each of these once ended in a traceback; "{tmp}" is the test's directory
 BAD_INPUT = {
     "unknown-key": ["removability", "--config", "{tmp}/typo.cfg"],
@@ -226,6 +236,12 @@ BAD_INPUT = {
     "bad-ladder-entry": ["removability", "--ladder", "8,x,16"],
     "one-coordinate-atom": ["solve", "--interior-atoms", "0.5:1"],
     "missing-field": ["norms", "--field", "{tmp}/missing.csv"],
+    **{f"field-{name}": ["norms", "--field", f"{{tmp}}/{name}.csv"]
+       for name in BAD_FIELDS},
+    "target-point-not-a-number": ["capacity", "--n", "8", "--target", "point:abc"],
+    "target-point-one-coordinate": ["capacity", "--n", "8", "--target", "point:0.5"],
+    "zero-radius": ["vanishing", "--radii", "0"],
+    "negative-dilation": ["capacity", "--n", "8", "--dilation", "-1"],
 }
 
 
@@ -233,6 +249,8 @@ BAD_INPUT = {
 def test_bad_user_input_prints_one_line_and_exits_1(case, tmp_path, capsys):
     (tmp_path / "typo.cfg").write_text("ladderr = 8,12\n")
     (tmp_path / "words.cfg").write_text("ladder = 8,12,16\njust words\n")
+    for name, text in BAD_FIELDS.items():
+        (tmp_path / f"{name}.csv").write_text(text)
     code = main([arg.format(tmp=tmp_path) for arg in BAD_INPUT[case]])
     captured = capsys.readouterr()
     assert code == 1

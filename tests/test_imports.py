@@ -1,10 +1,15 @@
 """What a fresh interpreter loads: scipy.optimize only at the first
-optimiser call, never for assembly, the Newton solves or the ladders."""
+optimiser call, never for assembly, the Newton solves or the ladders.
+And what the package exports: only names that the package itself, the
+benchmark or the acceptance criteria use."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import numpy as np
 
@@ -63,3 +68,31 @@ def test_scipy_optimize_loads_only_at_the_first_optimiser_call():
     est = capacity_pair(K, ks, CapacityOptions())
     assert seen["values"] == [luxemburg_norm(u, grid, exponential_pair()),
                               est.primal_value, est.dual_value]
+
+
+def _names_used(paths, with_strings=False):
+    """Every Name and attribute name in the files; string constants too
+    when with_strings is set (the tracer patches functions by name)."""
+    used = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif (with_strings and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                used.add(node.value)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_unit_tests():
+    package = Path(expcap.__file__).parent
+    root = Path(__file__).resolve().parent.parent
+    used = (_names_used(p for p in package.glob("*.py") if p.name != "__init__.py")
+            | _names_used(root.glob("perfbench/*.py"), with_strings=True)
+            | _names_used([root / "tests" / "test_acceptance.py"]))
+    public = [name for name in expcap.__all__
+              if not isinstance(getattr(expcap, name), types.ModuleType)]
+    unused = sorted(set(public) - used)
+    assert not unused, f"exported, but only unit tests use: {unused}"

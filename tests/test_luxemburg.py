@@ -8,8 +8,7 @@ from scipy.optimize import brentq
 
 from expcap.errors import GridMismatch, OverflowInIntegrand, ZeroField
 from expcap.grids import build_grid
-from expcap.luxemburg import (holder_young_pairing, luxemburg_norm,
-                              luxemburg_subgradient, orlicz_norm)
+from expcap.luxemburg import luxemburg_norm, luxemburg_subgradient, orlicz_norm
 from expcap.nfunctions import NFunction, exponential_pair, quadratic_pair
 
 NF = exponential_pair()
@@ -119,15 +118,6 @@ def test_amemiya_gauge_equivalence_and_unit_holder(ks16, rng):
         # pairing against the conjugate gauge holds with constant one
         lhs = abs(float((f * g) @ W))
         assert lhs <= no * luxemburg_norm(g, grid, NF, side="conjugate") + 1e-9
-
-
-def test_two_gauge_pairing_constant_two(ks16, rng):
-    grid = ks16.grid
-    for _ in range(10):
-        f = rng.standard_normal(grid.n_interior)
-        g = rng.standard_normal(grid.n_interior)
-        lhs, rhs = holder_young_pairing(f, g, grid, NF)
-        assert lhs <= 2.0 * rhs + 1e-12
 
 
 def test_rho_scale_equals_explicit_quotient(ks16):

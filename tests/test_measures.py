@@ -1,12 +1,11 @@
-"""Measure containers, snapping, truncation, comparison."""
+"""Measure containers, snapping, truncation."""
 
 import numpy as np
 import pytest
 
-from expcap.errors import NotComparable, SupportError
+from expcap.errors import SupportError
 from expcap.grids import build_grid
-from expcap.measures import (BoundaryMeasure, InteriorMeasure, MeasureSpec,
-                             compare_measures)
+from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 
 G = build_grid("square", 8)
 
@@ -53,15 +52,6 @@ def test_split_and_truncation():
     # a level above the density is the identity on the regular part
     assert np.allclose(mu.truncated(10.0).density_vector(),
                        mu.density_vector())
-
-
-def test_compare_measures():
-    mu = InteriorMeasure(G, density=np.full(G.n_interior, 1.0))
-    nu = InteriorMeasure(G, density=np.full(G.n_interior, 2.0))
-    assert compare_measures(mu, nu)
-    assert not compare_measures(nu, mu)
-    with pytest.raises(NotComparable):
-        compare_measures(mu, BoundaryMeasure(G, density=np.zeros(G.n_boundary)))
 
 
 def test_spec_snaps_atoms_to_nearest_node():

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from expcap.errors import OverflowInIntegrand
-from expcap.nfunctions import (exponential_pair, pair_from_density,
-                               pstar_sandwich, q_function, quadratic_pair,
+from expcap.nfunctions import (exponential_pair, pstar_sandwich, quadratic_pair,
                                young_gap)
 
 NF = exponential_pair()
@@ -62,15 +61,6 @@ def test_conjugate_sandwich():
     assert np.allclose(lo, 0.5 * a * np.log1p(a))
 
 
-def test_q_function_bounds():
-    assert q_function(0.0) == 0.0
-    r = np.geomspace(1e-6, 1e6, 400)
-    q = q_function(r)
-    assert np.all(q >= 0.0)
-    assert np.all(q <= 3.0 * r * np.log1p(r) + 1e-15)
-    assert np.allclose(q_function(-r), q)
-
-
 def test_overflow_guard():
     with pytest.raises(OverflowInIntegrand):
         NF.P(800.0)
@@ -87,15 +77,3 @@ def test_quadratic_pair_is_self_conjugate(rng):
     assert float(young_gap(x, y, q).min()) >= -1e-12
     # equality exactly on the diagonal y = x
     assert float(np.abs(young_gap(x, x, q)).max()) < 1e-12
-
-
-def test_numeric_legendre_transform_recovers_conjugate():
-    # Rebuild the pair from (P, p) alone; the numeric conjugate has to
-    # land on the closed form, which exercises the density inversion and
-    # Young's equality independently of the analytic route.
-    num = pair_from_density("exp-numeric",
-                            lambda t: math.expm1(t) - t,
-                            lambda t: math.expm1(t))
-    pts = np.array([0.0, 0.3, 1.0, 2.5, 7.0])
-    assert np.allclose(num.Pstar(pts), NF.Pstar(pts), rtol=1e-8, atol=1e-10)
-    assert np.allclose(num.pbar(pts), NF.pbar(pts), rtol=1e-8, atol=1e-10)

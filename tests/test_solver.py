@@ -10,14 +10,13 @@ import expcap.kernels as kernels
 import expcap.solver as solver
 from conftest import cached_kernels
 from expcap import errors
-from expcap.errors import NoConvergence, NotAdmissible, NotComparable
+from expcap.errors import NoConvergence, NotAdmissible
 from expcap.grids import Field, build_grid
 from expcap.kernels import assemble, normal_derivative
 from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from expcap.solver import (admissibility_test, default_test_basis,
-                           keller_osserman_diagnostic, monotone_comparison,
-                           solve_boundary, solve_interior, truncation_scheme,
-                           weak_residual)
+                           keller_osserman_diagnostic, solve_boundary,
+                           solve_interior, truncation_scheme, weak_residual)
 from expcap.experiments import target_nodes
 
 
@@ -51,17 +50,6 @@ def test_boundary_solve_sits_below_the_harmonic_extension(ks16):
     assert rep.supersolution
     # constant trace g enters the rhs as g/h^2; corner nodes see two edges
     assert rep.data_max == pytest.approx(2 * 3.0 / grid.h**2)
-
-
-def test_comparison_principle(ks16):
-    grid = ks16.grid
-    mu1 = InteriorMeasure(grid, density=np.full(grid.n_interior, 1.0))
-    mu2 = InteriorMeasure(grid, density=np.full(grid.n_interior, 4.0))
-    holds, margin = monotone_comparison(mu1, mu2, ks16)
-    assert holds
-    assert margin <= 1e-12
-    with pytest.raises(NotComparable):
-        monotone_comparison(mu2, mu1, ks16)
 
 
 def test_truncation_ladder_structure(ks32):
@@ -410,15 +398,3 @@ def test_truncation_ladder_runs_top_down(ks32, monkeypatch):
         criterion7_steps += ladder_steps + solve_boundary(mu, ks32).iterations
     # with every level solved from scratch this path takes 360 steps
     assert criterion7_steps <= 130
-
-
-@pytest.mark.parametrize("masses", [(2.0, 16.0), (8.0, 16.0)])
-def test_comparison_starts_the_smaller_problem_from_the_larger(ks32, monkeypatch, masses):
-    mu1, mu2 = _bottom_atoms(ks32, masses)
-    cold1, cold2 = solve_boundary(mu1, ks32), solve_boundary(mu2, ks32)
-    margin_cold = float((cold1.u.values - cold2.u.values).max())
-    steps = _count_factorizations(monkeypatch)
-    holds, margin = monotone_comparison(mu1, mu2, ks32)
-    assert holds
-    assert margin == pytest.approx(margin_cold, abs=1e-14)
-    assert steps[0] - cold2.factorizations < cold1.factorizations
