@@ -74,6 +74,8 @@ class ExperimentConfig:
             raise BadInput("masses must be >= 0")
         object.__setattr__(self, "masses", ms)
         radii = tuple(int(v) for v in self.radii)
+        if not radii:
+            raise BadInput("the family needs at least one radius")
         if any(r < 1 for r in radii):
             raise BadInput("family radii must be >= 1")
         object.__setattr__(self, "radii", radii)

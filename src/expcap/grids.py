@@ -303,8 +303,8 @@ def load_field_csv(path: str) -> Field:
     """Read a field written by dump_field_csv.
 
     BadInput if the file is not one: a first line other than
-    shape,<shape>,n,<n>, a value that is not a number, or a row index
-    that is not an interior ordinal.
+    shape,<shape>,n,<n>, a value that is not a number, or rows that do
+    not list every interior ordinal exactly once.
     """
     with open(path, newline="") as fh:
         head = next(csv.reader(fh), [])
@@ -312,12 +312,16 @@ def load_field_csv(path: str) -> Field:
             if len(head) != 4 or head[0] != "shape" or head[2] != "n":
                 raise ValueError("first line is not shape,<shape>,n,<n>")
             grid = build_grid(head[1], int(head[3]))
-            rows = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+            next(fh, None)  # the column names
+            lines = [line for line in fh if line.strip()]
+            if len(lines) != grid.n_interior:
+                raise ValueError(f"{len(lines)} rows for {grid.n_interior} interior nodes")
+            rows = np.loadtxt(lines, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise BadInput(f"{path}: {exc}") from None
-    nodes = rows[:, 0].astype(int)
-    if np.any((nodes != rows[:, 0]) | (nodes < 0) | (nodes >= grid.n_interior)):
-        raise BadInput(f"{path}: a row index is not in 0..{grid.n_interior - 1}")
-    vals = np.zeros(grid.n_interior)
-    vals[nodes] = rows[:, -1]
+    if not np.array_equal(np.sort(rows[:, 0]), np.arange(grid.n_interior)):
+        raise BadInput(f"{path}: the rows do not list each of the ordinals "
+                       f"0..{grid.n_interior - 1} once")
+    vals = np.empty(grid.n_interior)
+    vals[rows[:, 0].astype(int)] = rows[:, -1]
     return Field(grid, vals)

@@ -23,25 +23,43 @@ increasing level equation sum N*(n(k |f_i|)) w_i h^d = 1.
 
 Both level equations have the form sum_i w_i h^d G(x b_i) = 1 with
 b = |f| / max|f| (|f| / c for the scaled gauge), G increasing, and
-x = max|f| / k (gauge, G = N) or x = k max|f| (Amemiya, G = N* o n).
-`_unit_level_root` solves both by one root-find in t = log x on the
-logarithm of the level, which is linear in t where G is quadratic and
-far milder than the level itself where G grows exponentially: the
-quadratic guess x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2), ln 2
-steps in t until the root is bracketed, a pull-in while the upper end's
-integrand overflows, then Brent's method (scipy's brentq).  The
-log-level functions are module-level and `_unit_level_root` hands the
-field to brentq through its `args`: scipy wraps the function in a
-closure that refers to itself, so a closure over the field passed there
-would stay alive until the cyclic collector runs.
+x = max|f| / k (gauge, G = N) or x = k max|f| (Amemiya, G = N* o n, which
+is s n(s) - N(s) by Young's equality).  `_unit_level_root` solves both by
+Newton's method in t = log x on the logarithm of the level, which is
+linear in t where G is quadratic and far milder than the level itself
+where G grows exponentially.  The N-function's level evaluator (see
+`nfunctions`) gives the level and its slope from one transcendental pass:
 
-`_unit_level_root` imports brentq at its call, not at module import:
-scipy.optimize brings scipy.special and some 170 modules with it, and a
-process that only assembles, solves or ladders never takes a norm, so
-`import expcap` leaves the optimiser unloaded until the first one.
+    gauge:    g = log sum W N(s),           g' = sum W s n(s) / sum W N(s)
+    Amemiya:  g = log sum W (s n(s) - N(s)), g' = sum W s^2 n'(s) / (that sum)
+
+with s = e^t b.  Newton starts at the quadratic guess
+x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2) and keeps a sign bracket
+[lo, hi]; an evaluation whose integrand overflows counts as above the
+root.  A Newton step that leaves the bracket is replaced by bisection,
+or, while the bracket is open on that side, by a step of LEVEL_STEP.
+The iteration stops when the Newton step is within a few ulps of t, or
+once it is below LEVEL_NOISE and no longer shrinking (rounding then
+drives it), and returns the t it last evaluated.
+
+Why Newton converges fast here: with e = expm1(s), both exponential
+log-levels are logarithms of power series in e^t with nonnegative
+coefficients (e^s - 1 - s, and s(e^s - 1) - (e^s - 1 - s)), hence convex
+in t, and Newton on an increasing convex function lands at or right of
+the root after at most one step and then descends to it monotonically.
+The quadratic guess is at or right of both exponential roots, since
+P(s) and s p(s) - P(s) are at least s^2/2.  The conjugate gauge's per-node slope
+s pbar(s) / P*(s) falls from 2 to 1, so its log-level is nearly linear,
+and the quadratic guess sits at or left of its root (P*(s) <= s^2/2).
+The bracket keeps every case safe without these facts.
+
+No optimiser is needed, so a process that only takes norms never loads
+scipy.optimize; the capacity programs load it at their first call.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,9 +67,10 @@ from .errors import GridMismatch, OverflowInIntegrand, ZeroField
 from .grids import Field, WeightedGrid
 from .nfunctions import NFunction
 
-LEVEL_STEP = np.log(2.0)   # bracket growth in log x
-LEVEL_XTOL = 1e-15         # root tolerance in log x
-LEVEL_MAXIT = 200          # cap on bracket steps and on Brent iterations
+LEVEL_STEP = math.log(2.0)  # step in log x where Newton leaves an open bracket
+LEVEL_ULPS = 4.0          # stop: Newton step within this many ulps of max(1, |t|)
+LEVEL_NOISE = 1e-9        # stop: a step below this that no longer shrinks
+LEVEL_MAXIT = 200         # cap on level evaluations per root
 
 
 def _resolve(f, grid: WeightedGrid):
@@ -66,71 +85,50 @@ def _resolve(f, grid: WeightedGrid):
     return vals
 
 
-def _side_fn(nf: NFunction, side: str):
+def _side_fns(nf: NFunction, side: str):
+    """(level evaluator, density) of one side of the pair."""
     if side == "principal":
-        return nf.P, nf.p
+        return nf.principal_level, nf.p
     if side == "conjugate":
-        return nf.Pstar, nf.pbar
+        return nf.conjugate_level, nf.pbar
     raise ValueError(f"side must be 'principal' or 'conjugate', got {side!r}")
 
 
-def _gauge_log_level(t, b, W, Nfun):
-    """log sum W N(e^t b), the gauge level at k = max|f| e^-t; overflow
-    maps to +inf (k too small)."""
-    try:
-        out = float(Nfun(np.exp(t) * b) @ W)
-    except OverflowInIntegrand:
-        return np.inf
-    return np.log(out) if np.isfinite(out) else np.inf
-
-
-def _amemiya_log_level(t, b, W, Nfun, dens):
-    """log sum W N*(n(e^t b)), the Amemiya level at k = e^t / max|f|, by
-    Young's equality N*(n(s)) = s n(s) - N(s); overflow maps to +inf
-    (k too large)."""
-    s = np.exp(t) * b
-    try:
-        out = float((s * dens(s) - Nfun(s)) @ W)
-    except OverflowInIntegrand:
-        return np.inf
-    return np.log(out) if np.isfinite(out) else np.inf
-
-
-def _unit_level_root(log_level, b, W, *args) -> float:
-    """t solving log_level(t, b, W, *args) = 0 (see the module docstring),
-    for a log-level increasing in t and +inf where the integrand
-    overflows; b is the field scaled to max 1."""
-    lo = hi = 0.5 * np.log(2.0 / float((b * b) @ W))
-    f_hi = f_lo = log_level(hi, b, W, *args)
+def _unit_level_root(log_level, b, W):
+    """(t, sums at t) for the root of log_level(t) = (g, g', sums), an
+    increasing log-level that raises OverflowInIntegrand where its
+    integrand overflows (see the module docstring); b is the field scaled
+    to max 1."""
+    t = 0.5 * math.log(2.0 / float((b * b) @ W))
+    lo, hi, last = -math.inf, math.inf, math.inf
+    tol = LEVEL_ULPS * np.finfo(float).eps
     for _ in range(LEVEL_MAXIT):
-        if f_lo >= 0.0:
-            hi, f_hi = lo, f_lo
-            lo -= LEVEL_STEP
-            f_lo = log_level(lo, b, W, *args)
-        elif f_hi < 0.0:
-            lo, f_lo = hi, f_hi
-            hi += LEVEL_STEP
-            f_hi = log_level(hi, b, W, *args)
+        try:
+            g, slope, sums = log_level(t)
+        except OverflowInIntegrand:
+            g = step = math.inf
         else:
-            break
-    else:
-        raise OverflowInIntegrand("could not bracket the unit level")
-    # pull an overflowing upper end in until the level is finite there
-    while not np.isfinite(f_hi):
-        mid = 0.5 * (lo + hi)
-        f_mid = log_level(mid, b, W, *args)
-        if f_mid < 0.0:
-            lo = mid
+            step = -g / slope
+            if (abs(step) <= tol * max(1.0, abs(t))
+                    or LEVEL_NOISE > abs(step) >= abs(last)):
+                return t, sums
+            last = step
+        if g < 0.0:
+            lo = t
         else:
-            hi, f_hi = mid, f_mid
-    from scipy.optimize import brentq
-    return brentq(log_level, lo, hi, args=(b, W) + args, xtol=LEVEL_XTOL,
-                  maxiter=LEVEL_MAXIT)
+            hi = t
+        if lo < t + step < hi:
+            t += step
+        elif math.isfinite(lo) and math.isfinite(hi):
+            t = 0.5 * (lo + hi)
+        else:
+            t += LEVEL_STEP if g < 0.0 else -LEVEL_STEP
+    raise OverflowInIntegrand("could not solve the unit level")
 
 
 def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                    weight: str = "lebesgue", scale=None) -> float:
-    """Luxemburg norm, by one bracketed Brent root-find of its level
+    """Luxemburg norm, by one safeguarded Newton solve of its level
     equation in log k (see the module docstring); exact 0 for the zero
     field."""
     vals = _resolve(f, grid)
@@ -146,9 +144,15 @@ def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal"
     rmax = float(ratio.max(initial=0.0))
     if rmax == 0.0:
         return 0.0
-    Nfun, _ = _side_fn(nf, side)
-    t = _unit_level_root(_gauge_log_level, ratio / rmax, W, Nfun)
-    return rmax * float(np.exp(-t))
+    level, _ = _side_fns(nf, side)
+    ratio /= rmax
+
+    def log_level(t):
+        N, sn = level(math.exp(t), ratio, W)
+        return math.log(N), sn / N, None
+
+    t, _ = _unit_level_root(log_level, ratio, W)
+    return rmax * math.exp(-t)
 
 
 def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
@@ -167,7 +171,7 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     if float(np.abs(vals).max(initial=0.0)) == 0.0:
         raise ZeroField("subgradient undefined at the zero field")
     k = luxemburg_norm(vals, grid, nf, side, weight, scale)
-    _, dens = _side_fn(nf, side)
+    _, dens = _side_fns(nf, side)
     t = vals / (k * sc)
     nd = dens(t)
     D = float((nd * vals * W / sc).sum()) / k
@@ -175,35 +179,35 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     return k, g
 
 
-def _amemiya_argmin(vals, W, Nfun, dens) -> float:
-    """k minimising the Amemiya functional (1 + sum N(k f) W) / k.
-
-    Setting the derivative to zero gives the level equation
-    sum W N*(n(k |f|)) = 1, whose left side increases with k.
-    """
-    a = np.abs(vals)
-    amax = float(a.max())
-    t = _unit_level_root(_amemiya_log_level, a / amax, W, Nfun, dens)
-    return float(np.exp(t)) / amax
-
-
 def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
                            side: str = "principal", weight: str = "lebesgue"):
     """(Amemiya norm of f, its minimising k); raises ZeroField at f = 0.
 
-    The norm is the Amemiya functional evaluated at k, so it is never
-    below the exact norm.  At k the envelope theorem gives the gradient
-    of the norm in f as n(k f) W.
+    Setting the derivative of (1 + sum N(k f) W) / k to zero gives the
+    level equation sum W N*(n(k |f|)) = 1, whose left side increases
+    with k.  The norm is the Amemiya functional evaluated at k, so it is
+    never below the exact norm.  At k the envelope theorem gives the
+    gradient of the norm in f as n(k f) W.
     """
     vals = _resolve(f, grid)
     if not np.all(np.isfinite(vals)):
         raise OverflowInIntegrand("field contains non-finite values")
-    if float(np.abs(vals).max(initial=0.0)) == 0.0:
+    a = np.abs(vals)
+    amax = float(a.max(initial=0.0))
+    if amax == 0.0:
         raise ZeroField("Amemiya minimiser undefined at the zero field")
     W = grid.weight_vector(weight)
-    Nfun, dens = _side_fn(nf, side)
-    k = _amemiya_argmin(vals, W, Nfun, dens)
-    return (1.0 + float(Nfun(k * vals) @ W)) / k, k
+    level, _ = _side_fns(nf, side)
+    a /= amax
+
+    def log_level(t):
+        N, sn, curv = level(math.exp(t), a, W, True)
+        G = sn - N
+        return math.log(G), curv / G, N
+
+    t, N = _unit_level_root(log_level, a, W)
+    k = math.exp(t) / amax
+    return (1.0 + N) / k, k
 
 
 def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",

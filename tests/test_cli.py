@@ -224,6 +224,10 @@ BAD_FIELDS = {
     "unknown-shape": "shape,blob,n,8\nindex,x0,x1,value\n",
     "value-not-a-number": "shape,square,n,8\nindex,x0,x1,value\n0,0.1,0.1,abc\n",
     "index-past-the-grid": "shape,square,n,8\nindex,x0,x1,value\n64,0.1,0.1,1\n",
+    "no-rows": "shape,square,n,8\nindex,x0,x1,value\n",
+    # 49 rows for the 49 interior nodes, with 0 twice and 48 missing
+    "repeated-row": "shape,square,n,8\nindex,x0,x1,value\n"
+                    + "".join(f"{i},0.1,0.1,1\n" for i in (0, *range(48))),
 }
 
 # each of these once ended in a traceback; "{tmp}" is the test's directory
@@ -241,6 +245,7 @@ BAD_INPUT = {
     "target-point-not-a-number": ["capacity", "--n", "8", "--target", "point:abc"],
     "target-point-one-coordinate": ["capacity", "--n", "8", "--target", "point:0.5"],
     "zero-radius": ["vanishing", "--radii", "0"],
+    "no-radius": ["vanishing", "--radii", ","],
     "negative-dilation": ["capacity", "--n", "8", "--dilation", "-1"],
 }
 

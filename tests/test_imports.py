@@ -1,5 +1,6 @@
 """What a fresh interpreter loads: scipy.optimize only at the first
-optimiser call, never for assembly, the Newton solves or the ladders.
+optimiser call, never for assembly, the Newton solves, the ladders or
+the norms.
 And what the package exports: only names that the package itself, the
 benchmark or the acceptance criteria use."""
 
@@ -29,7 +30,8 @@ import expcap
 seen = {"import": "scipy.optimize" in sys.modules}
 from expcap import (BoundaryMeasure, CompactSet, ExperimentConfig,
                     InteriorMeasure, assemble, build_grid, capacity_pair,
-                    default_test_basis, exponential_pair, luxemburg_norm,
+                    default_test_basis, exponential_pair, llnl_norm,
+                    luxemburg_norm, luxemburg_subgradient, orlicz_norm,
                     run_removability_threshold, solve_boundary, solve_interior,
                     target_nodes, truncation_scheme, weak_residual)
 ks = assemble(build_grid("square", 8))
@@ -41,7 +43,13 @@ truncation_scheme(bdy, ks)
 weak_residual(rep.u, bdy, ks, default_test_basis(ks))
 run_removability_threshold(ExperimentConfig(ladder=(8, 12, 16), masses=(4.0, 16.0)))
 seen["pde"] = "scipy.optimize" in sys.modules
-lux = luxemburg_norm(rep.u.values, grid, exponential_pair())
+nf = exponential_pair()
+lux = luxemburg_norm(rep.u.values, grid, nf)
+luxemburg_subgradient(rep.u.values, grid, nf, side="conjugate", weight="rho",
+                      scale=grid.rho)
+orlicz_norm(rep.u.values, grid, nf, weight="rho")
+llnl_norm(rep.u.values, grid)
+seen["norms"] = "scipy.optimize" in sys.modules
 K = CompactSet(grid, target_nodes(grid, "interior", "center"), "interior")
 est = capacity_pair(K, ks)
 seen["values"] = [lux, est.primal_value, est.dual_value]
@@ -59,6 +67,7 @@ def test_scipy_optimize_loads_only_at_the_first_optimiser_call():
     seen = json.loads(out.splitlines()[-1])
     assert seen["import"] is False
     assert seen["pde"] is False
+    assert seen["norms"] is False
     # the optimisers loaded late give the same bits as in this process
     ks = cached_kernels("square", 8)
     grid = ks.grid

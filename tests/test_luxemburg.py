@@ -1,5 +1,6 @@
 """Gauge and Amemiya norms: closed forms, invariants, subgradients."""
 
+import dataclasses
 import gc
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.optimize import brentq
 
 from expcap.errors import GridMismatch, OverflowInIntegrand, ZeroField
 from expcap.grids import build_grid
-from expcap.luxemburg import luxemburg_norm, luxemburg_subgradient, orlicz_norm
-from expcap.nfunctions import NFunction, exponential_pair, quadratic_pair
+from expcap.luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
+                              orlicz_norm_and_argmin)
+from expcap.nfunctions import exponential_pair, quadratic_pair
 
 NF = exponential_pair()
 QP = quadratic_pair()
@@ -142,24 +144,25 @@ def test_bad_side_and_bad_scale_rejected(ks16):
 
 
 class _Counted:
-    """An N-function pair whose P and P* count their calls and the calls
-    that overflow; past `limit` they raise as an overflowing integrand."""
+    """An N-function pair whose level evaluators count their calls and
+    the calls that overflow; past `limit` (in max s = x max b) they raise
+    as an overflowing integrand."""
 
     def __init__(self, base, limit=np.inf):
         self.base, self.limit = base, limit
         self.calls = self.overflows = 0
-        self.nf = NFunction(base.name, self._wrap(base.principal),
-                            self._wrap(base.conjugate), base.density,
-                            base.conjugate_density)
+        self.nf = dataclasses.replace(base,
+                                      principal_level=self._wrap(base.principal_level),
+                                      conjugate_level=self._wrap(base.conjugate_level))
 
-    def _wrap(self, fn):
-        def counted(t):
+    def _wrap(self, level):
+        def counted(x, b, W, *args):
             self.calls += 1
-            if np.abs(t).max(initial=0.0) > self.limit:
+            if x * b.max(initial=0.0) > self.limit:
                 self.overflows += 1
                 raise OverflowInIntegrand("argument past the test limit")
             try:
-                return fn(t)
+                return level(x, b, W, *args)
             except OverflowInIntegrand:
                 self.overflows += 1
                 raise
@@ -204,23 +207,85 @@ def test_overflow_at_the_first_guess():
     assert abs(_level(NF, f, grid, k, "principal", "rho", None) - 1.0) < 1e-14
 
 
-@pytest.mark.parametrize("side", ["principal", "conjugate"])
-def test_upper_end_pulled_in_below_an_overflow(ks16, rng, side):
-    # The integrand overflows just past the root, so a bracketing step
-    # lands beyond it and the upper end has to be pulled back in.
+@pytest.mark.parametrize("norm", ["principal", "amemiya"])
+def test_upper_end_pulled_in_below_an_overflow(ks16, rng, norm):
+    # The quadratic start lies above the root of both principal level
+    # equations (P(s) and s p(s) - P(s) are at least s^2/2), so with the
+    # integrand overflowing just past the root the first evaluation
+    # overflows and the iteration has to come back below it.  (The
+    # conjugate side starts below its root, P*(s) <= s^2/2, and rises to
+    # it, so an overflow past its root is never reached.)
     grid = ks16.grid
     f = rng.standard_normal(grid.n_interior)
-    exact = luxemburg_norm(f, grid, NF, side)
-    counted = _Counted(NF, limit=1.05 * np.abs(f).max() / exact)
-    k = luxemburg_norm(f, grid, counted.nf, side)
+    if norm == "amemiya":  # x = k max|f|
+        solve = lambda nf: orlicz_norm_and_argmin(f, grid, nf)[1]
+        exact = solve(NF)
+        limit = 1.05 * exact * np.abs(f).max()
+    else:  # x = max|f| / k
+        solve = lambda nf: luxemburg_norm(f, grid, nf)
+        exact = solve(NF)
+        limit = 1.05 * np.abs(f).max() / exact
+    counted = _Counted(NF, limit=limit)
+    k = solve(counted.nf)
     assert counted.overflows >= 1 and counted.calls <= 20
     assert abs(k - exact) <= 1e-14 * exact
 
 
+def _corpus(grid, rng):
+    """Seeded normal fields over two decades of scale."""
+    return [rng.uniform(0.1, 10.0) * rng.standard_normal(grid.n_interior)
+            for _ in range(8)]
+
+
+@pytest.mark.parametrize("base, bound", [(NF, 6.0), (QP, 2.0)],
+                         ids=["exponential", "quadratic"])
+def test_mean_level_evaluations_per_root(ks16, rng, base, bound):
+    # Newton in log x from the quadratic start takes about five
+    # evaluations a root for the exponential pair; the quadratic pair's
+    # start is its root, so one evaluation confirms it.
+    grid = ks16.grid
+    counted = _Counted(base)
+    roots = 0
+    for f in _corpus(grid, rng):
+        for weight in ("lebesgue", "rho"):
+            for side in ("principal", "conjugate"):
+                for scale in (None, grid.rho):
+                    luxemburg_norm(f, grid, counted.nf, side, weight, scale)
+                    roots += 1
+            orlicz_norm(f, grid, counted.nf, weight=weight)
+            roots += 1
+    assert counted.calls <= bound * roots, counted.calls / roots
+
+
+@pytest.mark.parametrize("side", ["principal", "conjugate"])
+def test_level_evaluator_matches_the_n_function(ks16, rng, side):
+    # sum W N(s) and sum W s n(s) at s = x b against the N-function and
+    # its density; sum W s^2 n'(s) is d/dt sum W s n(s) - sum W s n(s) in
+    # t = log x, the derivative taken by a complex step (exact to rounding,
+    # where a central difference would stop near 1e-10)
+    grid = ks16.grid
+    W = grid.weight_vector("rho")
+    N, n = (NF.P, NF.p) if side == "principal" else (NF.Pstar, NF.pbar)
+    analytic_n = np.expm1 if side == "principal" else np.log1p
+    level = NF.principal_level if side == "principal" else NF.conjugate_level
+    for x in (0.05, 0.7, 5.0, 40.0):
+        b = np.abs(rng.standard_normal(grid.n_interior))
+        b /= b.max()
+        s = x * b
+        got = level(x, b, W, True)
+        assert level(x, b, W) == got[:2]
+        sn = float((s * n(s)) @ W)
+        h = 1e-30
+        z = np.exp(np.log(x) + 1j * h) * b
+        curv = float((z * analytic_n(z)).imag @ W) / h - sn
+        for value, expect in zip(got, (float(N(s) @ W), sn, curv)):
+            assert abs(value - expect) <= 1e-12 * abs(expect)
+
+
 def test_norms_leave_no_cycle_holding_the_field(ks16, rng):
-    # scipy's brentq wraps its function in a closure that refers to
-    # itself; a closure over the field handed to it would keep the field
-    # alive until the cyclic collector runs.
+    # Nothing a norm builds (its log-level closure, the traceback of an
+    # overflow it catches) may form a cycle that keeps the field alive
+    # until the cyclic collector runs.
     grid = ks16.grid
     f = rng.standard_normal(grid.n_interior)
     spike = np.zeros(grid.n_interior)
