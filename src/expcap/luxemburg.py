@@ -126,57 +126,67 @@ def _unit_level_root(log_level, b, W):
     raise OverflowInIntegrand("could not solve the unit level")
 
 
+def _gauge_root(vals, W, level, scale):
+    """(rmax, t, sum W s n(s), b) at the root of the gauge's level equation
+    (see the module docstring): b = |f| / c scaled to max 1 by rmax, and
+    s = e^t b.  t is None for the zero field."""
+    if not np.all(np.isfinite(vals)):
+        raise OverflowInIntegrand("field contains non-finite values")
+    b = np.abs(vals)
+    if scale is not None:
+        sc = np.asarray(scale, dtype=float)
+        if np.any(sc <= 0):
+            raise ValueError("scale vector must be strictly positive")
+        b /= sc
+    rmax = float(b.max(initial=0.0))
+    if rmax == 0.0:
+        return rmax, None, 0.0, b
+    b /= rmax
+
+    def log_level(t):
+        N, sn = level(math.exp(t), b, W)
+        return math.log(N), sn / N, sn
+
+    t, sn = _unit_level_root(log_level, b, W)
+    return rmax, t, sn, b
+
+
 def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                    weight: str = "lebesgue", scale=None) -> float:
     """Luxemburg norm, by one safeguarded Newton solve of its level
     equation in log k (see the module docstring); exact 0 for the zero
     field."""
-    vals = _resolve(f, grid)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowInIntegrand("field contains non-finite values")
-    W = grid.weight_vector(weight)
-    ratio = np.abs(vals)
-    if scale is not None:
-        sc = np.asarray(scale, dtype=float)
-        if np.any(sc <= 0):
-            raise ValueError("scale vector must be strictly positive")
-        ratio /= sc
-    rmax = float(ratio.max(initial=0.0))
-    if rmax == 0.0:
-        return 0.0
     level, _ = _side_fns(nf, side)
-    ratio /= rmax
-
-    def log_level(t):
-        N, sn = level(math.exp(t), ratio, W)
-        return math.log(N), sn / N, None
-
-    t, _ = _unit_level_root(log_level, ratio, W)
-    return rmax * math.exp(-t)
+    rmax, t, _, _ = _gauge_root(_resolve(f, grid), grid.weight_vector(weight),
+                                level, scale)
+    return 0.0 if t is None else rmax * math.exp(-t)
 
 
 def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                           weight: str = "lebesgue", scale=None):
     """Gradient of the Luxemburg norm at f (implicit differentiation).
 
-    g_i = (W_i / c_i) n'(f_i/(k c_i)) / D    with
-    D   = (1/k) sum_j n'(f_j/(k c_j)) f_j W_j / c_j,
+    g_i = (W_i / c_i) n(f_i/(k c_i)) / D    with
+    D   = (1/k) sum_j n(f_j/(k c_j)) f_j W_j / c_j,
 
-    so that <g, f> = k (the Euler identity for 1-homogeneous norms).
-    Returns (norm, g).
+    so that <g, f> = k (the Euler identity for 1-homogeneous norms).  At
+    the root s = |f| / (k c) = e^t b, so D = sum W s n(s) is the sum the
+    level evaluator returned there, and one density pass gives
+    g = sign(f) (W / c) n(s) / D.  Returns (norm, g).
     """
     vals = _resolve(f, grid)
     W = grid.weight_vector(weight)
-    sc = np.ones_like(vals) if scale is None else np.asarray(scale, dtype=float)
-    if float(np.abs(vals).max(initial=0.0)) == 0.0:
+    level, dens = _side_fns(nf, side)
+    rmax, t, sn, b = _gauge_root(vals, W, level, scale)
+    if t is None:
         raise ZeroField("subgradient undefined at the zero field")
-    k = luxemburg_norm(vals, grid, nf, side, weight, scale)
-    _, dens = _side_fns(nf, side)
-    t = vals / (k * sc)
-    nd = dens(t)
-    D = float((nd * vals * W / sc).sum()) / k
-    g = (W / sc) * nd / D
-    return k, g
+    b *= math.exp(t)
+    g = dens(b)
+    g *= W
+    if scale is not None:
+        g /= scale
+    g /= sn
+    return rmax * math.exp(-t), np.copysign(g, vals, out=g)
 
 
 def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,

@@ -17,11 +17,35 @@ anchor a otherwise (the big square then reaches past a+s).  Hence
     V_s(a) = max(avg_s(a), V_{s+1} at those <= 4 anchors),
 
 from V_N = avg_N down to V_2, and M = max(|f|, V_2 at the <= 4 anchors
-whose square covers the cell); in 1D the anchors are a and a-1.  Each
-size costs a few elementwise passes over its (N-s+1)^2 anchors, O(N^3)
-in all for an N x N cube.  The averages are the same summed-area
-expressions at every size and a max is exact, so the cascade returns
-the same bits as a direct max over every square.
+whose square covers the cell); in 1D the anchors are a and a-1.  O(N^3)
+work in all for an N x N cube.
+
+Flat layout.  Every pass of the cascade runs over one contiguous run of
+a flat array, never over a strided k x k view (k = N - s + 1 anchors per
+axis), because numpy pays a per-row overhead on such views that
+dominates at these sizes.  Anchor (r, c) sits at index i = r W + c, with
+W = N + 1 the row stride of the flattened table S, so the side-s box sums
+are
+
+    ((S[i + s(W+1)] - S[i + s]) - S[i + sW]) + S[i],   0 <= i < (k-1) W + k,
+
+divided in place by s^2 (in 1D, S[i + s] - S[i] over i < k, divided by
+s).  The slots with c >= k between two rows are junk anchors: their
+sums wrap across a row and mean nothing.  The max over the anchors a,
+a-e1, a-e2, a-e1-e2 is two maxima of shifted runs, offsets 0 and -1,
+then 0 and -W, read from buffers led by W + 1 entries of -inf.  A valid
+anchor of the next size reads V_{s+1} only at columns -1..k-1 and rows
+-1..k-1, so before it does, -inf goes on V_{s+1}'s junk column k-1, its
+column W-1 (read as column -1 of the next row) and the row after its
+last; then no junk value reaches a valid anchor.  In 1D only the slot
+after the last anchor needs -inf.  Two buffers alternate between V_{s+1}
+and V_s, and one more holds the first maximum; a call allocates nothing
+per size.
+
+The box sums are the same expressions, in the same order, as a direct
+evaluation over every square, the division is the same, and a max is
+exact, so the cascade returns the same bits as a direct max over every
+square (the tests compare it with one on integer data, bit for bit).
 
 The companion functional
 
@@ -41,56 +65,86 @@ from .errors import GridMismatch
 
 
 def _sat(F: np.ndarray) -> np.ndarray:
-    """Summed-area table with a zero border: S[i, j] = sum F[:i, :j]."""
-    S = np.zeros((F.shape[0] + 1, F.shape[1] + 1))
-    np.cumsum(F, axis=0, out=S[1:, 1:])
-    np.cumsum(S[1:, 1:], axis=1, out=S[1:, 1:])
+    """Summed-area table with a zero border: S[i, j] = sum F[:i, :j]
+    (S[i] = sum F[:i] in 1D)."""
+    S = np.zeros(np.add(F.shape, 1))
+    inner = S[(slice(1, None),) * F.ndim]
+    np.cumsum(F, axis=0, out=inner)
+    if F.ndim == 2:
+        np.cumsum(inner, axis=1, out=inner)
     return S
-
-
-def _cover(V: np.ndarray) -> np.ndarray:
-    """One longer than V per axis: out[a] is the max of V over the anchors
-    a - d, d in {0, 1}^ndim, that exist, i.e. over the squares one size
-    up that contain the square anchored at a."""
-    R = np.empty((V.shape[0] + 1,) + V.shape[1:])
-    R[0], R[-1] = V[0], V[-1]
-    np.maximum(V[:-1], V[1:], out=R[1:-1])
-    if V.ndim == 1:
-        return R
-    U = np.empty((R.shape[0], R.shape[1] + 1))
-    U[:, 0], U[:, -1] = R[:, 0], R[:, -1]
-    np.maximum(R[:, :-1], R[:, 1:], out=U[:, 1:-1])
-    return U
 
 
 def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     """M[f] on every cell of the padded cube (flat interior values via
-    `maximal_interior`)."""
+    `maximal_interior`), by the flat cascade of the module docstring."""
     vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
     if vals.shape != (grid.n_interior,):
         raise GridMismatch("field length does not match grid")
     if pad < 0:
         raise ValueError("pad must be >= 0")
     full = grid.to_lattice(np.abs(vals), pad)
+    N = full.shape[0]
+    S = _sat(full).ravel()
+    W = N + 1
+    if grid.ndim == 2:
+        lead, size = W + 1, N * W
 
-    if grid.ndim == 1:
-        N = full.size
-        S = np.concatenate([[0.0], np.cumsum(full)])
+        def span(k):  # anchors 0..k-1 per axis lie in [0, span(k))
+            return (k - 1) * W + k
 
-        def avg(s):  # anchors 0..N-s
-            return (S[s:] - S[:-s]) / s
+        def fence(V, k):  # -inf on columns k and -1 and on row k
+            V[lead + k:lead + k * W:W] = -np.inf
+            V[lead + W - 1:lead + k * W:W] = -np.inf
+            V[lead + k * W:lead + k * W + k + 1] = -np.inf
+
+        def box_sums(s, out):
+            m = out.size
+            np.subtract(S[s * (W + 1):s * (W + 1) + m], S[s:s + m], out=out)
+            out -= S[s * W:s * W + m]
+            out += S[:m]
+            out /= s * s
     else:
-        N = full.shape[0]
-        S = _sat(full)
+        lead, size = 1, N
 
-        def avg(s):
-            return (S[s:, s:] - S[:-s, s:] - S[s:, :-s] + S[:-s, :-s]) / (s * s)
+        def span(k):
+            return k
 
-    V = avg(N)
+        def fence(V, k):
+            V[lead + k] = -np.inf
+
+        def box_sums(s, out):
+            np.subtract(S[s:s + out.size], S[:out.size], out=out)
+            out /= s
+
+    cur, nxt, tmp = (np.full(lead + size, -np.inf) for _ in range(3))
+
+    def cover(V, m):
+        """(buffer, d): the max of V over its anchors i and i-1 (and, in
+        2D, i-W and i-W-1) is the max of buffer[lead + i] and
+        buffer[lead + i - d], for i < m."""
+        if grid.ndim == 1:
+            return V, 1
+        np.maximum(V[lead:lead + m], V[lead - 1:lead - 1 + m], out=tmp[lead:lead + m])
+        return tmp, W
+
+    box_sums(N, cur[lead:lead + 1])
     for s in range(N - 1, 1, -1):
-        box = avg(s)
-        V = np.maximum(box, _cover(V), out=box)
-    return np.maximum(full, _cover(V), out=full)
+        k = N - s + 1
+        fence(cur, k - 1)
+        m = span(k)
+        out = nxt[lead:lead + m]
+        box_sums(s, out)
+        src, d = cover(cur, m)
+        np.maximum(out, src[lead:lead + m], out=out)
+        np.maximum(out, src[lead - d:lead - d + m], out=out)
+        cur, nxt = nxt, cur
+    fence(cur, N - 1)
+    m = span(N)
+    src, d = cover(cur, m)
+    np.maximum(src[lead:lead + m], src[lead - d:lead - d + m], out=nxt[lead:lead + m])
+    V1 = nxt[lead:].reshape(full.shape[:-1] + (-1,))[..., :N]  # drop junk columns
+    return np.maximum(full, V1, out=full)
 
 
 def maximal_interior(f, grid: WeightedGrid) -> np.ndarray:

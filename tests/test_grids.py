@@ -68,6 +68,17 @@ def test_weight_vector_validation():
         g.weight_vector("volume")
 
 
+def test_weights_and_boundary_graph_are_built_once():
+    g = build_grid("disk", 12)
+    for weight in ("lebesgue", "rho"):
+        w = g.weight_vector(weight)
+        assert g.weight_vector(weight) is w
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+    assert np.array_equal(g.weight_vector("rho"), g.rho * g.cell_measure)
+    assert g.boundary_graph is g.boundary_graph
+
+
 def test_require_same():
     a = build_grid("square", 8)
     b = build_grid("square", 12)

@@ -84,6 +84,14 @@ def test_flux_closes_the_green_identity(ks16):
     assert dnu.max() <= 1e-12  # outward derivative of a positive potential
 
 
+def test_cached_operators_are_the_rebuilt_ones(ks16):
+    BT = ks16.coupling_transpose
+    assert ks16.coupling_transpose is BT and BT.format == "csr"
+    assert (BT != ks16.coupling.T).nnz == 0
+    assert ks16.stencil_graph is ks16.stencil_graph
+    assert (ks16.stencil_graph != abs(ks16.lap)).nnz == 0
+
+
 def test_interval_normal_derivative_exact_on_quadratics(ks_interval):
     # the one-sided second-order difference is exact on the torsion field
     z = Field(ks_interval.grid, ks_interval.zeta0,
