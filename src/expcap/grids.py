@@ -51,7 +51,6 @@ class WeightedGrid:
     # boundary bookkeeping
     boundary_coords: np.ndarray      # (Nb, ndim)
     boundary_lattice: np.ndarray     # (Nb,)
-    boundary_inward: np.ndarray      # (Nb, 2) interior ordinals one and two steps in (-1 if absent)
     boundary_normal: np.ndarray      # (Nb, ndim) outward unit direction (exact or radial)
     # lattice -> ordinal maps (-1 where absent)
     _int_of_lat: np.ndarray = field(repr=False, default=None)
@@ -143,6 +142,15 @@ class WeightedGrid:
         steps = (-1, 1) if self.ndim == 1 else (-m, -1, 1, m)
         return [(self._int_of_lat[t], self._bdy_of_lat[t])
                 for t in (self.interior_lattice + s for s in steps)]
+
+    @functools.cached_property
+    def boundary_inward(self) -> np.ndarray:
+        """(Nb, 2) interior ordinals one and two stencil steps in from each
+        boundary node (-1 if absent; see `_inward_pairs`), built on first
+        read."""
+        m = self.n + 2
+        bpos = np.column_stack(np.unravel_index(self.boundary_lattice, (m,) * self.ndim))
+        return _inward_pairs(bpos, self.boundary_normal, self._int_of_lat, m)
 
     @functools.cached_property
     def boundary_graph(self) -> sp.csr_matrix:
@@ -245,9 +253,7 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
     return WeightedGrid(
         shape=shape, n=n, h=h, ndim=ndim,
         interior_coords=ic, rho=rho, interior_lattice=int_lat,
-        boundary_coords=bc, boundary_lattice=bdy_lat,
-        boundary_inward=_inward_pairs(bpos, normal, int_of_lat, m),
-        boundary_normal=normal,
+        boundary_coords=bc, boundary_lattice=bdy_lat, boundary_normal=normal,
         _int_of_lat=int_of_lat, _bdy_of_lat=bdy_of_lat, _weights=weights,
     )
 

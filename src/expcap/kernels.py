@@ -14,9 +14,13 @@ capacity layers hold to solver precision.  Every solve reuses one sparse
 LU factorisation of A: the capacity optimisers call the operators
 thousands of times.
 
-`assemble` factors A and solves for the torsion field zeta0, which every
-Newton solve reads.  The principal eigenpair costs 9-11 more solves and
-few callers read it, so a `KernelSet` computes it on first read.
+`assemble` builds A, factors it and solves for the torsion field zeta0,
+which every Newton solve reads; that is all every caller reads.  The
+coupling B and the principal eigenpair (9-11 more solves) are built on
+their first read, so a grid whose caller only solves with A, as a Green
+ladder does, pays for neither.  A is symmetric and its CSR rows list
+their columns in ascending order, so its CSR arrays are already the CSC
+arrays SuperLU reads, and A goes to the factor without a copy.
 
 Every sparse factorisation lives here.  `KernelSet.factor_shifted`
 factors (A + diag(d))_FF, d >= 0, on a free node set F: the Newton
@@ -26,6 +30,14 @@ ordering.  Fill runs along paths through earlier-eliminated nodes and a
 path inside F is one in A, so that order fills no entry A's factor does
 not; the pivots stay on the diagonal of these diagonally dominant
 M-matrices, so L + U has at most the nonzeros of A's factor.
+
+The shifted matrix is written in place: a copy of the data of A
+permuted into that order (canonical CSR, sorted columns), with d added
+at the cached slots of its diagonal.  A's diagonal is positive and
+d >= 0, so the sparse sum A + diag(d) keeps exactly A's pattern and
+stores A_ii + d_i on the diagonal and A's own entries off it: the same
+entries, in the same slots, as `(A_perm + sp.diags(d)).tocsc()`, and by
+symmetry its CSR arrays are that CSC matrix's arrays.
 
 A's LU and every `factor_shifted` factor go through `_lu_factor`, with
 SuperLU's supernode relaxation off (`SUPERNODE_RELAX` = 1) and one-column
@@ -60,25 +72,31 @@ PANEL_SIZE = 1
 
 
 def _assemble_matrices(grid: WeightedGrid):
-    """Build A (interior x interior) and B (interior x boundary) in CSR.
+    """A (interior x interior) and B (interior x boundary) in CSR."""
+    return _stencil_matrix(grid), _coupling_matrix(grid)
 
-    Ordinals ascend with the lattice index, so a row of A lists its
-    columns in ascending lattice offset, (-m, -1, self, +1, +m) in 2D
-    (m = n + 2) and (-1, self, +1) in 1D.  Boundary ordinals on the square run edge by
-    edge, not in lattice order, so B's rows are sorted after assembly.
-    """
+
+def _stencil_matrix(grid: WeightedGrid) -> sp.csr_matrix:
+    """A in CSR.  Ordinals ascend with the lattice index, so a row lists
+    its columns in ascending lattice offset, (-m, -1, self, +1, +m) in 2D
+    (m = n + 2) and (-1, self, +1) in 1D: the indices come out sorted."""
     h2 = grid.h ** 2
-    ni = grid.n_interior
     steps = grid.stencil_neighbours()
     half = len(steps) // 2
-    cols_a = np.column_stack([oi for oi, _ in steps[:half]] + [np.arange(ni)]
-                             + [oi for oi, _ in steps[half:]])
-    vals_a = np.full(cols_a.shape, -1.0 / h2)
-    vals_a[:, half] = 2.0 * grid.ndim / h2
-    cols_b = np.column_stack([ob for _, ob in steps])
-    B = _csr_rows(cols_b, np.full(cols_b.shape, 1.0 / h2), grid.n_boundary)
+    cols = np.column_stack([oi for oi, _ in steps[:half]] + [np.arange(grid.n_interior)]
+                           + [oi for oi, _ in steps[half:]])
+    vals = np.full(cols.shape, -1.0 / h2)
+    vals[:, half] = 2.0 * grid.ndim / h2
+    return _csr_rows(cols, vals, grid.n_interior)
+
+
+def _coupling_matrix(grid: WeightedGrid) -> sp.csr_matrix:
+    """B in CSR.  Boundary ordinals on the square run edge by edge, not
+    in lattice order, so its rows are sorted after assembly."""
+    cols = np.column_stack([ob for _, ob in grid.stencil_neighbours()])
+    B = _csr_rows(cols, np.full(cols.shape, 1.0 / grid.h ** 2), grid.n_boundary)
     B.sort_indices()
-    return _csr_rows(cols_a, vals_a, ni), B
+    return B
 
 
 def _csr_rows(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
@@ -95,17 +113,26 @@ def _lu_factor(M: sp.csc_matrix, permc_spec: str):
                      panel_size=PANEL_SIZE)
 
 
+def _diagonal_slots(M: sp.csr_matrix) -> np.ndarray:
+    """Data index of each row's diagonal entry, in row order, for a
+    canonical CSR matrix whose every row holds its diagonal."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    return np.flatnonzero(M.indices == rows)
+
+
 @dataclass
 class KernelSet:
     """Assembled operators plus the derived fields the solvers lean on.
 
-    The first read of `rho_star` or `eigenvalue` computes and keeps both;
-    `eig_iterations` counts its inverse-power steps and reads 0 until then.
+    `assemble` fills in A (`lap`), its LU and `zeta0`.  The first read of
+    `coupling` builds B; the first read of `rho_star` or `eigenvalue`
+    computes and keeps both; `eig_iterations` counts its inverse-power
+    steps and reads 0 until then.  `factor_shifted` writes each shifted
+    matrix into a copy of A's permuted data (module docstring).
     """
 
     grid: WeightedGrid
     lap: sp.csr_matrix
-    coupling: sp.csr_matrix
     zeta0: np.ndarray = None
     eig_iterations: int = 0
     _lu: object = field(default=None, repr=False)
@@ -113,6 +140,11 @@ class KernelSet:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (Ni,) or (Ni, k)."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
+
+    @cached_property
+    def coupling(self) -> sp.csr_matrix:
+        """B in CSR, built on first read."""
+        return _coupling_matrix(self.grid)
 
     @cached_property
     def coupling_transpose(self) -> sp.csr_matrix:
@@ -142,23 +174,32 @@ class KernelSet:
 
     @cached_property
     def _shifted_pattern(self):
-        """A's column order and A permuted symmetrically into it."""
+        """A's column order, A permuted symmetrically into it (canonical
+        CSR) and the data slots of its diagonal."""
         order = np.argsort(self._lu.perm_c)
-        return order, self.lap[order][:, order]
+        Ap = self.lap[order][:, order]
+        Ap.sort_indices()
+        return order, Ap, _diagonal_slots(Ap)
 
     def factor_shifted(self, d: np.ndarray, free: np.ndarray | None = None):
         """Factor (A + diag(d)) restricted to the `free` nodes (all nodes
         when None) in A's column order; returns its solve, which maps rhs
         indexed like `free` to x with (A + diag(d))_FF x = rhs."""
-        order, Ap = self._shifted_pattern
+        order, block, diag = self._shifted_pattern
         if free is None:
-            keep, block = order, Ap
+            keep = order
         else:
             pos = self._lu.perm_c[free]
             keep = np.argsort(pos)
-            block = Ap[pos[keep]][:, pos[keep]]
+            # a principal block of a canonical matrix, in ascending order
+            block = block[pos[keep]][:, pos[keep]]
+            diag = _diagonal_slots(block)
             d = d[free]
-        lu = _lu_factor((block + sp.diags(d[keep])).tocsc(), "NATURAL")
+        data = block.data.copy()
+        data[diag] += d[keep]
+        # symmetric, so its CSR arrays are its CSC arrays
+        lu = _lu_factor(sp.csc_matrix((data, block.indices, block.indptr),
+                                      shape=block.shape), "NATURAL")
 
         def solve(rhs: np.ndarray) -> np.ndarray:
             x = np.empty_like(rhs)
@@ -168,10 +209,10 @@ class KernelSet:
 
 
 def assemble(grid: WeightedGrid) -> KernelSet:
-    """Assemble A and B, factor A and solve for the torsion field."""
-    A, B = _assemble_matrices(grid)
-    ks = KernelSet(grid=grid, lap=A, coupling=B,
-                   _lu=_lu_factor(A.tocsc(), PERMC_SPEC))
+    """Assemble A, factor it and solve for the torsion field."""
+    A = _stencil_matrix(grid)
+    # A is symmetric: its transpose is a CSC view of the same arrays
+    ks = KernelSet(grid=grid, lap=A, _lu=_lu_factor(A.T, PERMC_SPEC))
     ks.zeta0 = ks.solve(np.ones(grid.n_interior))
     return ks
 

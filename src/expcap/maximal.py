@@ -35,12 +35,14 @@ sums wrap across a row and mean nothing.  The max over the anchors a,
 a-e1, a-e2, a-e1-e2 is two maxima of shifted runs, offsets 0 and -1,
 then 0 and -W, read from buffers led by W + 1 entries of -inf.  A valid
 anchor of the next size reads V_{s+1} only at columns -1..k-1 and rows
--1..k-1, so before it does, -inf goes on V_{s+1}'s junk column k-1, its
-column W-1 (read as column -1 of the next row) and the row after its
-last; then no junk value reaches a valid anchor.  In 1D only the slot
-after the last anchor needs -inf.  Two buffers alternate between V_{s+1}
-and V_s, and one more holds the first maximum; a call allocates nothing
-per size.
+-1..k-1, so before it does, -inf goes on V_{s+1}'s junk column k-1 and
+its column W-1 (read as column -1 of the next row); then no junk value
+reaches a valid anchor.  The row after V_{s+1}'s last (in 1D, the slot
+after its last anchor) needs no write: it lies past V_{s+1}'s span, and
+spans only grow as s falls, so no earlier size wrote it either and it
+still holds the -inf the buffer was allocated with.  Two buffers
+alternate between V_{s+1} and V_s, and one more holds the first maximum;
+a call allocates nothing per size.
 
 The box sums are the same expressions, in the same order, as a direct
 evaluation over every square, the division is the same, and a max is
@@ -93,10 +95,9 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
         def span(k):  # anchors 0..k-1 per axis lie in [0, span(k))
             return (k - 1) * W + k
 
-        def fence(V, k):  # -inf on columns k and -1 and on row k
+        def fence(V, k):  # -inf on columns k and -1 (row k is still -inf)
             V[lead + k:lead + k * W:W] = -np.inf
             V[lead + W - 1:lead + k * W:W] = -np.inf
-            V[lead + k * W:lead + k * W + k + 1] = -np.inf
 
         def box_sums(s, out):
             m = out.size
@@ -110,8 +111,8 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
         def span(k):
             return k
 
-        def fence(V, k):
-            V[lead + k] = -np.inf
+        def fence(V, k):  # slot k is still -inf
+            pass
 
         def box_sums(s, out):
             np.subtract(S[s:s + out.size], S[:out.size], out=out)

@@ -67,6 +67,17 @@ nonpositive off-diagonals, so the row keeps at least w's residual.  The
 truncation ladder starts each level from the solution one level up (a
 level with the same data then takes one step).
 
+It also hands each level the last Jacobian the level above factored, at
+some iterate u_f of that solve.  The iterates above only decreased, so
+u_f >= u_above, and the new start min(u_0, u_above) <= u_above <= u_f.
+The new iterates only decrease from there, so J_f >= F'(u_m) at every
+one of them, and the chord argument above holds as it stands: every
+step is monotone and every iterate a supersolution for the new data.
+The handed factor is kept while its contraction bound at the start is
+at most REUSE_TOL, and its first step stops only when the bound times
+the step is at rounding.  A level with the same data as the one above
+starts at that solution, and its one step factors nothing.
+
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
 potential-integrability screen over a refinement ladder, and the
@@ -115,7 +126,8 @@ class SolveReport:
 
 def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] = None,
                       mask: Optional[np.ndarray] = None,
-                      upper: Optional[np.ndarray] = None) -> SolveReport:
+                      upper: Optional[np.ndarray] = None,
+                      jacobian: Optional[list] = None) -> SolveReport:
     """Newton solve of A u + mask (e^u - 1) = b.
 
     `b` is the full load, boundary data included; `gdata` only sets the
@@ -125,6 +137,12 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     does on its hole.  `upper`, when given, is a known supersolution for
     `b` (say the solution for larger data), and the start is lowered to
     it (module docstring).
+
+    `jacobian`, when given, is a list that is empty or holds
+    [solve, u_f]: the solve of a factored A + diag(mask e^{u_f}), with
+    u_f >= the start nodewise (as when `upper` is the solution that
+    factor led to).  The solve starts with that factor while its
+    contraction bound allows, and leaves its own last factor there.
     """
     A = ks.lap
     if mask is None:
@@ -154,6 +172,12 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     supersolution = True
     factorizations = 0
     refactor = True
+    if jacobian:
+        # a handed-down factor; `last` = 0 marks no step taken with it yet
+        solve, u_f = jacobian
+        jacobian.clear()
+        last = 0.0
+        refactor = _contraction_bound(u_f, u, on) > REUSE_TOL
     for it in range(1, limit + 1):
         r = A @ u + mask * np.expm1(u) - b
         res_hist.append(float(np.abs(r).max()))
@@ -169,10 +193,12 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
             monotone = False
         u = u + delta
         step = float(np.abs(delta).max())
-        # the factor's contraction bound at the new iterate (module docstring)
-        bound = -float(np.expm1(-(u_f - u)[on].max(initial=0.0)))
+        bound = _contraction_bound(u_f, u, on)
         rounding = np.finfo(float).eps * max(1.0, float(np.abs(u).max()))
-        if step < STEP_TOL and min(bound, step / last) * step <= rounding:
+        # about q s is left: q is 0 after a fresh factor (q <= s), the bound
+        # on a handed-down factor's first step, else the bound or the ratio
+        q = min(bound, step / last) if last else bound
+        if step < STEP_TOL and q * step <= rounding:
             r = A @ u + mask * np.expm1(u) - b
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
@@ -180,10 +206,12 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
                     "step converged but residual %.3e above tolerance" % res_hist[-1]
                 )
             break
-        refactor = bound > REUSE_TOL or step >= last
+        refactor = bound > REUSE_TOL or 0.0 < last <= step
         last = step
     else:
         raise NoConvergence(f"no convergence in {limit} outer steps")
+    if jacobian is not None:
+        jacobian[:] = solve, u_f
 
     uf = Field(ks.grid, u,
                gdata.copy() if gdata is not None else np.zeros(ks.grid.n_boundary))
@@ -200,6 +228,12 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
         mass_bound_integral=integrate(u + absorb * ks.zeta0, ks.grid, "lebesgue"),
         data_max=float(np.abs(b).max(initial=0.0)),
     )
+
+
+def _contraction_bound(u_f: np.ndarray, u: np.ndarray, on: np.ndarray) -> float:
+    """q = 1 - exp(-max(u_f - u)) over the absorbing nodes: the contraction
+    bound of a factor taken at u_f, at the iterate u (module docstring)."""
+    return -float(np.expm1(-(u_f - u)[on].max(initial=0.0)))
 
 
 def solve_interior(mu: InteriorMeasure, ks: KernelSet) -> SolveReport:
@@ -255,14 +289,17 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
     total = mu.total_mass
 
     # top-down from the clipped start, each level started from the one
-    # above (module docstring); a row's gain is set once the next is solved
+    # above with its last Jacobian factor (module docstring); a row's gain
+    # is set once the next is solved
     rows = []
     above = final = None
+    jacobian = []
     monotone = True
     for k in TRUNCATION_LEVELS:
         data_k = mu.truncated(k)
         rep = _semilinear_solve(ks, data_k.load(ks), data_k.density_vector(),
-                                upper=None if above is None else above.u.values)
+                                upper=None if above is None else above.u.values,
+                                jacobian=jacobian)
         if above is None:
             final = rep
         else:
@@ -295,20 +332,28 @@ def default_test_basis(ks: KernelSet) -> list:
     show their leading O(h) term instead of a degenerate higher order.
     Disk: Green potentials of cosine sources, zero on the boundary ring
     by construction.
+
+    The cosines and the x(1-x) factor are evaluated on the n + 2 lattice
+    abscissae of one axis and gathered per node, which gives the same
+    values as evaluating them at every node's coordinates.
     """
     grid = ks.grid
-    x = grid.interior_coords[:, 0]
+    t = np.arange(grid.n + 2) * grid.h  # the lattice abscissae of one axis
+    bubble = t * (1.0 - t)
+    cosines = np.cos(np.pi * np.arange(10)[:, None] * t)
     if grid.shape == "interval":
-        rows = x * (1.0 - x) * np.cos(np.pi * np.arange(10)[:, None] * x)
+        ix, = grid.lattice_index()
+        rows = bubble[ix] * cosines[:, ix]
     else:
-        y = grid.interior_coords[:, 1]
-        freq = np.pi * np.arange(4)[:, None]
-        rows = np.cos(freq * x)[TEST_MODES[0]] * np.cos(freq * y)[TEST_MODES[1]]
+        ix, iy = grid.lattice_index()
+        rows = cosines[TEST_MODES[0]][:, ix] * cosines[TEST_MODES[1]][:, iy]
         if grid.shape == "disk":
             cols = ks.solve(rows.T)
             rows = (cols / np.maximum(1e-300, np.abs(cols).max(axis=0))).T
         else:
-            rows = x * (1.0 - x) * y * (1.0 - y) * rows
+            # left to right, as x(1-x) y (1-y) at each node's coordinates
+            y = t[iy]
+            rows = bubble[ix] * y * (1.0 - y) * rows
     return [Field(grid, r, np.zeros(grid.n_boundary)) for r in rows]
 
 

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 import expcap.kernels as kernels
 
-from expcap.grids import Field, build_grid, integrate
+from expcap.grids import Field, _inward_pairs, build_grid, integrate
 from expcap.kernels import (KernelSet, _assemble_matrices, _principal_eigen,
                             assemble, green_column, normal_derivative)
 
@@ -251,3 +251,51 @@ def test_factor_shifted_agrees_with_a_dense_solve(fixture, request, rng):
         exact = np.linalg.solve(J, rhs)
         x = ks.factor_shifted(d, nodes)(rhs)
         assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("shape,n", [("square", 12), ("disk", 15), ("interval", 20)])
+def test_coupling_and_inward_pairs_wait_for_their_first_read(shape, n):
+    grid = build_grid(shape, n)
+    ks = assemble(grid)
+    assert "coupling" not in vars(ks)
+    assert "boundary_inward" not in vars(grid)
+    _, B = _assemble_matrices(build_grid(shape, n))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ks.coupling, attr), getattr(B, attr))
+    assert ks.coupling is ks.coupling
+    bpos = np.rint(grid.boundary_coords / grid.h).astype(int)
+    eager = _inward_pairs(bpos, grid.boundary_normal, grid._int_of_lat, n + 2)
+    assert np.array_equal(grid.boundary_inward, eager)
+    assert grid.boundary_inward is grid.boundary_inward
+
+
+def _same_csc(M, ref):
+    return (M.format == ref.format == "csc" and M.shape == ref.shape
+            and all(np.array_equal(getattr(M, a), getattr(ref, a))
+                    for a in ("data", "indices", "indptr")))
+
+
+def test_superlu_reads_the_matrices_a_sparse_sum_would_build(ks16, ks_disk, ks_interval,
+                                                            rng, monkeypatch):
+    # A goes to SuperLU as its CSC form, and a shifted matrix written in
+    # place on A's permuted pattern carries the entries, indices and
+    # pointers of (A_perm + diag(d)).tocsc(), on all nodes and on a block
+    handed = []
+    lu_factor = kernels._lu_factor
+    monkeypatch.setattr(kernels, "_lu_factor",
+                        lambda M, spec: handed.append(M) or lu_factor(M, spec))
+    for ks in (ks16, ks_disk, ks_interval):
+        fresh = assemble(ks.grid)
+        assert _same_csc(handed.pop(), fresh.lap.tocsc())
+        n = ks.grid.n_interior
+        d = rng.uniform(0.0, 50.0, n) * (rng.uniform(size=n) < 0.8)
+        order = np.argsort(ks._lu.perm_c)
+        Ap = ks.lap[order][:, order]
+        ks.factor_shifted(d)
+        assert _same_csc(handed.pop(), (Ap + sp.diags(d[order])).tocsc())
+        free = np.flatnonzero(rng.uniform(size=n) < 0.7)
+        pos = ks._lu.perm_c[free]
+        sel = np.sort(pos)
+        ks.factor_shifted(d, free)
+        ref = (Ap[sel][:, sel] + sp.diags(d[free][np.argsort(pos)])).tocsc()
+        assert _same_csc(handed.pop(), ref)

@@ -79,14 +79,18 @@ def test_cascade_matches_every_square(shape, n, rng):
     # grids run deep cascades whose early sizes are mostly junk anchors
     # between rows of the flat layout; a field of two spikes leaves most
     # true averages small, so a junk anchor read in place of a fenced one
-    # would show.
+    # would show.  The dyadic field is not integer but its sums are still
+    # exact (multiples of 2^-15 below 2^12, 37 bits for the largest cube),
+    # and its magnitudes spread over sixteen octaves.
     grid = build_grid(shape, n)
     for pad in (0, 1, 2):
         signed = rng.integers(-9, 10, grid.n_interior).astype(float)
         sparse = signed * (rng.random(grid.n_interior) < 0.3)
         spikes = np.zeros(grid.n_interior)
         spikes[rng.choice(grid.n_interior, 2, replace=False)] = rng.integers(1, 10, 2)
-        for f in (signed, sparse, spikes):
+        dyadic = (rng.integers(-2 ** 12, 2 ** 12, grid.n_interior)
+                  * 2.0 ** -rng.integers(0, 16, grid.n_interior))
+        for f in (signed, sparse, spikes, dyadic):
             got = maximal_function(f, grid, pad)
             assert np.array_equal(got, _brute_force_maximal(_padded(grid, f, pad)))
         g = rng.standard_normal(grid.n_interior)

@@ -77,6 +77,37 @@ def test_truncation_ladder_structure(ks32):
         assert np.abs(rep.final.u.values - direct.u.values).max() < 1e-10
 
 
+def test_truncation_ladder_hands_its_factor_down(ks32, monkeypatch):
+    # each level starts below the last factor of the level above, so that
+    # factor still certifies its steps: a ladder whose levels carry the
+    # same data factors only at the top, and one whose caps cut the data
+    # still lands every level on its cold solve
+    grid = ks32.grid
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    nb = grid.n_boundary
+    reports = []
+    orig = solver._semilinear_solve
+    monkeypatch.setattr(solver, "_semilinear_solve",
+                        lambda *a, **kw: reports.append(orig(*a, **kw)) or reports[-1])
+    factored = _count_factorizations(monkeypatch)
+    same = BoundaryMeasure(grid, atoms=[(bm, 1.0)], density=np.full(nb, 1.0))
+    cut = BoundaryMeasure(grid, atoms=[(bm, 1.0)], density=np.linspace(0.0, 6.0, nb))
+    for mu in (same, cut):
+        del reports[:]
+        factored[0] = 0
+        rep = truncation_scheme(mu, ks32)
+        assert factored[0] == sum(r.factorizations for r in reports)
+        if mu is same:
+            assert factored[0] == rep.final.factorizations == 4
+        assert len(reports) == len(solver.TRUNCATION_LEVELS)
+        for k, r in zip(solver.TRUNCATION_LEVELS, reports):
+            assert r.monotone and r.supersolution
+            ref = orig(ks32, mu.truncated(k).load(ks32)).u.values
+            assert np.abs(r.u.values - ref).max() <= 1e-13
+    # the caps at 4, 2 and 1 cut the density, so those levels refactor
+    assert factored[0] > rep.final.factorizations
+
+
 def test_keller_osserman_diagnostic_is_uniformly_bounded(ks32):
     grid = ks32.grid
     bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
@@ -165,9 +196,26 @@ def _test_basis_per_field(ks):
     return out
 
 
+def _test_basis_at_every_node(ks):
+    """The stack evaluated at every node's own coordinates."""
+    grid = ks.grid
+    x = grid.interior_coords[:, 0]
+    if grid.shape == "interval":
+        return x * (1.0 - x) * np.cos(np.pi * np.arange(10)[:, None] * x)
+    y = grid.interior_coords[:, 1]
+    freq = np.pi * np.arange(4)[:, None]
+    rows = np.cos(freq * x)[solver.TEST_MODES[0]] * np.cos(freq * y)[solver.TEST_MODES[1]]
+    if grid.shape == "disk":
+        cols = ks.solve(rows.T)
+        return (cols / np.maximum(1e-300, np.abs(cols).max(axis=0))).T
+    return x * (1.0 - x) * y * (1.0 - y) * rows
+
+
 def test_test_basis_matches_the_per_field_loop(ks32, ks_disk, ks_interval):
     # the same products on square and interval; the disk solves the
-    # stack in one batch, which may round differently
+    # stack in one batch, which may round differently.  Evaluated per
+    # axis and gathered, the stack has the bits of the one evaluated at
+    # every node.
     for ks, tol in ((ks32, 0.0), (ks_interval, 0.0),
                     (ks_disk, 16 * np.finfo(float).eps)):
         basis = default_test_basis(ks)
@@ -176,6 +224,8 @@ def test_test_basis_matches_the_per_field_loop(ks32, ks_disk, ks_interval):
         for zeta, want in zip(basis, ref):
             assert np.abs(zeta.values - want).max() <= tol
             assert np.all(zeta.boundary_values == 0.0)
+        assert np.array_equal(np.array([zeta.values for zeta in basis]),
+                              _test_basis_at_every_node(ks))
 
 
 def test_admissibility_ladder_verdicts():
