@@ -10,7 +10,7 @@ programs (`capacity`), and batch experiments with a CLI
 from .errors import (BadInput, ExpcapError, GridMismatch, Infeasible,
                      LadderTooCoarse, NoConvergence, NotAdmissible,
                      NotComparable, OverflowInIntegrand, SolverDiverged,
-                     SupportError, TestNotAdmissible, TooCoarse, ZeroField)
+                     SupportError, TooCoarse, ZeroField)
 from .nfunctions import (NFunction, exponential_pair, pstar_sandwich,
                          quadratic_pair, young_gap)
 from .grids import (Field, WeightedGrid, build_grid, dump_field_csv,

@@ -106,8 +106,9 @@ class CapacityOptions:
     dual_iters: int = 800
 
     def __post_init__(self):
-        if self.dilation < 0:
-            raise BadInput(f"dilation must be >= 0, got {self.dilation}")
+        for name in ("dilation", "maxiter", "dual_iters"):
+            if getattr(self, name) < 0:
+                raise BadInput(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 PAIR_GAP_TOL = 1e-9  # relative gap at which a pair's bracket proves it optimal

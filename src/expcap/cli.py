@@ -148,22 +148,21 @@ def _cmd_kernel(args) -> int:
     ones = ks.solve(ks.coupling @ np.ones(grid.n_boundary))
     print(f"harmonic partition deviation = {np.abs(ones - 1.0).max():.3e}")
     if args.dump_torsion:
-        dump_field_csv(Field(grid, ks.zeta0, np.zeros(grid.n_boundary)),
-                       args.dump_torsion)
+        dump_field_csv(Field(grid, ks.zeta0), args.dump_torsion)
         print(f"torsion field written to {args.dump_torsion}")
     return 0
 
 
 def _cmd_solve(args) -> int:
-    ks = assemble(build_grid(args.shape, args.n))
     kind = ("boundary" if args.boundary_atoms or args.boundary_constant is not None
             else "interior")
     if kind == "boundary" and (args.interior_atoms or args.interior_constant is not None):
-        raise SystemExit("choose boundary data or an interior source, not both")
+        raise BadInput("choose boundary data or an interior source, not both")
+    ks = assemble(build_grid(args.shape, args.n))
     atoms = _parse_atoms(getattr(args, f"{kind}_atoms") or "", ks.grid.ndim)
     const = getattr(args, f"{kind}_constant")
     density = None if const is None else lambda coords, h: np.full(len(coords), const)
-    mu = MeasureSpec(kind, atoms=atoms, density=density, name="cli").instantiate(ks.grid)
+    mu = MeasureSpec(kind, atoms=atoms, density=density).instantiate(ks.grid)
     if kind == "interior":
         if args.truncation:
             print("truncation ladder applies to boundary data only; ignoring")
@@ -210,8 +209,7 @@ def _cmd_capacity(args) -> int:
     print(f"gap    = {100.0 * gap:.3g}% of primal")
     if args.dump_eta and est.eta_star is not None:
         if args.kind == "interior":
-            dump_field_csv(Field(grid, est.eta_star, np.zeros(grid.n_boundary)),
-                           args.dump_eta)
+            dump_field_csv(Field(grid, est.eta_star), args.dump_eta)
         else:
             np.savetxt(args.dump_eta, est.eta_star, delimiter=",", fmt="%.17g")
         print(f"minimiser written to {args.dump_eta}")

@@ -48,10 +48,6 @@ class NotComparable(ExpcapError):
     """Comparison requested between measures without nodewise ordering."""
 
 
-class TestNotAdmissible(ExpcapError):
-    """A weak-form test function does not vanish on the boundary nodes."""
-
-
 class Infeasible(ExpcapError):
     """A capacity program or cutoff family has an empty feasible set."""
 

@@ -203,7 +203,7 @@ def run_removability_threshold(cfg: ExperimentConfig) -> RemovabilityResult:
     rows = []
     admissible, divergent = [], []
     for m in sorted(cfg.masses):
-        spec = MeasureSpec("interior", atoms=((center, m),), name=f"atom-{m:g}")
+        spec = MeasureSpec("interior", atoms=((center, m),))
         rep = admissibility_test(spec, ladder, slope_tol=cfg.slope_tol)
         rows.append((m, rep.slope, rep.verdict))
         (admissible if rep.verdict == "Admissible" else divergent).append(m)
@@ -288,13 +288,11 @@ def run_vanishing_inequality(cfg: ExperimentConfig) -> VanishingResult:
     center = _domain_center(shape)
 
     rows = []
-    mu1 = MeasureSpec("interior", atoms=((center, 1.0),),
-                      name="unit-atom").instantiate(grid)
+    mu1 = MeasureSpec("interior", atoms=((center, 1.0),)).instantiate(grid)
     K1 = target_nodes(grid, "interior", "center")
     rows += _interior_triple("interior-charged", mu1, K1, ks, cfg.radii)
 
-    mu2 = MeasureSpec("interior", atoms=(((0.25,) * grid.ndim, 2.0),),
-                      name="off-atom").instantiate(grid)
+    mu2 = MeasureSpec("interior", atoms=(((0.25,) * grid.ndim, 2.0),)).instantiate(grid)
     rows += _interior_triple("interior-slack", mu2, K1, ks, cfg.radii)
 
     Kb = target_nodes(grid, "boundary", "bottom-mid" if shape == "square"

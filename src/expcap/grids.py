@@ -4,15 +4,20 @@ Conventions used throughout the package:
 
 * the lattice has points a*h per axis, a = 0..n+1, with h = 1/(n+1);
   `n` counts interior nodes per axis on the interval and square;
-* interior nodes carry fields and the quadrature weight h^d (midpoint
-  rule), so the constant 1 on the square integrates to (n/(n+1))^2;
+* a field is an array of its values on the interior nodes, in ordinal
+  order, and is zero on the boundary nodes; `WeightedGrid.interior_values`
+  checks its shape, and `Field` pairs it with its grid where the grid
+  travels with the values (solutions, CSV files);
+* interior nodes carry the quadrature weight h^d (midpoint rule), so
+  the constant 1 on the square integrates to (n/(n+1))^2;
 * every shape is a mask on the (n+2)^d lattice: interior nodes lie in
   the inner block (index 1..n on every axis), on the disk also strictly
   inside the inscribed circle (centre (1/2,1/2), radius 1/2), so no
   interior node sits on the lattice edge; boundary nodes are the
   outside nodes stencil-adjacent to an interior one, in lattice order
   (the square's edge by edge), and square corners never enter;
-* boundary nodes carry Dirichlet data and the surface weight h^(d-1);
+* boundary nodes carry Dirichlet data, which enters as a measure's load
+  (`measures`), and the surface weight h^(d-1);
 * rho is the distance to the boundary (exact formulas, not a solve):
   min(x, 1-x, ...) on interval/square, R - |x-c| on the disk;
 * only this module knows which lattice cell holds which node: other
@@ -26,8 +31,6 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -82,6 +85,15 @@ class WeightedGrid:
             raise GridMismatch(
                 f"grids differ: ({self.shape}, n={self.n}) vs ({other.shape}, n={other.n})"
             )
+
+    def interior_values(self, f) -> np.ndarray:
+        """`f` as a float array of shape (n_interior,), or GridMismatch."""
+        vals = np.asarray(f, dtype=float)
+        if vals.shape != (self.n_interior,):
+            raise GridMismatch(
+                f"field has {vals.shape} values, grid has {self.n_interior} interior nodes"
+            )
+        return vals
 
     def weight_vector(self, weight: str = "lebesgue") -> np.ndarray:
         """Quadrature weights w_i * h^d over interior nodes, built with the
@@ -178,22 +190,13 @@ class WeightedGrid:
 
 @dataclass
 class Field:
-    """Values on the interior nodes of a grid, optional boundary trace."""
+    """Interior values together with the grid they live on."""
 
     grid: WeightedGrid
     values: np.ndarray
-    boundary_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_interior,):
-            raise GridMismatch(
-                f"field has {self.values.shape} values, grid has {self.grid.n_interior} interior nodes"
-            )
-        if self.boundary_values is not None:
-            self.boundary_values = np.asarray(self.boundary_values, dtype=float)
-            if self.boundary_values.shape != (self.grid.n_boundary,):
-                raise GridMismatch("boundary trace has wrong length")
+        self.values = self.grid.interior_values(self.values)
 
 
 def build_grid(shape: str, n: int) -> WeightedGrid:
@@ -297,10 +300,7 @@ def _inward_pairs(bpos, normal, int_of_lat, m: int) -> np.ndarray:
 
 def integrate(f, grid: WeightedGrid, weight: str = "lebesgue") -> float:
     """Midpoint quadrature sum f_i w_i h^d over interior nodes."""
-    vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-    if vals.shape != (grid.n_interior,):
-        raise GridMismatch("integrand length does not match grid")
-    return float(vals @ grid.weight_vector(weight))
+    return float(grid.interior_values(f) @ grid.weight_vector(weight))
 
 
 def dump_field_csv(f: Field, path: str) -> None:

@@ -57,7 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import SolverDiverged
-from .grids import Field, WeightedGrid
+from .grids import WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
@@ -69,11 +69,6 @@ PERMC_SPEC = "MMD_AT_PLUS_A"
 # module docstring says why.
 SUPERNODE_RELAX = 1
 PANEL_SIZE = 1
-
-
-def _assemble_matrices(grid: WeightedGrid):
-    """A (interior x interior) and B (interior x boundary) in CSR."""
-    return _stencil_matrix(grid), _coupling_matrix(grid)
 
 
 def _stencil_matrix(grid: WeightedGrid) -> sp.csr_matrix:
@@ -245,36 +240,28 @@ def green_column(ks: KernelSet, nodes: int | np.ndarray) -> np.ndarray:
     return ks.solve(e.reshape((-1,) + nodes.shape))
 
 
-def normal_derivative(ks: KernelSet, f: Field | np.ndarray, order: int = 2) -> np.ndarray:
-    """Outward normal derivative of a field at every boundary node.
+def normal_derivative(ks: KernelSet, values: np.ndarray, order: int = 2) -> np.ndarray:
+    """Outward normal derivative at every boundary node of a field that is
+    zero on the boundary.
 
-    `f` is a Field, or an (Ni, k) stack of interior values with a zero
-    boundary trace, one field per column, whose derivatives come back as
-    the columns of an (Nb, k) array.
+    `values` holds the field's interior values, (Ni,), or an (Ni, k)
+    stack of k such fields, one per column, whose derivatives come back
+    as the columns of an (Nb, k) array.
 
     order=2: one-sided second-order difference along the stencil-rounded
-    inward direction, (3 f_b - 4 f_1 + f_2) / (2h), and order 1 where
-    two inward steps do not exist.
+    inward direction, (3 f_b - 4 f_1 + f_2) / (2h) with f_b = 0, and
+    order 1 where two inward steps do not exist.
     order=1: the flux implied by the discrete Green identity,
-    (deg_b f_b - sum of adjacent interior values) / h; with this choice
-    the weak residual of a converged boundary solve vanishes to solver
-    precision on every shape.
+    (deg_b f_b - sum of adjacent interior values) / h with f_b = 0; with
+    this choice the weak residual of a converged boundary solve vanishes
+    to solver precision on every shape.
     """
-    grid = ks.grid
-    if isinstance(f, Field):
-        grid.require_same(f.grid)
-        values, fb = f.values, f.boundary_values
-    else:
-        values, fb = f, None
-    if fb is None:
-        fb = np.zeros((grid.n_boundary,) + values.shape[1:])
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    adjacent = ks.coupling_transpose.astype(bool)
-    degree = np.asarray(adjacent.sum(axis=1)).reshape((-1,) + (1,) * (values.ndim - 1))
-    out = (degree * fb - adjacent @ values) / grid.h
+    grid = ks.grid
+    out = -(ks.coupling_transpose.astype(bool) @ values) / grid.h
     if order == 2:
         i1, i2 = grid.boundary_inward.T
         ok = (i1 >= 0) & (i2 >= 0)
-        out[ok] = (3.0 * fb[ok] - 4.0 * values[i1[ok]] + values[i2[ok]]) / (2.0 * grid.h)
+        out[ok] = (values[i2[ok]] - 4.0 * values[i1[ok]]) / (2.0 * grid.h)
     return out

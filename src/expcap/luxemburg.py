@@ -63,26 +63,14 @@ import math
 
 import numpy as np
 
-from .errors import GridMismatch, OverflowInIntegrand, ZeroField
-from .grids import Field, WeightedGrid
+from .errors import OverflowInIntegrand, ZeroField
+from .grids import WeightedGrid
 from .nfunctions import NFunction
 
 LEVEL_STEP = math.log(2.0)  # step in log x where Newton leaves an open bracket
 LEVEL_ULPS = 4.0          # stop: Newton step within this many ulps of max(1, |t|)
 LEVEL_NOISE = 1e-9        # stop: a step below this that no longer shrinks
 LEVEL_MAXIT = 200         # cap on level evaluations per root
-
-
-def _resolve(f, grid: WeightedGrid):
-    if isinstance(f, Field):
-        grid.require_same(f.grid)
-        return np.asarray(f.values, dtype=float)
-    vals = np.asarray(f, dtype=float)
-    if vals.shape != (grid.n_interior,):
-        raise GridMismatch(
-            f"field of length {vals.shape} on a grid with {grid.n_interior} interior nodes"
-        )
-    return vals
 
 
 def _side_fns(nf: NFunction, side: str):
@@ -157,7 +145,7 @@ def luxemburg_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal"
     equation in log k (see the module docstring); exact 0 for the zero
     field."""
     level, _ = _side_fns(nf, side)
-    rmax, t, _, _ = _gauge_root(_resolve(f, grid), grid.weight_vector(weight),
+    rmax, t, _, _ = _gauge_root(grid.interior_values(f), grid.weight_vector(weight),
                                 level, scale)
     return 0.0 if t is None else rmax * math.exp(-t)
 
@@ -174,7 +162,7 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     level evaluator returned there, and one density pass gives
     g = sign(f) (W / c) n(s) / D.  Returns (norm, g).
     """
-    vals = _resolve(f, grid)
+    vals = grid.interior_values(f)
     W = grid.weight_vector(weight)
     level, dens = _side_fns(nf, side)
     rmax, t, sn, b = _gauge_root(vals, W, level, scale)
@@ -199,7 +187,7 @@ def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
     never below the exact norm.  At k the envelope theorem gives the
     gradient of the norm in f as n(k f) W.
     """
-    vals = _resolve(f, grid)
+    vals = grid.interior_values(f)
     if not np.all(np.isfinite(vals)):
         raise OverflowInIntegrand("field contains non-finite values")
     a = np.abs(vals)
@@ -223,7 +211,7 @@ def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
 def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                 weight: str = "lebesgue") -> float:
     """Amemiya form of the Orlicz norm (exact dual of the complementary gauge)."""
-    vals = _resolve(f, grid)
+    vals = grid.interior_values(f)
     if float(np.abs(vals).max(initial=0.0)) == 0.0:
         return 0.0
     return orlicz_norm_and_argmin(vals, grid, nf, side, weight)[0]

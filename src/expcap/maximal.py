@@ -62,8 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import Field, WeightedGrid
-from .errors import GridMismatch
+from .grids import WeightedGrid
 
 
 def _sat(F: np.ndarray) -> np.ndarray:
@@ -80,9 +79,7 @@ def _sat(F: np.ndarray) -> np.ndarray:
 def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
     """M[f] on every cell of the padded cube (flat interior values via
     `maximal_interior`), by the flat cascade of the module docstring."""
-    vals = f.values if isinstance(f, Field) else np.asarray(f, dtype=float)
-    if vals.shape != (grid.n_interior,):
-        raise GridMismatch("field length does not match grid")
+    vals = grid.interior_values(f)
     if pad < 0:
         raise ValueError("pad must be >= 0")
     full = grid.to_lattice(np.abs(vals), pad)

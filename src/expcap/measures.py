@@ -116,7 +116,6 @@ class MeasureSpec:
     kind: str  # "interior" | "boundary"
     atoms: tuple = ()
     density: Optional[Callable] = None
-    name: str = ""
 
     def instantiate(self, grid: WeightedGrid):
         coords = grid.coords(self.kind)

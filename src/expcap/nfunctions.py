@@ -61,7 +61,6 @@ class NFunction:
     are the level evaluators of the module docstring.
     """
 
-    name: str
     principal: Callable[[np.ndarray], np.ndarray]
     conjugate: Callable[[np.ndarray], np.ndarray]
     density: Callable[[np.ndarray], np.ndarray]
@@ -151,7 +150,6 @@ def _quadratic_level(x, b, W, curvature=False):
 def exponential_pair() -> NFunction:
     """The pair P(t) = e^|t| - 1 - |t|, P*(t) = (|t|+1)ln(|t|+1) - |t|."""
     return NFunction(
-        name="exponential",
         principal=_exp_P,
         conjugate=_exp_Pstar,
         density=_exp_p,
@@ -166,7 +164,6 @@ def quadratic_pair() -> NFunction:
     sq = lambda t: 0.5 * np.asarray(t, dtype=float) ** 2
     ident = lambda s: np.asarray(s, dtype=float)
     return NFunction(
-        name="quadratic",
         principal=sq,
         conjugate=sq,
         density=ident,

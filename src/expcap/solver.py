@@ -91,8 +91,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (NoConvergence, NotAdmissible, NotComparable,
-                     TestNotAdmissible)
+from .errors import NoConvergence, NotAdmissible, NotComparable
 from .grids import Field, integrate
 from .kernels import KernelSet, normal_derivative
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -124,19 +123,18 @@ class SolveReport:
     data_max: float
 
 
-def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] = None,
-                      mask: Optional[np.ndarray] = None,
+def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] = None,
                       upper: Optional[np.ndarray] = None,
                       jacobian: Optional[list] = None) -> SolveReport:
     """Newton solve of A u + mask (e^u - 1) = b.
 
-    `b` is the full load, boundary data included; `gdata` only sets the
-    boundary trace the solution carries (zero when None).  `mask`
-    weights the absorption per interior node (all ones when None); a
-    zero drops the equation's absorption there, as the punctured solve
-    does on its hole.  `upper`, when given, is a known supersolution for
-    `b` (say the solution for larger data), and the start is lowered to
-    it (module docstring).
+    `b` is the full load, boundary data included; the solution is zero
+    on the boundary nodes like every field, and boundary data acts only
+    through `b`.  `mask` weights the absorption per interior node (all
+    ones when None); a zero drops the equation's absorption there, as
+    the punctured solve does on its hole.  `upper`, when given, is a
+    known supersolution for `b` (say the solution for larger data), and
+    the start is lowered to it (module docstring).
 
     `jacobian`, when given, is a list that is empty or holds
     [solve, u_f]: the solve of a factored A + diag(mask e^{u_f}), with
@@ -213,11 +211,9 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, gdata: Optional[np.ndarray] 
     if jacobian is not None:
         jacobian[:] = solve, u_f
 
-    uf = Field(ks.grid, u,
-               gdata.copy() if gdata is not None else np.zeros(ks.grid.n_boundary))
     absorb = np.expm1(u)
     return SolveReport(
-        u=uf,
+        u=Field(ks.grid, u),
         iterations=it,
         factorizations=factorizations,
         residual_history=res_hist,
@@ -243,7 +239,7 @@ def solve_interior(mu: InteriorMeasure, ks: KernelSet) -> SolveReport:
 
 def solve_boundary(mu: BoundaryMeasure, ks: KernelSet) -> SolveReport:
     """Boundary measure as Dirichlet data, no interior source."""
-    return _semilinear_solve(ks, mu.load(ks), mu.density_vector())
+    return _semilinear_solve(ks, mu.load(ks))
 
 
 @dataclass
@@ -284,8 +280,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
     if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
         raise NotAdmissible("singular part already overflows exp at this grid")
 
-    zeta0 = Field(ks.grid, ks.zeta0, np.zeros(ks.grid.n_boundary))
-    c_flux = float(np.abs(normal_derivative(ks, zeta0, order=2)).max())
+    c_flux = float(np.abs(normal_derivative(ks, ks.zeta0, order=2)).max())
     total = mu.total_mass
 
     # top-down from the clipped start, each level started from the one
@@ -297,7 +292,7 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
     monotone = True
     for k in TRUNCATION_LEVELS:
         data_k = mu.truncated(k)
-        rep = _semilinear_solve(ks, data_k.load(ks), data_k.density_vector(),
+        rep = _semilinear_solve(ks, data_k.load(ks),
                                 upper=None if above is None else above.u.values,
                                 jacobian=jacobian)
         if above is None:
@@ -322,8 +317,9 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
 # ---------------------------------------------------------------------------
 # weak residual
 
-def default_test_basis(ks: KernelSet) -> list:
-    """Ten smooth discrete test fields vanishing on the boundary nodes.
+def default_test_basis(ks: KernelSet) -> np.ndarray:
+    """Ten smooth discrete test fields vanishing on the boundary nodes, as
+    the columns of a C-ordered (Ni, 10) array.
 
     Square/interval: bubble-times-cosine products x(1-x) cos(i pi x)
     (and the y factor in 2D; TEST_MODES holds the ten (i, j) of least
@@ -349,40 +345,38 @@ def default_test_basis(ks: KernelSet) -> list:
         rows = cosines[TEST_MODES[0]][:, ix] * cosines[TEST_MODES[1]][:, iy]
         if grid.shape == "disk":
             cols = ks.solve(rows.T)
-            rows = (cols / np.maximum(1e-300, np.abs(cols).max(axis=0))).T
-        else:
-            # left to right, as x(1-x) y (1-y) at each node's coordinates
-            y = t[iy]
-            rows = bubble[ix] * y * (1.0 - y) * rows
-    return [Field(grid, r, np.zeros(grid.n_boundary)) for r in rows]
+            cols /= np.maximum(1e-300, np.abs(cols).max(axis=0))
+            return np.ascontiguousarray(cols)
+        # left to right, as x(1-x) y (1-y) at each node's coordinates
+        y = t[iy]
+        rows = bubble[ix] * y * (1.0 - y) * rows
+    return np.ascontiguousarray(rows.T)
 
 
-def weak_residual(u: Field, mu, ks: KernelSet, tests: Sequence[Field],
+def weak_residual(u: Field, mu, ks: KernelSet, tests: np.ndarray,
                   flux_order: int = 2):
-    """R(zeta) per test; returns (max |R|, list of R).
+    """R(zeta) per test; returns (max |R|, array of R).
+
+    `tests` holds one test field per column, an (Ni, k) array of
+    interior values of fields that vanish on the boundary nodes (as
+    `default_test_basis` returns).
 
     For boundary data: R = int(-u Lap zeta + (e^u - 1) zeta) dx
                            + int d(zeta)/dnu dmu.
     For interior data: R = int(-u Lap zeta + (e^u - 1) zeta) dx
                            - int zeta dmu.
-    Tests must vanish at the boundary nodes (TestNotAdmissible otherwise).
     flux_order=1 uses the Green-identity-consistent flux (residuals at
     solver precision for converged solves); flux_order=2 the one-sided
     second-order difference (residuals of order h).
     """
     grid = ks.grid
     grid.require_same(u.grid)
-    for zeta in tests:
-        grid.require_same(zeta.grid)
-        if zeta.boundary_values is not None and np.any(zeta.boundary_values != 0.0):
-            raise TestNotAdmissible("test function must vanish on the boundary nodes")
-    # one test per column; ks.lap @ Z = -Lap zeta with zero extension
-    Z = np.stack([zeta.values for zeta in tests], axis=1)
-    out = grid.cell_measure * (u.values @ (ks.lap @ Z) + np.expm1(u.values) @ Z)
+    # ks.lap @ tests = -Lap zeta with zero extension, one test per column
+    out = grid.cell_measure * (u.values @ (ks.lap @ tests) + np.expm1(u.values) @ tests)
     if isinstance(mu, BoundaryMeasure):
-        out += mu.node_masses() @ normal_derivative(ks, Z, order=flux_order)
+        out += mu.node_masses() @ normal_derivative(ks, tests, order=flux_order)
     elif isinstance(mu, InteriorMeasure):
-        out -= mu.node_masses() @ Z
+        out -= mu.node_masses() @ tests
     else:
         raise NotComparable("mu must be an InteriorMeasure or BoundaryMeasure")
     return float(np.abs(out).max()), out

@@ -96,9 +96,12 @@ def test_solve_interior_constant_matches_the_library(capsys):
 
 
 def test_solve_rejects_mixed_sources(capsys):
-    with pytest.raises(SystemExit):
-        main(["solve", "--n", "8", "--interior-constant", "1.0",
-              "--boundary-constant", "1.0"])
+    code = main(["solve", "--n", "8", "--interior-constant", "1.0",
+                 "--boundary-constant", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: choose boundary data or an interior source, not both\n"
 
 
 def test_capacity_pair_output(capsys):
@@ -247,6 +250,8 @@ BAD_INPUT = {
     "zero-radius": ["vanishing", "--radii", "0"],
     "no-radius": ["vanishing", "--radii", ","],
     "negative-dilation": ["capacity", "--n", "8", "--dilation", "-1"],
+    "negative-maxiter": ["capacity", "--n", "8", "--maxiter", "-1"],
+    "negative-dual-iters": ["capacity", "--n", "8", "--dual-iters", "-1"],
 }
 
 

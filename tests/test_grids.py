@@ -7,6 +7,9 @@ from expcap.errors import GridMismatch
 from expcap.grids import (Field, _inward_pairs, build_grid, dump_field_csv,
                           integrate, load_field_csv)
 from expcap.kernels import assemble
+from expcap.luxemburg import luxemburg_norm, luxemburg_subgradient, orlicz_norm
+from expcap.maximal import llnl_norm, maximal_function
+from expcap.nfunctions import exponential_pair
 
 
 def test_square_counts_and_spacing():
@@ -92,26 +95,36 @@ def test_require_same():
 
 def test_field_validation():
     g = build_grid("square", 8)
-    vals = np.zeros(g.n_interior)
-    f = Field(g, vals)
-    assert f.boundary_values is None
-    with pytest.raises(GridMismatch):
-        Field(g, np.zeros(5))
-    with pytest.raises(GridMismatch):
-        Field(g, vals, boundary_values=np.zeros(3))
+    f = Field(g, np.zeros(g.n_interior, dtype=int))
+    assert f.values.dtype == float and f.values.shape == (g.n_interior,)
+
+
+@pytest.mark.parametrize("take", [
+    lambda f, g: luxemburg_norm(f, g, exponential_pair()),
+    lambda f, g: luxemburg_subgradient(f, g, exponential_pair()),
+    lambda f, g: orlicz_norm(f, g, exponential_pair()),
+    maximal_function,
+    llnl_norm,
+    integrate,
+    lambda f, g: Field(g, f),
+], ids=["luxemburg_norm", "luxemburg_subgradient", "orlicz_norm", "maximal_function",
+        "llnl_norm", "integrate", "Field"])
+def test_wrong_length_field_is_a_grid_mismatch(take):
+    # every entry point reads a field through WeightedGrid.interior_values
+    g = build_grid("square", 7)
+    for shape in ((0,), (g.n_interior - 1,), (g.n_interior + 1,), (g.n_interior, 1)):
+        with pytest.raises(GridMismatch):
+            take(np.ones(shape), g)
 
 
 def test_csv_roundtrip(tmp_path, rng):
     g = build_grid("square", 8)
-    f = Field(g, rng.standard_normal(g.n_interior),
-              rng.standard_normal(g.n_boundary))
+    f = Field(g, rng.standard_normal(g.n_interior))
     path = str(tmp_path / "field.csv")
     dump_field_csv(f, path)
     back = load_field_csv(path)
     g.require_same(back.grid)
     assert np.abs(back.values - f.values).max() < 1e-12
-    # the CSV format persists interior values only
-    assert back.boundary_values is None
 
 
 @pytest.mark.parametrize("n", [97, 195])

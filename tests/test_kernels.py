@@ -6,9 +6,10 @@ import scipy.sparse as sp
 
 import expcap.kernels as kernels
 
-from expcap.grids import Field, _inward_pairs, build_grid, integrate
-from expcap.kernels import (KernelSet, _assemble_matrices, _principal_eigen,
-                            assemble, green_column, normal_derivative)
+from expcap.grids import _inward_pairs, build_grid, integrate
+from expcap.kernels import (KernelSet, _coupling_matrix, _principal_eigen,
+                            _stencil_matrix, assemble, green_column,
+                            normal_derivative)
 
 
 def test_interval_green_column_exact():
@@ -76,8 +77,7 @@ def test_flux_closes_the_green_identity(ks16):
     # when the flux is the Green-identity-consistent first-order one
     grid = ks16.grid
     f = np.exp(grid.interior_coords[:, 0])
-    u = Field(grid, ks16.solve(f), np.zeros(grid.n_boundary))
-    dnu = normal_derivative(ks16, u, order=1)
+    dnu = normal_derivative(ks16, ks16.solve(f), order=1)
     lhs = integrate(f, grid)
     assert -float(dnu.sum()) * grid.boundary_cell_measure == pytest.approx(
         lhs, rel=1e-12)
@@ -94,8 +94,7 @@ def test_cached_operators_are_the_rebuilt_ones(ks16):
 
 def test_interval_normal_derivative_exact_on_quadratics(ks_interval):
     # the one-sided second-order difference is exact on the torsion field
-    z = Field(ks_interval.grid, ks_interval.zeta0,
-              np.zeros(ks_interval.grid.n_boundary))
+    z = ks_interval.zeta0
     dnu = normal_derivative(ks_interval, z, order=2)
     assert np.allclose(dnu, -0.5, atol=1e-12)
     with pytest.raises(ValueError):
@@ -111,8 +110,7 @@ def test_stacked_normal_derivative_is_the_per_field_one(ks16, ks_disk, ks_interv
         stacked = normal_derivative(ks, Z, order=order)
         assert stacked.shape == (grid.n_boundary, 3)
         for j in range(3):
-            one = normal_derivative(ks, Field(grid, Z[:, j], np.zeros(grid.n_boundary)),
-                                    order=order)
+            one = normal_derivative(ks, Z[:, j], order=order)
             assert np.array_equal(stacked[:, j], one)
 
 
@@ -159,7 +157,7 @@ def test_assembly_matches_a_dense_stencil(shape, n):
     # reference: the (2d+1)-point stencil built densely from lattice
     # coordinates; A couples interior neighbours, B interior-boundary ones
     grid = build_grid(shape, n)
-    A, B = _assemble_matrices(grid)
+    A, B = _stencil_matrix(grid), _coupling_matrix(grid)
     h2 = grid.h ** 2
     ci = np.rint(grid.interior_coords / grid.h)
     cb = np.rint(grid.boundary_coords / grid.h)
@@ -259,7 +257,7 @@ def test_coupling_and_inward_pairs_wait_for_their_first_read(shape, n):
     ks = assemble(grid)
     assert "coupling" not in vars(ks)
     assert "boundary_inward" not in vars(grid)
-    _, B = _assemble_matrices(build_grid(shape, n))
+    B = _coupling_matrix(build_grid(shape, n))
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(ks.coupling, attr), getattr(B, attr))
     assert ks.coupling is ks.coupling

@@ -55,7 +55,7 @@ def test_split_and_truncation():
 
 
 def test_spec_snaps_atoms_to_nearest_node():
-    spec = MeasureSpec("interior", atoms=(((0.5, 0.5), 2.0),), name="probe")
+    spec = MeasureSpec("interior", atoms=(((0.5, 0.5), 2.0),))
     for n in (8, 16):
         g = build_grid("square", n)
         mu = spec.instantiate(g)
