@@ -145,14 +145,16 @@ class CapacityEstimate:
 # ---------------------------------------------------------------------------
 # adjacency helpers
 
-def _hop_distance(graph: sp.spmatrix, sources: np.ndarray) -> np.ndarray:
+def _hop_distance(graph: sp.spmatrix, sources: np.ndarray,
+                  depth: Optional[int] = None) -> np.ndarray:
     """Breadth-first hop counts from `sources` over a nonnegative symmetric
-    adjacency matrix (diagonal ignored); inf where unreachable."""
+    adjacency matrix (diagonal ignored), up to `depth` hops (all when
+    None); inf beyond that and where unreachable."""
     dist = np.full(graph.shape[0], np.inf)
     dist[np.asarray(sources, dtype=int)] = 0.0
     frontier = dist == 0.0
     d = 0.0
-    while frontier.any():
+    while frontier.any() and (depth is None or d < depth):
         d += 1.0
         frontier = (graph @ frontier > 0) & np.isinf(dist)
         dist[frontier] = d
@@ -161,7 +163,7 @@ def _hop_distance(graph: sp.spmatrix, sources: np.ndarray) -> np.ndarray:
 
 def dilate_interior(ks: KernelSet, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close `nodes` under `rings` steps of the interior stencil graph."""
-    return np.flatnonzero(_hop_distance(ks.stencil_graph, nodes) <= rings)
+    return np.flatnonzero(_hop_distance(ks.stencil_graph, nodes, rings) <= rings)
 
 
 def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
@@ -171,12 +173,12 @@ def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
     carry zero through the stencil, so no interior node needs pinning.
     """
     first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
-    return np.flatnonzero(_hop_distance(ks.stencil_graph, first) <= rings - 1)
+    return np.flatnonzero(_hop_distance(ks.stencil_graph, first, rings - 1) <= rings - 1)
 
 
 def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.ndarray:
     """Close boundary `nodes` under `rings` steps of the boundary graph."""
-    return np.flatnonzero(_hop_distance(grid.boundary_graph, nodes) <= rings)
+    return np.flatnonzero(_hop_distance(grid.boundary_graph, nodes, rings) <= rings)
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +368,11 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
         k, gw = _boundary_gauge_gradient(ks, eta_b)
         return k, _boundary_adjoint(ks, gw)
 
-    dist = _hop_distance(grid.boundary_graph, ones)
+    # a tent is zero from its width on, so the widest bounds the search
+    widths = (2, 4, 8, 16)
+    dist = _hop_distance(grid.boundary_graph, ones, widths[-1])
     seeds = []
-    for width in (2.0, 4.0, 8.0, 16.0):
+    for width in widths:
         tent = np.maximum(0.0, 1.0 - dist / width)
         tent[ones] = 1.0
         seeds.append(tent)

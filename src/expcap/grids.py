@@ -86,10 +86,11 @@ class WeightedGrid:
                 f"grids differ: ({self.shape}, n={self.n}) vs ({other.shape}, n={other.n})"
             )
 
-    def interior_values(self, f) -> np.ndarray:
-        """`f` as a float array of shape (n_interior,), or GridMismatch."""
+    def interior_values(self, f, stack: bool = False) -> np.ndarray:
+        """`f` as a float array of shape (n_interior,), or with `stack` of
+        shape (n_interior, k), one field per column; else GridMismatch."""
         vals = np.asarray(f, dtype=float)
-        if vals.shape != (self.n_interior,):
+        if vals.ndim != 1 + stack or vals.shape[0] != self.n_interior:
             raise GridMismatch(
                 f"field has {vals.shape} values, grid has {self.n_interior} interior nodes"
             )

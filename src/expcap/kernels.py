@@ -14,11 +14,11 @@ capacity layers hold to solver precision.  Every solve reuses one sparse
 LU factorisation of A: the capacity optimisers call the operators
 thousands of times.
 
-`assemble` builds A, factors it and solves for the torsion field zeta0,
-which every Newton solve reads; that is all every caller reads.  The
+`assemble` builds A and factors it; that is all every caller reads.
+The torsion field zeta0 (one solve, which every Newton solve reads), the
 coupling B and the principal eigenpair (9-11 more solves) are built on
 their first read, so a grid whose caller only solves with A, as a Green
-ladder does, pays for neither.  A is symmetric and its CSR rows list
+ladder does, pays for none of them.  A is symmetric and its CSR rows list
 their columns in ascending order, so its CSR arrays are already the CSC
 arrays SuperLU reads, and A goes to the factor without a copy.
 
@@ -119,22 +119,27 @@ def _diagonal_slots(M: sp.csr_matrix) -> np.ndarray:
 class KernelSet:
     """Assembled operators plus the derived fields the solvers lean on.
 
-    `assemble` fills in A (`lap`), its LU and `zeta0`.  The first read of
-    `coupling` builds B; the first read of `rho_star` or `eigenvalue`
-    computes and keeps both; `eig_iterations` counts its inverse-power
-    steps and reads 0 until then.  `factor_shifted` writes each shifted
-    matrix into a copy of A's permuted data (module docstring).
+    `assemble` fills in A (`lap`) and its LU.  The first read of `zeta0`
+    solves for it, the first read of `coupling` builds B, and the first
+    read of `rho_star` or `eigenvalue` computes and keeps both;
+    `eig_iterations` counts its inverse-power steps and reads 0 until
+    then.  `factor_shifted` writes each shifted matrix into a copy of A's
+    permuted data (module docstring).
     """
 
     grid: WeightedGrid
     lap: sp.csr_matrix
-    zeta0: np.ndarray = None
     eig_iterations: int = 0
     _lu: object = field(default=None, repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (Ni,) or (Ni, k)."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
+
+    @cached_property
+    def zeta0(self) -> np.ndarray:
+        """Torsion field, A zeta0 = 1, solved on first read."""
+        return self.solve(np.ones(self.grid.n_interior))
 
     @cached_property
     def coupling(self) -> sp.csr_matrix:
@@ -204,12 +209,10 @@ class KernelSet:
 
 
 def assemble(grid: WeightedGrid) -> KernelSet:
-    """Assemble A, factor it and solve for the torsion field."""
+    """Assemble A and factor it."""
     A = _stencil_matrix(grid)
     # A is symmetric: its transpose is a CSC view of the same arrays
-    ks = KernelSet(grid=grid, lap=A, _lu=_lu_factor(A.T, PERMC_SPEC))
-    ks.zeta0 = ks.solve(np.ones(grid.n_interior))
-    return ks
+    return KernelSet(grid=grid, lap=A, _lu=_lu_factor(A.T, PERMC_SPEC))
 
 
 def _principal_eigen(ks: KernelSet):

@@ -43,6 +43,13 @@ of about 5e-12.  A fresh Newton step has q <= s, so for it the rule is
 s < STEP_TOL.  Every Jacobian is factored in A's own column order
 (`KernelSet.factor_shifted`).
 
+REUSE_TOL is 0.05.  A kept factor costs a chord step more now and then,
+a solve against a factorisation (about 1.3 ms against 20 ms at square
+n=128): at 0.05 the n=128 interior atom of mass 8 factors twice, at
+0.01 three times.  From the clipped start alone 0.05 took criterion 8's
+n=64 atom of mass 16 to 17 steps; from the barrier start below, the
+boundary atoms take 7-10.
+
 The start is the least of two supersolutions, not the linear potential
 u_lin = A^{-1} data alone: while e^u dominates, Newton lowers u by about
 one per step, so a tall potential would cost a step per unit of height.
@@ -58,6 +65,43 @@ node clipped to c has every neighbour <= c, so (A u_0)_i >= c (A 1)_i
 start is min(u_lin, log(1 + max data^+)); a node where the mask drops
 the absorption is never clipped, since no constant is a supersolution
 of its purely linear equation.
+
+The clipped start still sits log(1 + max data) above zero at every
+absorbing node, 11-18 at boundary atoms of mass 2-32 on square
+n=32-128, where a solution is far lower away from the data: by the
+Keller-Osserman estimate (Keller 1957; Osserman 1957) it is at most
+about ln(C/d^2) at distance d from the data.  So the start is lowered
+to the barrier
+
+    u_0 <- min(u_0, beta),   beta_i = ln(KO_BARRIER / d_i^2),
+
+with d_i the distance from node i to the bounding box of the support
+{data > 0}, on every absorbing node off that box; beta = +inf on the box
+and on nodes without absorption, so a punctured solve's hole keeps its
+start.  KO_BARRIER = 16 is the 2-D Keller-Osserman constant of the
+absorption e^u/2: the large solution of Lap U = e^U/2 on the disk of
+radius R about x, U = ln(16 R^2 / (R^2 - r^2)^2), blows up on its
+circle and is ln(16/R^2) at x, and e^u/2 <= e^u - 1 wherever u >= ln 2,
+as beta >= ln 8 is (d^2 <= 2).  So where the disk of radius d_i about
+node i holds no data, comparison with U bounds a continuum solution by
+beta_i there.  For one atom the box is a point and d_i the exact
+distance; for several, the distance to their box is at most the
+distance to the support, so beta can only rise.  The constant comes
+from this argument and is not tuned.
+
+The argument is continuous, so it does not make the start a discrete
+supersolution; one residual does.  The lowered start is kept only if
+F(u_0) >= -1e-9 max(1, |data|_inf) at every node, the supersolution
+flag's own test, and that residual is the first step's.  Otherwise the
+solve starts from the clipped start, and `SolveReport.barrier_start`
+records which start was taken.  Either way the start is a checked
+supersolution, so every argument here and below holds unchanged.  The
+minimum with a handed supersolution (next paragraph) is taken before
+the check, and it is at most `upper`, so a handed-down factor's u_f
+still lies above the start.  The check runs after the overflow screen,
+so a charged hole's potential never reaches expm1.  From the barrier
+start the boundary atoms of mass 2-32 on square n=32-128 take 7-10
+steps and 5-6 factorisations, against 8-19 and 6-17.
 
 A solve handed a known supersolution w starts at min(u_0, w).  If
 b' >= b nodewise, the solution w for b' is a supersolution for b, as
@@ -99,7 +143,9 @@ from .nfunctions import EXP_ARG_MAX
 
 STEP_TOL = 1e-10
 # a Jacobian factor is kept while its contraction bound stays at or below this
-REUSE_TOL = 0.01
+REUSE_TOL = 0.05
+# the 2-D Keller-Osserman constant of the barrier start (module docstring)
+KO_BARRIER = 16.0
 RES_TOL = 1e-8
 MAX_OUTER = 100
 SLOPE_TOL = 0.2
@@ -121,6 +167,7 @@ class SolveReport:
     absorption_rho: float      # int (e^u - 1) rho dx
     mass_bound_integral: float  # int (u + (e^u - 1) zeta0) dx
     data_max: float
+    barrier_start: bool        # min(clipped start, barrier) passed its check
 
 
 def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] = None,
@@ -134,7 +181,8 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
     ones when None); a zero drops the equation's absorption there, as
     the punctured solve does on its hole.  `upper`, when given, is a
     known supersolution for `b` (say the solution for larger data), and
-    the start is lowered to it (module docstring).
+    the start is lowered to it, then to the Keller-Osserman barrier if
+    that start passes its residual check (module docstring).
 
     `jacobian`, when given, is a list that is empty or holds
     [solve, u_f]: the solve of a factored A + diag(mask e^{u_f}), with
@@ -165,6 +213,15 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
     # linear potential, and lifts c to it, so a charged hole still needs a
     # budget that grows with its height.
     limit = max(MAX_OUTER, int(np.ceil(float(u.max(initial=0.0)))) + 60)
+    # lower the start to the Keller-Osserman barrier where that keeps it a
+    # supersolution; the residual of the start taken is the first step's
+    low = np.minimum(u, _barrier(ks.grid, b, on))
+    r = A @ low + mask * np.expm1(low) - b
+    barrier_start = bool(r.min() >= -1e-9 * scale)
+    if barrier_start:
+        u = low
+    else:
+        r = A @ u + mask * np.expm1(u) - b
     res_hist = []
     monotone = True
     supersolution = True
@@ -177,7 +234,6 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         last = 0.0
         refactor = _contraction_bound(u_f, u, on) > REUSE_TOL
     for it in range(1, limit + 1):
-        r = A @ u + mask * np.expm1(u) - b
         res_hist.append(float(np.abs(r).max()))
         if r.min() < -1e-9 * scale:
             supersolution = False
@@ -190,6 +246,7 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
         u = u + delta
+        r = A @ u + mask * np.expm1(u) - b
         step = float(np.abs(delta).max())
         bound = _contraction_bound(u_f, u, on)
         rounding = np.finfo(float).eps * max(1.0, float(np.abs(u).max()))
@@ -197,7 +254,6 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         # on a handed-down factor's first step, else the bound or the ratio
         q = min(bound, step / last) if last else bound
         if step < STEP_TOL and q * step <= rounding:
-            r = A @ u + mask * np.expm1(u) - b
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
                 raise NoConvergence(
@@ -223,7 +279,25 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         absorption_rho=integrate(absorb, ks.grid, "rho"),
         mass_bound_integral=integrate(u + absorb * ks.zeta0, ks.grid, "lebesgue"),
         data_max=float(np.abs(b).max(initial=0.0)),
+        barrier_start=barrier_start,
     )
+
+
+def _barrier(grid, b: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """beta = ln(KO_BARRIER / d^2) on the absorbing nodes off the support of
+    b, with d the distance to the support's bounding box; +inf elsewhere
+    (module docstring)."""
+    beta = np.full(b.shape, np.inf)
+    supp = b > 0
+    if not supp.any():
+        return beta
+    d2 = 0.0
+    for x in grid.interior_coords.T:  # one axis at a time: its gap to the box
+        xs = x[supp]
+        d2 = d2 + np.maximum(np.maximum(xs.min() - x, x - xs.max()), 0.0) ** 2
+    off = on & (d2 > 0)
+    beta[off] = np.log(KO_BARRIER / d2[off])
+    return beta
 
 
 def _contraction_bound(u_f: np.ndarray, u: np.ndarray, on: np.ndarray) -> float:
@@ -371,6 +445,7 @@ def weak_residual(u: Field, mu, ks: KernelSet, tests: np.ndarray,
     """
     grid = ks.grid
     grid.require_same(u.grid)
+    tests = grid.interior_values(tests, stack=True)
     # ks.lap @ tests = -Lap zeta with zero extension, one test per column
     out = grid.cell_measure * (u.values @ (ks.lap @ tests) + np.expm1(u.values) @ tests)
     if isinstance(mu, BoundaryMeasure):

@@ -5,9 +5,10 @@ import pytest
 
 import expcap.capacity as capacity
 import expcap.kernels as kernels
+from conftest import cached_kernels
 from expcap.capacity import (CapacityEstimate, CapacityOptions, CompactSet,
                              boundary_collar, boundary_measure,
-                             boundary_test_norm, capacity_pair,
+                             boundary_test_norm, capacity_pair, dilate_boundary,
                              dilate_interior, dual_boundary, dual_interior,
                              pairing, pinned_harmonic_fill, primal_boundary,
                              primal_interior)
@@ -54,6 +55,51 @@ def test_dilation_and_collar_helpers(ks16):
     rho = ks16.grid.rho
     expect = np.flatnonzero(rho <= 2.0 * ks16.grid.h * (1.0 + 1e-12))
     assert np.array_equal(boundary_collar(ks16, 2), expect)
+
+
+class _Seeds(Exception):
+    """Carries primal_boundary's seeds out before the search runs."""
+
+
+@pytest.mark.parametrize("shape", ["square", "disk"])
+@pytest.mark.parametrize("n", [16, 24])
+def test_hop_counts_stopped_at_the_depth_read_change_nothing(shape, n, monkeypatch):
+    # each search stops at the depth its caller reads; every node set and
+    # every tent equals the one built from full-depth hop counts
+    ks = cached_kernels(shape, n)
+    grid = ks.grid
+    hops = capacity._hop_distance
+    stencil, ring = ks.stencil_graph, grid.boundary_graph
+    first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
+
+    def grab(kind, seeds, *args):
+        raise _Seeds(seeds)
+
+    monkeypatch.setattr(capacity, "_polish", grab)
+    for rings in range(4):
+        for name in ("center", "cluster", "segment"):
+            nodes = target_nodes(grid, "interior", name)
+            assert np.array_equal(dilate_interior(ks, nodes, rings),
+                                  np.flatnonzero(hops(stencil, nodes) <= rings))
+            full = hops(stencil, nodes)
+            cut = hops(stencil, nodes, rings)
+            assert np.array_equal(cut[full <= rings], full[full <= rings])
+            assert np.isinf(cut[full > rings]).all()
+        assert np.array_equal(boundary_collar(ks, rings),
+                              np.flatnonzero(hops(stencil, first) <= rings - 1))
+        for name in ("bottom-mid", "bottom-cluster"):
+            nodes = target_nodes(grid, "boundary", name)
+            ones = np.flatnonzero(hops(ring, nodes) <= rings)
+            assert np.array_equal(dilate_boundary(grid, nodes, rings), ones)
+            with pytest.raises(_Seeds) as seeds:
+                primal_boundary(CompactSet(grid, nodes, "boundary"), ks,
+                                CapacityOptions(dilation=rings))
+            dist = hops(ring, ones)
+            assert len(seeds.value.args[0]) == 4
+            for width, tent in zip((2.0, 4.0, 8.0, 16.0), seeds.value.args[0]):
+                want = np.maximum(0.0, 1.0 - dist / width)
+                want[ones] = 1.0
+                assert np.array_equal(tent, want)
 
 
 @pytest.mark.parametrize("fixture", ["ks16", "ks_disk"])

@@ -190,9 +190,13 @@ def test_eigenpair_waits_for_its_first_read(monkeypatch):
     monkeypatch.setattr(KernelSet, "solve", counting)
     grid = build_grid("square", 24)
     ks = assemble(grid)
-    # assembly solves for zeta0 only
+    # assembly solves nothing; the first read of zeta0 solves once
     assert ks.eig_iterations == 0
+    assert solves == []
+    zeta0 = ks.zeta0
     assert solves == [(grid.n_interior,)]
+    assert ks.zeta0 is zeta0
+    assert np.array_equal(zeta0, assemble(grid).solve(np.ones(grid.n_interior)))
     ref_rho, ref_lam, ref_iters = _principal_eigen(assemble(grid))
     del solves[:]
     rho_star = ks.rho_star

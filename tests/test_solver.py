@@ -9,7 +9,7 @@ import expcap.experiments as experiments
 import expcap.kernels as kernels
 import expcap.solver as solver
 from conftest import cached_kernels
-from expcap.errors import NoConvergence, NotAdmissible
+from expcap.errors import GridMismatch, NoConvergence, NotAdmissible
 from expcap.grids import Field, build_grid
 from expcap.kernels import assemble, normal_derivative
 from expcap.measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -125,6 +125,17 @@ def test_weak_residual_interior_machine_precision(ks16, rng):
     assert basis.shape == (grid.n_interior, 10)
     maxR, _ = weak_residual(rep.u, mu, ks16, basis)
     assert maxR < 1e-10
+
+
+def test_weak_residual_refuses_a_basis_of_another_grid(ks16):
+    # square n=9 has 81 interior nodes, the n=8 solve 64
+    ks8 = cached_kernels("square", 8)
+    mu = InteriorMeasure(ks8.grid, density=np.ones(ks8.grid.n_interior))
+    rep = solve_interior(mu, ks8)
+    with pytest.raises(GridMismatch):
+        weak_residual(rep.u, mu, ks8, default_test_basis(cached_kernels("square", 9)))
+    with pytest.raises(GridMismatch):
+        weak_residual(rep.u, mu, ks8, np.ones(ks8.grid.n_interior))
 
 
 def test_weak_residual_boundary_flux_orders(ks16):
@@ -442,3 +453,64 @@ def test_truncation_ladder_runs_top_down(ks32, monkeypatch):
         criterion7_steps += ladder_steps + solve_boundary(mu, ks32).iterations
     # with every level solved from scratch this path takes 360 steps
     assert criterion7_steps <= 130
+
+
+def _atom_cases(ks):
+    """Boundary atoms of mass 2-32 (bottom-mid; the left end on the
+    interval) and interior atoms at the centre."""
+    grid = ks.grid
+    bm = 0 if grid.ndim == 1 else int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    centre = int(target_nodes(grid, "interior", "center")[0])
+    return ([BoundaryMeasure(grid, atoms=[(bm, c)]) for c in (2.0, 4.0, 8.0, 16.0, 32.0)]
+            + [InteriorMeasure(grid, atoms=[(centre, c)]) for c in (8.0, 32.0)])
+
+
+@pytest.mark.parametrize("shape, n", [("square", 32), ("disk", 32), ("interval", 63)])
+def test_barrier_start_lands_on_the_clipped_start_solution(monkeypatch, shape, n):
+    # with KO_BARRIER = inf the barrier lowers nothing: the clipped start
+    ks = cached_kernels(shape, n)
+    for mu in _atom_cases(ks):
+        solve = solve_boundary if isinstance(mu, BoundaryMeasure) else solve_interior
+        rep = solve(mu, ks)
+        assert rep.barrier_start
+        assert rep.monotone and rep.supersolution
+        with monkeypatch.context() as m:
+            m.setattr(solver, "KO_BARRIER", np.inf)
+            ref = solve(mu, ks).u.values
+        assert np.abs(rep.u.values - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_barrier_start_bounds_the_work_of_bottom_atoms(monkeypatch):
+    # from the clipped start these took 11-19 steps and 10-17 factorisations
+    ks = cached_kernels("square", 128)
+    factored = _count_factorizations(monkeypatch)
+    for mu in _bottom_atoms(ks, (2.0, 4.0, 8.0, 16.0, 32.0)):
+        factored[0] = 0
+        rep = solve_boundary(mu, ks)
+        assert rep.barrier_start
+        assert rep.iterations <= 10
+        assert rep.factorizations == factored[0] <= 6
+        assert rep.monotone and rep.supersolution
+
+
+def test_a_barrier_that_fails_its_check_falls_back(ks32, monkeypatch):
+    # lower the constant until the lowered start is no supersolution: the
+    # solve then starts from the clipped start, says so, and lands on the
+    # same solution
+    mu, = _bottom_atoms(ks32, (8.0,))
+    ref = solve_boundary(mu, ks32)
+    assert ref.barrier_start
+    constant = solver.KO_BARRIER
+    while True:
+        constant /= 2.0
+        assert constant > 1e-12, "no constant failed the check"
+        monkeypatch.setattr(solver, "KO_BARRIER", constant)
+        rep = solve_boundary(mu, ks32)
+        if not rep.barrier_start:
+            break
+    assert rep.monotone and rep.supersolution
+    assert np.abs(rep.u.values - ref.u.values).max() <= 1e-13 * np.abs(ref.u.values).max()
+    monkeypatch.setattr(solver, "KO_BARRIER", np.inf)
+    clipped = solve_boundary(mu, ks32)
+    assert np.array_equal(rep.u.values, clipped.u.values)
+    assert rep.iterations == clipped.iterations
