@@ -16,6 +16,16 @@ box-constrained quasi-Newton search from a pinned seed is reliable;
 the reported value re-evaluates the exact norm at the final feasible
 point, making every primal number a certified upper bound.
 
+The interior primal's seed comes from its dual's measure and already
+meets the dual's certified lower bound to rounding, so the search is
+skipped when the seed's exact norm is within PAIR_GAP_TOL of that bound
+(relative, either sign): no feasible point can lower the value by more.
+The value is still the exact norm at a feasible point, so it stays a
+certified upper bound.  Such an estimate reports iterations 0,
+aux["evaluations"] 0 and converged True: the certificate, not an
+optimiser's stopping test, proved it optimal to PAIR_GAP_TOL.  The
+boundary primal holds no bound before its search and always searches.
+
 The interior dual is the exact dual of the pinned primal.  Every
 admissible eta is 1 on the pinned set S, so for a measure m on S of
 either sign m(S) = vol (G m)^T (-Lap eta) <= ||G m||_orl ||Lap eta||_lux
@@ -72,7 +82,7 @@ import scipy.sparse as sp
 from .errors import BadInput, Infeasible, SupportError
 from .grids import WeightedGrid
 from .kernels import KernelSet, green_column
-from .luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
+from .luxemburg import (_amemiya, _subgradient, luxemburg_norm, orlicz_norm,
                         orlicz_norm_and_argmin)
 from .measures import BoundaryMeasure
 from .nfunctions import exponential_pair
@@ -185,27 +195,38 @@ def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.nda
 # the optimiser and the primal programs
 
 def _box_minimise(objective, x0, bounds, maxiter):
-    """L-BFGS-B on objective(x) -> (value, gradient) within `bounds`: the
-    one optimiser of every program in this module."""
-    from scipy.optimize import minimize
-    return minimize(objective, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+    """L-BFGS-B on objective(x) -> (value, gradient) within `bounds`, a
+    pair (lower, upper) of arrays or None for none: the one optimiser of
+    every program in this module."""
+    from scipy.optimize import Bounds, minimize
+    return minimize(objective, x0, jac=True, method="L-BFGS-B",
+                    bounds=None if bounds is None else Bounds(*bounds),
                     options={"maxiter": maxiter, "ftol": 1e-14,
                              "gtol": 1e-12, "maxcor": 25})
 
 
 def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
-            maxiter) -> CapacityEstimate:
+            maxiter, lower=None) -> CapacityEstimate:
     """Primal estimate from the best seed, polished by L-BFGS-B on the
-    free entries in [0, 1].
+    free entries in [0, 1] unless a certificate already closes the
+    bracket.
 
     value_and_grad(eta) returns the objective and its gradient in eta.
     The reported value is norm_of at the returned eta, or at the best
-    seed when that is lower: the exact norm at a feasible point.
+    seed when that is lower: the exact norm at a feasible point, so a
+    certified upper bound whether or not the search ran.  `lower` is a
+    certified lower bound the caller holds, or None.  When the best
+    seed's norm is within PAIR_GAP_TOL of it (relative; the gap may be
+    negative at rounding), no search can gain more than that, so none
+    runs: the estimate reports the seed with iterations 0,
+    aux["evaluations"] 0 and converged True, because the certificate
+    proved it optimal.
     """
     values = [norm_of(seed) for seed in seeds]
     eta, value = seeds[int(np.argmin(values))], min(values)
     iters, converged, evals = 0, True, 0
-    if free_idx.size:
+    closed = lower is not None and abs(value - lower) <= PAIR_GAP_TOL * value
+    if free_idx.size and not closed:
         def objective(xf):
             full = fixed.copy()
             full[free_idx] = xf
@@ -213,7 +234,8 @@ def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
             return val, grad[free_idx]
 
         res = _box_minimise(objective, eta[free_idx],
-                            [(0.0, 1.0)] * free_idx.size, maxiter)
+                            (np.zeros(free_idx.size), np.ones(free_idx.size)),
+                            maxiter)
         cand = fixed.copy()
         cand[free_idx] = res.x
         cand_value = norm_of(cand)
@@ -260,11 +282,12 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     Seeds the box-constrained search with the duality alignment
     witness: for the best dual measure mu on K, the field
     G[p(khat G[mu])] rescaled to reach 1 on the pinned set achieves
-    Hoelder equality in the unconstrained program, so the polish starts
-    essentially at the optimum instead of crawling down an
-    ill-conditioned valley.  `dual` is that measure's estimate from
-    dual_interior with the same options; it is computed here when not
-    given.
+    Hoelder equality in the unconstrained program, so the seed meets
+    the dual's certified lower bound to rounding and the polish is
+    skipped (see _polish); without that it would start essentially at
+    the optimum instead of crawling down an ill-conditioned valley.
+    `dual` is that measure's estimate from dual_interior with the same
+    options; it is computed here when not given.
     """
     grid = ks.grid
     grid.require_same(K.grid)
@@ -277,9 +300,12 @@ def primal_interior(K: CompactSet, ks: KernelSet,
         return luxemburg_norm(ks.lap @ eta, grid, nf, side="conjugate",
                               weight="lebesgue")
 
+    start = None  # the search's last level root: the next one's start
+
     def value_and_grad(eta):
-        k, g = luxemburg_subgradient(ks.lap @ eta, grid, nf, side="conjugate",
-                                     weight="lebesgue")
+        nonlocal start
+        k, g, start = _subgradient(ks.lap @ eta, grid, nf, "conjugate",
+                                   "lebesgue", None, start)
         return k, ks.lap @ g
 
     # alignment witness from the dual measure: impose the aligned source
@@ -300,7 +326,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     seed = pinned_harmonic_fill(ks, fixed, free_idx, w_star)
 
     est = _polish("primal-interior", [seed], norm_of, value_and_grad, fixed,
-                  free_idx, opts.maxiter)
+                  free_idx, opts.maxiter, lower=dual.dual_value)
     est.aux["ones"] = ones
     return est
 
@@ -315,12 +341,13 @@ def _boundary_adjoint(ks: KernelSet, g: np.ndarray) -> np.ndarray:
     return ks.coupling_transpose @ ks.solve(ks.rho_star * (ks.lap @ g))
 
 
-def _boundary_gauge_gradient(ks: KernelSet, eta_b: np.ndarray):
-    """(||L eta / rho||, g_w): the gauge and its gradient in w = L eta."""
+def _boundary_gauge_gradient(ks: KernelSet, eta_b: np.ndarray, start=None):
+    """(||L eta / rho||, g_w, t): the gauge, its gradient in w = L eta and
+    its level root, with the level Newton started at `start` (see
+    luxemburg._level_start)."""
     grid = ks.grid
-    return luxemburg_subgradient(_boundary_forward(ks, eta_b), grid,
-                                 exponential_pair(), side="conjugate",
-                                 weight="rho", scale=grid.rho)
+    return _subgradient(_boundary_forward(ks, eta_b), grid, exponential_pair(),
+                        "conjugate", "rho", grid.rho, start)
 
 
 def boundary_measure(ks: KernelSet, f: np.ndarray) -> np.ndarray:
@@ -364,8 +391,11 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
     mask_free[ones] = False
     free_idx = np.flatnonzero(mask_free)
 
+    start = None  # the search's last level root: the next one's start
+
     def value_and_grad(eta_b):
-        k, gw = _boundary_gauge_gradient(ks, eta_b)
+        nonlocal start
+        k, gw, start = _boundary_gauge_gradient(ks, eta_b, start)
         return k, _boundary_adjoint(ks, gw)
 
     # a tent is zero from its width on, so the widest bounds the search
@@ -413,15 +443,17 @@ def dual_interior(K: CompactSet, ks: KernelSet,
         u[0] -= 1.0
         Q = (np.eye(support.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
         v0, GQ = cols @ m, cols @ Q
+        start = None  # the search's last level root: the next one's start
 
         def objective(y):
+            nonlocal start
             v = v0 + GQ @ y
-            nrm, k = orlicz_norm_and_argmin(v, grid, nf, "principal", "lebesgue")
+            nrm, k, start = _amemiya(v, grid, nf, "principal", "lebesgue", start)
             # envelope theorem: the norm's gradient in v is n(k v) W
             return nrm, GQ.T @ (nf.p(k * v) * W)
 
-        res = _box_minimise(objective, np.zeros(support.size - 1),
-                            [(None, None)] * (support.size - 1), opts.dual_iters)
+        res = _box_minimise(objective, np.zeros(support.size - 1), None,
+                            opts.dual_iters)
         m = m + Q @ res.x
         iters, converged = int(res.nit), bool(res.success)
     nrm = orlicz_norm(cols @ m, grid, nf, "principal", "lebesgue")
@@ -442,7 +474,7 @@ def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstim
     """
     grid = ks.grid
     ones = pri.aux["ones"]
-    _, gw = _boundary_gauge_gradient(ks, pri.eta_star)
+    _, gw, _ = _boundary_gauge_gradient(ks, pri.eta_star)
     f = gw / grid.cell_measure
     potential_norm = orlicz_norm(f, grid, exponential_pair(), side="principal",
                                  weight="rho")

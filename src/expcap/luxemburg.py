@@ -33,14 +33,19 @@ where G grows exponentially.  The N-function's level evaluator (see
     gauge:    g = log sum W N(s),           g' = sum W s n(s) / sum W N(s)
     Amemiya:  g = log sum W (s n(s) - N(s)), g' = sum W s^2 n'(s) / (that sum)
 
-with s = e^t b.  Newton starts at the quadratic guess
-x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2) and keeps a sign bracket
-[lo, hi]; an evaluation whose integrand overflows counts as above the
-root.  A Newton step that leaves the bracket is replaced by bisection,
-or, while the bracket is open on that side, by a step of LEVEL_STEP.
-The iteration stops when the Newton step is within a few ulps of t, or
-once it is below LEVEL_NOISE and no longer shrinking (rounding then
-drives it), and returns the t it last evaluated.
+with s = e^t b.  A cold Newton starts at the quadratic guess
+x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2).  Inside one capacity
+search the objective is evaluated at iterates that barely move, so each
+evaluation's Newton starts warm, at the root t of that search's previous
+evaluation (`_level_start`); the search holds that t, and every seed,
+reported value and certificate is a cold call of the public norms.
+Newton keeps a sign bracket [lo, hi]; an evaluation whose integrand
+overflows counts as above the root.  A Newton step that leaves the
+bracket is replaced by bisection, or, while the bracket is open on that
+side, by a step of LEVEL_STEP.  The iteration stops when the Newton step
+is within a few ulps of t, or once it is below LEVEL_NOISE and no longer
+shrinking (rounding then drives it), and returns the t it last
+evaluated.
 
 Why Newton converges fast here: with e = expm1(s), both exponential
 log-levels are logarithms of power series in e^t with nonnegative
@@ -51,7 +56,12 @@ The quadratic guess is at or right of both exponential roots, since
 P(s) and s p(s) - P(s) are at least s^2/2.  The conjugate gauge's per-node slope
 s pbar(s) / P*(s) falls from 2 to 1, so its log-level is nearly linear,
 and the quadratic guess sits at or left of its root (P*(s) <= s^2/2).
-The bracket keeps every case safe without these facts.
+The bracket keeps every case safe without these facts, and from any
+start: the level is increasing, so each evaluation moves lo or hi toward
+the root, a step that leaves [lo, hi] is replaced, and an open side is
+walked by LEVEL_STEP until the root is bracketed.  A warm start changes
+only how many evaluations the root takes, and the stopping rule returns
+the same root to within its tolerance.
 
 No optimiser is needed, so a process that only takes norms never loads
 scipy.optimize; the capacity programs load it at their first call.
@@ -82,12 +92,20 @@ def _side_fns(nf: NFunction, side: str):
     raise ValueError(f"side must be 'principal' or 'conjugate', got {side!r}")
 
 
-def _unit_level_root(log_level, b, W):
+def _level_start(previous, b, W):
+    """Newton's first t: `previous`, the root of the same search's last
+    evaluation, when there is one; else the quadratic guess."""
+    if previous is not None:
+        return previous
+    return 0.5 * math.log(2.0 / float((b * b) @ W))
+
+
+def _unit_level_root(log_level, b, W, start=None):
     """(t, sums at t) for the root of log_level(t) = (g, g', sums), an
     increasing log-level that raises OverflowInIntegrand where its
     integrand overflows (see the module docstring); b is the field scaled
-    to max 1."""
-    t = 0.5 * math.log(2.0 / float((b * b) @ W))
+    to max 1, and `start` a previous root to start from (or None)."""
+    t = _level_start(start, b, W)
     lo, hi, last = -math.inf, math.inf, math.inf
     tol = LEVEL_ULPS * np.finfo(float).eps
     for _ in range(LEVEL_MAXIT):
@@ -114,7 +132,7 @@ def _unit_level_root(log_level, b, W):
     raise OverflowInIntegrand("could not solve the unit level")
 
 
-def _gauge_root(vals, W, level, scale):
+def _gauge_root(vals, W, level, scale, start=None):
     """(rmax, t, sum W s n(s), b) at the root of the gauge's level equation
     (see the module docstring): b = |f| / c scaled to max 1 by rmax, and
     s = e^t b.  t is None for the zero field."""
@@ -135,7 +153,7 @@ def _gauge_root(vals, W, level, scale):
         N, sn = level(math.exp(t), b, W)
         return math.log(N), sn / N, sn
 
-    t, sn = _unit_level_root(log_level, b, W)
+    t, sn = _unit_level_root(log_level, b, W, start)
     return rmax, t, sn, b
 
 
@@ -162,10 +180,16 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     level evaluator returned there, and one density pass gives
     g = sign(f) (W / c) n(s) / D.  Returns (norm, g).
     """
+    return _subgradient(f, grid, nf, side, weight, scale)[:2]
+
+
+def _subgradient(f, grid, nf, side, weight, scale, start=None):
+    """(norm, g, t): luxemburg_subgradient with its level Newton started
+    at the root `start` of a previous evaluation, and its own root t."""
     vals = grid.interior_values(f)
     W = grid.weight_vector(weight)
     level, dens = _side_fns(nf, side)
-    rmax, t, sn, b = _gauge_root(vals, W, level, scale)
+    rmax, t, sn, b = _gauge_root(vals, W, level, scale, start)
     if t is None:
         raise ZeroField("subgradient undefined at the zero field")
     b *= math.exp(t)
@@ -174,7 +198,7 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
     if scale is not None:
         g /= scale
     g /= sn
-    return rmax * math.exp(-t), np.copysign(g, vals, out=g)
+    return rmax * math.exp(-t), np.copysign(g, vals, out=g), t
 
 
 def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
@@ -187,6 +211,12 @@ def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
     never below the exact norm.  At k the envelope theorem gives the
     gradient of the norm in f as n(k f) W.
     """
+    return _amemiya(f, grid, nf, side, weight)[:2]
+
+
+def _amemiya(f, grid, nf, side, weight, start=None):
+    """(norm, k, t): orlicz_norm_and_argmin with its level Newton started
+    at the root `start` of a previous evaluation, and its own root t."""
     vals = grid.interior_values(f)
     if not np.all(np.isfinite(vals)):
         raise OverflowInIntegrand("field contains non-finite values")
@@ -203,9 +233,9 @@ def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
         G = sn - N
         return math.log(G), curv / G, N
 
-    t, N = _unit_level_root(log_level, a, W)
+    t, N = _unit_level_root(log_level, a, W, start)
     k = math.exp(t) / amax
-    return (1.0 + N) / k, k
+    return (1.0 + N) / k, k, t
 
 
 def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",

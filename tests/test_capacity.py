@@ -5,6 +5,7 @@ import pytest
 
 import expcap.capacity as capacity
 import expcap.kernels as kernels
+import expcap.luxemburg as luxemburg
 from conftest import cached_kernels
 from expcap.capacity import (CapacityEstimate, CapacityOptions, CompactSet,
                              boundary_collar, boundary_measure,
@@ -179,10 +180,13 @@ def test_interior_dual_meets_its_kkt_conditions(ks16, target):
 @pytest.mark.parametrize("target", ["center", "cluster", "segment"])
 @pytest.mark.parametrize("dilation", [0, 1])
 @pytest.mark.parametrize("fixture", ["ks16", "ks32"])
-def test_interior_pair_closes_its_bracket(fixture, dilation, target, request):
+def test_interior_pair_closes_its_bracket(fixture, dilation, target, request,
+                                          monkeypatch):
     # the signed dual is the exact dual of the pin eta = 1, so the two
-    # certificates meet up to rounding and the dual's seed leaves the
-    # primal nothing to do
+    # certificates meet up to rounding and the dual-aligned seed closes
+    # the bracket: the pair's only optimiser call is the dual's (none for
+    # a single atom), and the primal reports the exact norm at the seed,
+    # certified optimal
     ks = request.getfixturevalue(fixture)
     K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", target),
                    "interior")
@@ -190,11 +194,99 @@ def test_interior_pair_closes_its_bracket(fixture, dilation, target, request):
     dual = dual_interior(K, ks, opts)
     assert dual.dual_value > 0.0
     assert dual.converged
+    box, primal = capacity._box_minimise, capacity.primal_interior
+    calls, primals = [], []
+
+    def spy(objective, x0, bounds, maxiter):
+        calls.append((x0.size, bounds, maxiter))
+        return box(objective, x0, bounds, maxiter)
+
+    def kept(*args, **kw):
+        primals.append(primal(*args, **kw))
+        return primals[-1]
+
+    monkeypatch.setattr(capacity, "_box_minimise", spy)
+    monkeypatch.setattr(capacity, "primal_interior", kept)
     est = capacity_pair(K, ks, opts)
     assert est.dual_value == dual.dual_value
     assert abs(est.gap) <= 1e-9 * est.primal_value
     assert est.converged
-    assert est.iterations - dual.iterations <= 5
+    support = dilate_interior(ks, K.nodes, dilation)
+    if support.size == 1:
+        assert calls == []
+    else:
+        assert calls == [(support.size - 1, None, opts.dual_iters)]
+    pri, = primals
+    assert pri.iterations == 0 and pri.aux["evaluations"] == 0 and pri.converged
+    assert est.iterations == dual.iterations
+    assert est.primal_value == pri.primal_value == luxemburg_norm(
+        ks.lap @ pri.eta_star, ks.grid, exponential_pair(),
+        side="conjugate", weight="lebesgue")
+
+
+@pytest.mark.parametrize("target", ["center", "cluster", "segment"])
+def test_interior_primal_searches_without_a_bound(ks16, target, monkeypatch):
+    # withholding the dual's bound restores the search, which starts at
+    # the optimum and still closes the bracket
+    K = CompactSet(ks16.grid, target_nodes(ks16.grid, "interior", target),
+                   "interior")
+    opts = CapacityOptions(dilation=1)
+    polish, box = capacity._polish, capacity._box_minimise
+    calls = []
+
+    def unbounded(*args, **kw):
+        return polish(*args, **{**kw, "lower": None})
+
+    def spy(*args):
+        calls.append(args[2])
+        return box(*args)
+
+    monkeypatch.setattr(capacity, "_polish", unbounded)
+    monkeypatch.setattr(capacity, "_box_minimise", spy)
+    est = capacity_pair(K, ks16, opts)
+    assert len(calls) == 2 and calls[0] is None and calls[1] is not None
+    assert est.aux["evaluations"] > 0
+    assert abs(est.gap) <= 1e-9 * est.primal_value
+
+
+def _orlicz_setting_pairs(ks):
+    # the benchmark's pairs: interior cluster and bottom-mid boundary node
+    opts = CapacityOptions(dilation=1, dual_iters=30)
+    return [capacity_pair(CompactSet(ks.grid, target_nodes(ks.grid, kind, name),
+                                     kind), ks, opts)
+            for kind, name in (("interior", "cluster"), ("boundary", "bottom-mid"))]
+
+
+@pytest.mark.parametrize("withheld", [False, True])
+def test_warm_level_starts_change_no_value_and_save_evaluations(ks16, withheld,
+                                                                monkeypatch):
+    # each search starts its level Newton at its previous root; started
+    # cold (the quadratic guess every time) the pairs agree to 1e-9 and
+    # take more level evaluations.  With the interior bound withheld the
+    # interior primal's search runs warm too.
+    root, start = luxemburg._unit_level_root, luxemburg._level_start
+    evaluations = [0]
+
+    def counting(log_level, *args):
+        def counted(t):
+            evaluations[0] += 1
+            return log_level(t)
+        return root(counted, *args)
+
+    monkeypatch.setattr(luxemburg, "_unit_level_root", counting)
+    if withheld:
+        polish = capacity._polish
+        monkeypatch.setattr(capacity, "_polish",
+                            lambda *a, **kw: polish(*a, **{**kw, "lower": None}))
+    warm = _orlicz_setting_pairs(ks16)
+    warm_evaluations, evaluations[0] = evaluations[0], 0
+    monkeypatch.setattr(luxemburg, "_level_start",
+                        lambda previous, b, W: start(None, b, W))
+    cold = _orlicz_setting_pairs(ks16)
+    assert warm_evaluations < evaluations[0]
+    for w, c in zip(warm, cold):
+        assert w.primal_value == pytest.approx(c.primal_value, rel=1e-9)
+        assert w.dual_value == pytest.approx(c.dual_value, rel=1e-9)
 
 
 def test_dilated_pair_weak_duality_and_frozen_values(ks16):
@@ -231,8 +323,9 @@ def test_subadditive_over_separated_singletons(ks16):
 
 def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     # each seed and the polished point cost one norm (an LU solve and a
-    # level root-find on the boundary); the reported value is still the
-    # exact norm at the returned eta
+    # level root-find on the boundary); the interior seed closes the
+    # bracket with its dual, so nothing is polished there; the reported
+    # value is still the exact norm at the returned eta
     calls = []
 
     def counted(*args, **kw):
@@ -244,7 +337,7 @@ def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     opts = CapacityOptions(dilation=1)
     dual = dual_interior(K, ks16, opts)
     est = primal_interior(K, ks16, opts, dual=dual)
-    assert len(calls) == 2  # dual-aligned seed, polished point
+    assert len(calls) == 1  # dual-aligned seed
     assert est.primal_value == luxemburg_norm(
         ks16.lap @ est.eta_star, ks16.grid, exponential_pair(),
         side="conjugate", weight="lebesgue")
