@@ -106,8 +106,8 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
 
     Interior names: center | cluster (center plus nearest neighbours) |
     segment (nodes with |y - 1/2| < h/2, 0.4 <= x <= 0.6).
-    Boundary names: bottom-mid | bottom-cluster | bottom-arc (square),
-    or nearest-node forms 'point:x,y'.
+    Boundary names: bottom-mid | bottom-cluster | bottom-arc (2-D grids
+    only; BadInput on the interval), or nearest-node forms 'point:x,y'.
     """
     coords = grid.coords(kind)
 
@@ -133,6 +133,9 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
                 raise SupportError(f"segment target empty on this grid")
             return nodes
     else:
+        if grid.ndim == 1 and name in ("bottom-mid", "bottom-cluster", "bottom-arc"):
+            raise BadInput(f"boundary target {name!r} needs a 2-D grid; "
+                           "on the interval name an end as 'point:0' or 'point:1'")
         if name == "bottom-mid":
             return grid.nearest((0.5, 0.0), kind)
         if name == "bottom-cluster":
@@ -155,8 +158,6 @@ def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
     fixed = (dist <= 1).astype(float)
     out = []
     for R in sorted(radii, reverse=True):
-        if R < 1:
-            raise ValueError("family radii must be >= 1")
         if (dist[collar] <= R).any():
             raise Infeasible("cutoff support touches the boundary collar; shrink radii")
         free = np.flatnonzero((dist > 1) & (dist <= R))
@@ -169,8 +170,6 @@ def boundary_family(K_nodes: np.ndarray, grid, radii: Sequence[int]):
     dist = _hop_distance(grid.boundary_graph, K_nodes)
     out = []
     for R in sorted(radii, reverse=True):
-        if R < 1:
-            raise ValueError("family radii must be >= 1")
         out.append(np.maximum(0.0, 1.0 - dist / float(R)))
     return out
 
@@ -326,7 +325,7 @@ def punctured_solve(mu: InteriorMeasure, ks, K_nodes: np.ndarray,
     """Newton solve with the equation replaced at K by harmonic bridging.
 
     At K nodes the absorption is dropped and the load is `charge`
-    (total, split evenly over K); elsewhere the usual equation holds.
+    (total, shared evenly over K); elsewhere the usual equation holds.
     Returns (Field, iterations); the monotone Newton loop of the solver
     raises NoConvergence when it runs out of steps or stops above its
     residual tolerance.

@@ -92,13 +92,6 @@ class BoundaryMeasure(_NodeMeasure):
         ks.grid.require_same(self.grid)
         return ks.coupling @ self.density_vector()
 
-    def split(self):
-        """(singular part, truncatable part) as separate measures."""
-        sing = BoundaryMeasure(self.grid, atoms=list(self.atoms))
-        reg = BoundaryMeasure(self.grid, density=None if self.density is None
-                              else self.density.copy())
-        return sing, reg
-
     def truncated(self, level: float) -> "BoundaryMeasure":
         """Atoms kept, density capped at `level`."""
         d = None if self.density is None else np.minimum(self.density, level)

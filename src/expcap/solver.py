@@ -36,11 +36,13 @@ With an absorption mask every e^u carries the mask and the max runs over
 absorbing nodes.  A factor is kept while q <= REUSE_TOL, and refreshed
 when a step does not contract: at the rounding plateau the steps of a
 stale factor stop shrinking.  What is left after a step of size s is
-about q s, so the loop stops when s < STEP_TOL and q s is at rounding,
-eps max(1, |u|_inf), with q the smaller of the bound and the observed
-ratio of the last two steps; STEP_TOL alone would stop a chord at errors
-of about 5e-12.  A fresh Newton step has q <= s, so for it the rule is
-s < STEP_TOL.  Every Jacobian is factored in A's own column order
+about q s, so the loop stops when q s <= eps max(1, |u|_inf).  On a
+factor's first step q is the bound, which for a fresh factor is at most
+s (q s is Newton's quadratic remainder); after that q is the smaller of
+the bound and the observed ratio of the last two steps.  One more fresh
+Newton step from a returned solution of atom or interior-density data
+moves it by at most 2.53 eps max(1, |u|_inf) (square n=32-128 and disk
+n=64).  Every Jacobian is factored in A's own column order
 (`KernelSet.factor_shifted`).
 
 REUSE_TOL is 0.05.  A kept factor costs a chord step more now and then,
@@ -96,31 +98,27 @@ flag's own test, and that residual is the first step's.  Otherwise the
 solve starts from the clipped start, and `SolveReport.barrier_start`
 records which start was taken.  Either way the start is a checked
 supersolution, so every argument here and below holds unchanged.  The
-minimum with a handed supersolution (next paragraph) is taken before
-the check, and it is at most `upper`, so a handed-down factor's u_f
-still lies above the start.  The check runs after the overflow screen,
-so a charged hole's potential never reaches expm1.  From the barrier
-start the boundary atoms of mass 2-32 on square n=32-128 take 7-10
-steps and 5-6 factorisations, against 8-19 and 6-17.
+minimum with a carried solution (next paragraph) is taken before the
+check, so a carried factor's u_f still lies above the start.  The check
+runs after the overflow screen, the only one on this path, so a charged
+hole's potential never reaches expm1.  From the barrier start the
+boundary atoms of mass 2-32 on square n=32-128 take 7-10 steps and 5-6
+factorisations, against 8-19 and 6-17.
 
-A solve handed a known supersolution w starts at min(u_0, w).  If
-b' >= b nodewise, the solution w for b' is a supersolution for b, as
-A w + e^w - 1 = b' >= b.  The minimum of two supersolutions is one too:
-where it takes w_i, every neighbour is at most its w value and A has
-nonpositive off-diagonals, so the row keeps at least w's residual.  The
-truncation ladder starts each level from the solution one level up (a
-level with the same data then takes one step).
-
-It also hands each level the last Jacobian the level above factored, at
-some iterate u_f of that solve.  The iterates above only decreased, so
-u_f >= u_above, and the new start min(u_0, u_above) <= u_above <= u_f.
-The new iterates only decrease from there, so J_f >= F'(u_m) at every
-one of them, and the chord argument above holds as it stands: every
-step is monotone and every iterate a supersolution for the new data.
-The handed factor is kept while its contraction bound at the start is
-at most REUSE_TOL, and its first step stops only when the bound times
-the step is at rounding.  A level with the same data as the one above
-starts at that solution, and its one step factors nothing.
+A solve can carry over to the next: its load b', its solution w, and
+its last factor, taken at an iterate u_f of that solve.  The next solve
+takes the carry only if its load b <= b' nodewise, and otherwise starts
+cold.  Then w is a supersolution for b, as A w + e^w - 1 = b' >= b, and
+the minimum of two supersolutions is one too: where it takes w_i, every
+neighbour is at most its w value and A has nonpositive off-diagonals,
+so the row keeps at least w's residual.  So the start is min(u_0, w).
+The iterates of the earlier solve only decreased, so u_f >= w >= the
+start, and the new iterates only decrease from there: J_f >= F'(u_m) at
+every one of them, and the chord argument above holds as it stands.
+The carried factor is kept while its contraction bound at the start is
+at most REUSE_TOL, so a solve with the data of the one carried starts at
+its solution and its one step factors nothing.  The truncation ladder
+passes one carry down its levels, whose loads shrink with the cap.
 
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
@@ -141,7 +139,6 @@ from .kernels import KernelSet, normal_derivative
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from .nfunctions import EXP_ARG_MAX
 
-STEP_TOL = 1e-10
 # a Jacobian factor is kept while its contraction bound stays at or below this
 REUSE_TOL = 0.05
 # the 2-D Keller-Osserman constant of the barrier start (module docstring)
@@ -171,24 +168,22 @@ class SolveReport:
 
 
 def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] = None,
-                      upper: Optional[np.ndarray] = None,
-                      jacobian: Optional[list] = None) -> SolveReport:
+                      carry: Optional[list] = None) -> SolveReport:
     """Newton solve of A u + mask (e^u - 1) = b.
 
     `b` is the full load, boundary data included; the solution is zero
     on the boundary nodes like every field, and boundary data acts only
     through `b`.  `mask` weights the absorption per interior node (all
     ones when None); a zero drops the equation's absorption there, as
-    the punctured solve does on its hole.  `upper`, when given, is a
-    known supersolution for `b` (say the solution for larger data), and
-    the start is lowered to it, then to the Keller-Osserman barrier if
-    that start passes its residual check (module docstring).
+    the punctured solve does on its hole.
 
-    `jacobian`, when given, is a list that is empty or holds
-    [solve, u_f]: the solve of a factored A + diag(mask e^{u_f}), with
-    u_f >= the start nodewise (as when `upper` is the solution that
-    factor led to).  The solve starts with that factor while its
-    contraction bound allows, and leaves its own last factor there.
+    `carry`, when given, is a list that is empty or holds
+    [load, solution, solve, u_f] from an earlier solve with the same
+    mask: its load, its solution, and the solve of its last factored
+    A + diag(mask e^{u_f}).  If b <= load nodewise the start is lowered
+    to that solution and the solve starts with that factor while its
+    contraction bound allows; otherwise it starts cold.  Either way the
+    solve leaves its own four there (module docstring).
     """
     A = ks.lap
     if mask is None:
@@ -199,8 +194,9 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
     c = max(float(np.log1p(b[on].max(initial=0.0))),
             float(u_lin[~on].max(initial=0.0)))
     u = np.where(on, np.minimum(u_lin, c), u_lin)
-    if upper is not None:
-        u = np.minimum(u, upper)
+    carried = bool(carry and np.all(b <= carry[0]))
+    if carried:
+        u = np.minimum(u, carry[1])
     if float(u.max(initial=0.0)) > EXP_ARG_MAX:
         raise NotAdmissible(
             "Newton start reaches %.1f; exp(u) overflows at this resolution"
@@ -226,13 +222,13 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
     monotone = True
     supersolution = True
     factorizations = 0
+    last = 0.0  # the last step with the factor in hand; 0 marks none yet
     refactor = True
-    if jacobian:
-        # a handed-down factor; `last` = 0 marks no step taken with it yet
-        solve, u_f = jacobian
-        jacobian.clear()
-        last = 0.0
+    if carried:
+        _, _, solve, u_f = carry
         refactor = _contraction_bound(u_f, u, on) > REUSE_TOL
+    if carry is not None:
+        carry.clear()
     for it in range(1, limit + 1):
         res_hist.append(float(np.abs(r).max()))
         if r.min() < -1e-9 * scale:
@@ -241,7 +237,7 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
             solve = None  # free the old factor before building the next
             solve = ks.factor_shifted(mask * np.exp(u))
             factorizations += 1
-            u_f, last = u, np.inf
+            u_f, last = u, 0.0
         delta = -solve(r)
         if delta.max() > 1e-11 * max(1.0, float(np.abs(u).max())):
             monotone = False
@@ -249,11 +245,10 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         r = A @ u + mask * np.expm1(u) - b
         step = float(np.abs(delta).max())
         bound = _contraction_bound(u_f, u, on)
-        rounding = np.finfo(float).eps * max(1.0, float(np.abs(u).max()))
-        # about q s is left: q is 0 after a fresh factor (q <= s), the bound
-        # on a handed-down factor's first step, else the bound or the ratio
+        # about q s is left: q is the bound on a factor's first step, after
+        # that the bound or the observed ratio
         q = min(bound, step / last) if last else bound
-        if step < STEP_TOL and q * step <= rounding:
+        if q * step <= np.finfo(float).eps * max(1.0, float(np.abs(u).max())):
             res_hist.append(float(np.abs(r).max()))
             if res_hist[-1] > RES_TOL * scale:
                 raise NoConvergence(
@@ -264,8 +259,8 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         last = step
     else:
         raise NoConvergence(f"no convergence in {limit} outer steps")
-    if jacobian is not None:
-        jacobian[:] = solve, u_f
+    if carry is not None:
+        carry[:] = b, u, solve, u_f
 
     absorb = np.expm1(u)
     return SolveReport(
@@ -346,29 +341,22 @@ def truncation_scheme(mu: BoundaryMeasure, ks: KernelSet) -> TruncationReport:
     where c is the largest one-sided second-order outward derivative of
     the torsion field over boundary nodes; the discrete Green identity
     makes the left side equal a flux pairing dominated by c * mass, so
-    the inequality is structural, not tuned.
+    the inequality is structural, not tuned.  Each level's Newton start
+    is screened for overflow like any solve's; data whose harmonic
+    extension overflows exp is solved whenever that start fits.
     """
-    sing, _ = mu.split()
-    # screen the singular part: its harmonic extension must stay in exp range
-    pot = ks.solve(sing.load(ks))
-    if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
-        raise NotAdmissible("singular part already overflows exp at this grid")
-
     c_flux = float(np.abs(normal_derivative(ks, ks.zeta0, order=2)).max())
     total = mu.total_mass
 
-    # top-down from the clipped start, each level started from the one
-    # above with its last Jacobian factor (module docstring); a row's gain
-    # is set once the next is solved
+    # top-down, each level carrying the solve above it (module docstring);
+    # a row's gain is set once the next is solved
     rows = []
     above = final = None
-    jacobian = []
+    carry = []
     monotone = True
     for k in TRUNCATION_LEVELS:
         data_k = mu.truncated(k)
-        rep = _semilinear_solve(ks, data_k.load(ks),
-                                upper=None if above is None else above.u.values,
-                                jacobian=jacobian)
+        rep = _semilinear_solve(ks, data_k.load(ks), carry=carry)
         if above is None:
             final = rep
         else:

@@ -252,6 +252,10 @@ BAD_INPUT = {
     "negative-dilation": ["capacity", "--n", "8", "--dilation", "-1"],
     "negative-maxiter": ["capacity", "--n", "8", "--maxiter", "-1"],
     "negative-dual-iters": ["capacity", "--n", "8", "--dual-iters", "-1"],
+    **{f"interval-boundary-{name}": ["capacity", "--shape", "interval", "--n", "8",
+                                     "--kind", "boundary", *target]
+       for name, target in (("default", []), ("cluster", ["--target", "bottom-cluster"]),
+                            ("arc", ["--target", "bottom-arc"]))},
 }
 
 

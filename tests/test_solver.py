@@ -107,6 +107,46 @@ def test_truncation_ladder_hands_its_factor_down(ks32, monkeypatch):
     assert factored[0] > rep.final.factorizations
 
 
+def test_truncation_ladder_solves_an_atom_whose_potential_overflows():
+    # the atom's linear potential passes EXP_ARG_MAX; the Newton start's
+    # screen is the only one, and every level is solved as solve_boundary
+    # solves the full data
+    ks = cached_kernels("square", 64)
+    grid = ks.grid
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    mu = BoundaryMeasure(grid, atoms=[(bm, 32.0)], density=np.ones(grid.n_boundary))
+    assert ks.solve(mu.load(ks)).max() > solver.EXP_ARG_MAX
+    rep = truncation_scheme(mu, ks)
+    assert rep.monotone and rep.saturated
+    for lv in rep.levels:
+        assert lv.bound_lhs <= lv.bound_rhs
+    direct = solve_boundary(mu, ks)
+    assert np.abs(rep.final.u.values - direct.u.values).max() <= 1e-10
+
+
+def test_a_carry_whose_load_does_not_dominate_is_left_unused(ks32, monkeypatch):
+    # a smaller load's solution is no supersolution, and an atom elsewhere
+    # is not comparable: either carry must give the cold solve and its work
+    grid = ks32.grid
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    b = BoundaryMeasure(grid, atoms=[(bm, 8.0)]).load(ks32)
+    factored = _count_factorizations(monkeypatch)
+    cold = solver._semilinear_solve(ks32, b)
+    assert cold.factorizations == factored[0]
+    for other in (BoundaryMeasure(grid, atoms=[(bm, 2.0)]),
+                  BoundaryMeasure(grid, atoms=[(bm + 7, 16.0)])):
+        carry = []
+        solver._semilinear_solve(ks32, other.load(ks32), carry=carry)
+        assert not np.all(b <= carry[0])
+        factored[0] = 0
+        rep = solver._semilinear_solve(ks32, b, carry=carry)
+        assert rep.factorizations == factored[0] == cold.factorizations
+        assert rep.monotone and rep.supersolution
+        assert np.abs(rep.u.values - cold.u.values).max() <= 1e-13 * np.abs(cold.u.values).max()
+        # the carry now holds this solve
+        assert carry[0] is b and np.array_equal(carry[1], rep.u.values)
+
+
 def test_keller_osserman_diagnostic_is_uniformly_bounded(ks32):
     grid = ks32.grid
     bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
@@ -373,11 +413,32 @@ def test_lagged_jacobian_factors_no_more_than_newton(monkeypatch, mass, newton_s
     assert rep.monotone and rep.supersolution
 
 
+@pytest.mark.parametrize("shape, n", [("square", 32), ("square", 64), ("square", 128),
+                                      ("disk", 64)])
+def test_one_more_newton_step_moves_a_solution_by_rounding(shape, n):
+    # the stop test leaves about q s with q s at rounding, so a fresh
+    # Newton step from a returned solution is a few units of rounding
+    ks = cached_kernels(shape, n)
+    grid = ks.grid
+    centre = int(target_nodes(grid, "interior", "center")[0])
+    cases = _bottom_atoms(ks, (2.0, 4.0, 8.0, 16.0, 32.0)) + [
+        InteriorMeasure(grid, atoms=[(centre, 8.0)]),
+        InteriorMeasure(grid, density=np.full(grid.n_interior, 2.0)),
+    ]
+    for mu in cases:
+        solve = solve_boundary if isinstance(mu, BoundaryMeasure) else solve_interior
+        u = solve(mu, ks).u.values
+        r = ks.lap @ u + np.expm1(u) - mu.load(ks)
+        step = np.abs(ks.factor_shifted(np.exp(u))(r)).max()
+        assert step <= 4 * np.finfo(float).eps * max(1.0, np.abs(u).max())
+
+
 def test_stale_factor_is_refreshed_and_stops_at_rounding(monkeypatch):
     # criterion 10's solves at a loose reuse bound: a stale factor reaches
     # the rounding plateau, where only a refresh on a step that does not
     # contract lets it stop, and the stop test at rounding lands on the
-    # solution of the default bound (STEP_TOL alone leaves about 5e-12)
+    # solution of the default bound (a stop at steps below 1e-10 would
+    # leave about 5e-12)
     for n in (33, 67, 135):
         ks = assemble(build_grid("square", n))
         grid = ks.grid
