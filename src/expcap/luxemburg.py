@@ -33,12 +33,20 @@ where G grows exponentially.  The N-function's level evaluator (see
     gauge:    g = log sum W N(s),           g' = sum W s n(s) / sum W N(s)
     Amemiya:  g = log sum W (s n(s) - N(s)), g' = sum W s^2 n'(s) / (that sum)
 
-with s = e^t b.  A cold Newton starts at the quadratic guess
-x^2 = 2 / sum b^2 w h^d (exact when N(t) = t^2/2).  Inside one capacity
-search the objective is evaluated at iterates that barely move, so each
-evaluation's Newton starts warm, at the root t of that search's previous
-evaluation (`_level_start`); the search holds that t, and every seed,
-reported value and certificate is a cold call of the public norms.
+with s = e^t b.  Each root builds its field's moments once (`_moments`:
+b W and sum b^2 W, and b^2 W for an Amemiya root), and every evaluation
+at that root reads them, so an evaluation makes five passes over the
+field (see `nfunctions`).  The root's set-up takes |f| (|f| / c) and its
+maximum, and that maximum is the finiteness test: a NaN or infinity in
+f, or an |f| / c that overflows, makes it non-finite, and the root
+raises OverflowInIntegrand before any evaluation.  A cold Newton starts
+at the quadratic guess x^2 = 2 / sum b^2 w h^d (exact when
+N(t) = t^2/2), which reads sum b^2 W from the moments.  Inside one
+capacity search the objective is evaluated at iterates that barely
+move, so each evaluation's Newton starts warm, at the root t of that
+search's previous evaluation (`_level_start`); the search holds that t,
+and every seed, reported value and certificate is a cold call of the
+public norms.
 Newton keeps a sign bracket [lo, hi]; an evaluation whose integrand
 overflows counts as above the root.  A Newton step that leaves the
 bracket is replaced by bisection, or, while the bracket is open on that
@@ -84,28 +92,38 @@ LEVEL_MAXIT = 200         # cap on level evaluations per root
 
 
 def _side_fns(nf: NFunction, side: str):
-    """(level evaluator, density) of one side of the pair."""
+    """(level evaluator, density on s >= 0) of one side of the pair."""
     if side == "principal":
-        return nf.principal_level, nf.p
+        return nf.principal_level, nf.density
     if side == "conjugate":
-        return nf.conjugate_level, nf.pbar
+        return nf.conjugate_level, nf.conjugate_density
     raise ValueError(f"side must be 'principal' or 'conjugate', got {side!r}")
 
 
-def _level_start(previous, b, W):
+def _moments(b, W, curvature=False):
+    """The moments m = (b W, sum b^2 W, b^2 W) of a root's scaled field b,
+    which every level evaluation at that root reads (see `nfunctions`);
+    b^2 W only for a root whose evaluations take curvature, else None."""
+    bW = b * W
+    return bW, float(b @ bW), b * bW if curvature else None
+
+
+def _level_start(previous, m):
     """Newton's first t: `previous`, the root of the same search's last
-    evaluation, when there is one; else the quadratic guess."""
+    evaluation, when there is one; else the quadratic guess, from the
+    root's moments m."""
     if previous is not None:
         return previous
-    return 0.5 * math.log(2.0 / float((b * b) @ W))
+    return 0.5 * math.log(2.0 / m[1])
 
 
-def _unit_level_root(log_level, b, W, start=None):
+def _unit_level_root(log_level, m, start=None):
     """(t, sums at t) for the root of log_level(t) = (g, g', sums), an
     increasing log-level that raises OverflowInIntegrand where its
-    integrand overflows (see the module docstring); b is the field scaled
-    to max 1, and `start` a previous root to start from (or None)."""
-    t = _level_start(start, b, W)
+    integrand overflows (see the module docstring); m are the moments of
+    the field scaled to max 1, and `start` a previous root to start from
+    (or None)."""
+    t = _level_start(start, m)
     lo, hi, last = -math.inf, math.inf, math.inf
     tol = LEVEL_ULPS * np.finfo(float).eps
     for _ in range(LEVEL_MAXIT):
@@ -135,25 +153,27 @@ def _unit_level_root(log_level, b, W, start=None):
 def _gauge_root(vals, W, level, scale, start=None):
     """(rmax, t, sum W s n(s), b) at the root of the gauge's level equation
     (see the module docstring): b = |f| / c scaled to max 1 by rmax, and
-    s = e^t b.  t is None for the zero field."""
-    if not np.all(np.isfinite(vals)):
-        raise OverflowInIntegrand("field contains non-finite values")
+    s = e^t b.  t is None for the zero field.  A NaN or infinity in f,
+    or an |f| / c that overflows, shows as a non-finite rmax."""
     b = np.abs(vals)
     if scale is not None:
         sc = np.asarray(scale, dtype=float)
-        if np.any(sc <= 0):
+        if not np.all(sc > 0):
             raise ValueError("scale vector must be strictly positive")
         b /= sc
     rmax = float(b.max(initial=0.0))
+    if not math.isfinite(rmax):
+        raise OverflowInIntegrand("field (or field / scale) contains non-finite values")
     if rmax == 0.0:
         return rmax, None, 0.0, b
     b /= rmax
+    m = _moments(b, W)
 
     def log_level(t):
-        N, sn = level(math.exp(t), b, W)
+        N, sn = level(math.exp(t), b, W, m)
         return math.log(N), sn / N, sn
 
-    t, sn = _unit_level_root(log_level, b, W, start)
+    t, sn = _unit_level_root(log_level, m, start)
     return rmax, t, sn, b
 
 
@@ -177,7 +197,7 @@ def luxemburg_subgradient(f, grid: WeightedGrid, nf: NFunction, side: str = "pri
 
     so that <g, f> = k (the Euler identity for 1-homogeneous norms).  At
     the root s = |f| / (k c) = e^t b, so D = sum W s n(s) is the sum the
-    level evaluator returned there, and one density pass gives
+    level evaluator returned there, and one density pass on s >= 0 gives
     g = sign(f) (W / c) n(s) / D.  Returns (norm, g).
     """
     return _subgradient(f, grid, nf, side, weight, scale)[:2]
@@ -218,30 +238,32 @@ def _amemiya(f, grid, nf, side, weight, start=None):
     """(norm, k, t): orlicz_norm_and_argmin with its level Newton started
     at the root `start` of a previous evaluation, and its own root t."""
     vals = grid.interior_values(f)
-    if not np.all(np.isfinite(vals)):
-        raise OverflowInIntegrand("field contains non-finite values")
     a = np.abs(vals)
     amax = float(a.max(initial=0.0))
+    if not math.isfinite(amax):
+        raise OverflowInIntegrand("field contains non-finite values")
     if amax == 0.0:
         raise ZeroField("Amemiya minimiser undefined at the zero field")
     W = grid.weight_vector(weight)
     level, _ = _side_fns(nf, side)
     a /= amax
+    m = _moments(a, W, curvature=True)
 
     def log_level(t):
-        N, sn, curv = level(math.exp(t), a, W, True)
+        N, sn, curv = level(math.exp(t), a, W, m, True)
         G = sn - N
         return math.log(G), curv / G, N
 
-    t, N = _unit_level_root(log_level, a, W, start)
+    t, N = _unit_level_root(log_level, m, start)
     k = math.exp(t) / amax
     return (1.0 + N) / k, k, t
 
 
 def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
                 weight: str = "lebesgue") -> float:
-    """Amemiya form of the Orlicz norm (exact dual of the complementary gauge)."""
-    vals = grid.interior_values(f)
-    if float(np.abs(vals).max(initial=0.0)) == 0.0:
+    """Amemiya form of the Orlicz norm (exact dual of the complementary
+    gauge); exact 0 for the zero field."""
+    try:
+        return _amemiya(f, grid, nf, side, weight)[0]
+    except ZeroField:
         return 0.0
-    return orlicz_norm_and_argmin(vals, grid, nf, side, weight)[0]

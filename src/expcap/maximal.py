@@ -29,9 +29,9 @@ are
 
     ((S[i + s(W+1)] - S[i + s]) - S[i + sW]) + S[i],   0 <= i < (k-1) W + k,
 
-divided in place by s^2 (in 1D, S[i + s] - S[i] over i < k, divided by
-s).  The slots with c >= k between two rows are junk anchors: their
-sums wrap across a row and mean nothing.  The max over the anchors a,
+multiplied in place by fl(1/s^2) (in 1D, S[i + s] - S[i] over i < k,
+multiplied by fl(1/s)).  The slots with c >= k between two rows are
+junk anchors: their sums wrap across a row and mean nothing.  The max over the anchors a,
 a-e1, a-e2, a-e1-e2 is two maxima of shifted runs, offsets 0 and -1,
 then 0 and -W, read from buffers led by W + 1 entries of -inf.  A valid
 anchor of the next size reads V_{s+1} only at columns -1..k-1 and rows
@@ -44,10 +44,19 @@ still holds the -inf the buffer was allocated with.  Two buffers
 alternate between V_{s+1} and V_s, and one more holds the first maximum;
 a call allocates nothing per size.
 
+Averages by a product.  A product costs less than a division, and the
+average needs no more: S holds partial sums of up to N^d terms, so the
+differences above already carry an absolute error of a few eps max S,
+far more than sum * fl(1/s^d) can differ from sum / s^d: fl(1/s^d)
+is within a relative eps/2 of 1/s^d, so the product is off by at most
+one ulp before its own rounding, and the two rounded forms are at most
+two ulps apart even on exact sums (the tests hold every value there).
+
 The box sums are the same expressions, in the same order, as a direct
-evaluation over every square, the division is the same, and a max is
-exact, so the cascade returns the same bits as a direct max over every
-square (the tests compare it with one on integer data, bit for bit).
+evaluation over every square, each is multiplied by the same fl(1/s^d),
+and a max is exact, so the cascade returns the same bits as a direct
+max over every square that averages the same way (the tests compare
+it with one on integer data, bit for bit).
 
 The companion functional
 
@@ -101,7 +110,7 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
             np.subtract(S[s * (W + 1):s * (W + 1) + m], S[s:s + m], out=out)
             out -= S[s * W:s * W + m]
             out += S[:m]
-            out /= s * s
+            out *= 1.0 / (s * s)
     else:
         lead, size = 1, N
 
@@ -113,7 +122,7 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
 
         def box_sums(s, out):
             np.subtract(S[s:s + out.size], S[:out.size], out=out)
-            out /= s
+            out *= 1.0 / s
 
     cur, nxt, tmp = (np.full(lead + size, -np.inf) for _ in range(3))
 

@@ -14,19 +14,41 @@ Level evaluators.  Every norm in `luxemburg` solves a level equation in
 s = x b, with b >= 0 a field scaled to max b = 1 and x > 0 a scalar, so
 each side of a pair also carries one evaluator
 
-    level(x, b, W, curvature=False)
+    level(x, b, W, m, curvature=False)
         -> (sum W N(s), sum W s n(s))                 or, with curvature,
         -> (sum W N(s), sum W s n(s), sum W s^2 n'(s))
 
 for N that side's N-function and n its density.  The first two give
 the gauge's log-level and its slope in log x, the last two the Amemiya
-level and its slope.  Each evaluator makes one transcendental pass
-(exponential side: e = expm1(s), N = e - s, s n = s e, s^2 n' = s^2 (e + 1);
-conjugate side: l = log1p(s), N* = (1 + s) l - s, s pbar = s l,
-s^2 pbar' = s^2 / (1 + s)) and works in place on at most two arrays of
-the field's length.  Since max s = x, the exponential side's range test
-is one scalar comparison; past EXP_ARG_MAX it raises
-OverflowInIntegrand.
+level and its slope.  m = (b W, sum b^2 W, b^2 W) are the root's
+moments, built once per root (`luxemburg._moments`; b^2 W is None for a
+root that takes no curvature), so that every power of x leaves the
+sums as a scalar factor.  Each evaluator makes one transcendental pass
+and then dot products with the moments:
+
+    exponential:  e = expm1(s);   sum W s n     = x (e . bW),
+                  sum W s^2 n' = x^2 (e . b^2W + sum b^2 W),
+                  sum W N      = (e - s) . W;
+    conjugate:    l = log1p(s);   sum W s pbar  = x (l . bW),
+                  sum W N*     = (l - s) . W + sum W s pbar,
+                  sum W s^2 pbar' = x^2 sum b^2 W / (1 + s);
+
+that is five passes over the field (s = x b, the transcendental, a dot,
+a subtraction, a dot), one more dot for the exponential curvature and
+an add, a divide and a sum for the conjugate one.  Forming every sum
+elementwise took seven and eight passes, ten and twelve with curvature.
+The quadratic pair
+reads sum b^2 W and makes no pass.  Accuracy: N = e - s and l - s are
+kept elementwise.  Each difference loses the digits of its own
+cancellation (relative error about eps / s, with errors of random sign
+across nodes), while the shorter e . W - x sum b W subtracts two sums
+of size x from one of size x^2 / 2 and loses all of them at once: at
+x = 1e-3 on square n=16 with rho weights (the tests' field) it is off
+by 1.5e-13 (P) and 4.0e-13 (P*) relative, the elementwise form by
+3.8e-14 and 2.1e-14, against sums exact to rounding; the tests hold
+the evaluators to 7e-14.  The other sums add terms of one sign, each correct
+to a few ulps.  Since max s = x, the exponential side's range test is
+one scalar comparison; past EXP_ARG_MAX it raises OverflowInIntegrand.
 """
 
 from __future__ import annotations
@@ -55,9 +77,10 @@ def _check_exp_range(amax: float) -> None:
 class NFunction:
     """A complementary pair (P, P*) with densities and level evaluators.
 
-    The first four callables are vectorised over numpy arrays.
-    `principal` and `conjugate` are even and vanish at 0; the densities
-    are odd and increasing.  `principal_level` and `conjugate_level`
+    The callables are vectorised over numpy arrays.  `principal` and
+    `conjugate` are even and vanish at 0.  `density` and
+    `conjugate_density` take s >= 0 only; `p` and `pbar` extend them to
+    odd functions, increasing.  `principal_level` and `conjugate_level`
     are the level evaluators of the module docstring.
     """
 
@@ -78,11 +101,11 @@ class NFunction:
 
     def p(self, s):
         s = np.asarray(s, dtype=float)
-        return self.density(s)
+        return np.copysign(self.density(np.abs(s)), s)
 
     def pbar(self, s):
         s = np.asarray(s, dtype=float)
-        return self.conjugate_density(s)
+        return np.copysign(self.conjugate_density(np.abs(s)), s)
 
 
 def _exp_P(t):
@@ -96,54 +119,43 @@ def _exp_Pstar(t):
     return (a + 1.0) * np.log1p(a) - a
 
 
-def _exp_p(s):
-    a = np.abs(s)
+def _exp_p(a):
     _check_exp_range(a.max(initial=0.0))
-    return np.sign(s) * np.expm1(a)
+    return np.expm1(a)
 
 
-def _exp_pbar(s):
-    return np.sign(s) * np.log1p(np.abs(s))
-
-
-def _exp_P_level(x, b, W, curvature=False):
-    """Level sums of P at s = x b, from e = expm1(s)."""
+def _exp_P_level(x, b, W, m, curvature=False):
+    """Level sums of P at s = x b, from e = expm1(s) and the moments m."""
     _check_exp_range(x)
+    bW, b2W_sum, b2W = m
     s = np.multiply(b, x)
     e = np.expm1(s)
-    e -= s                      # P(s)
+    sn = x * float(e @ bW)                          # sum W s p(s)
+    if curvature:
+        curv = x * x * (float(e @ b2W) + b2W_sum)   # sum W s^2 (e + 1)
+    e -= s                                          # P(s)
     N = float(e @ W)
-    e += s
-    e *= s                      # s p(s) = s e
-    sn = float(e @ W)
-    if not curvature:
-        return N, sn
-    e += s
-    e *= s                      # s^2 p'(s) = s (s e + s)
-    return N, sn, float(e @ W)
+    return (N, sn, curv) if curvature else (N, sn)
 
 
-def _exp_Pstar_level(x, b, W, curvature=False):
-    """Level sums of P* at s = x b, from l = log1p(s)."""
+def _exp_Pstar_level(x, b, W, m, curvature=False):
+    """Level sums of P* at s = x b, from l = log1p(s) and the moments m."""
+    bW, _, b2W = m
     s = np.multiply(b, x)
     l = np.log1p(s)
-    s *= l                      # s pbar(s) = s l
-    sn = float(s @ W)
-    s += l                      # (1 + s) l
-    np.multiply(b, x, out=l)
-    s -= l                      # P*(s)
-    N = float(s @ W)
+    sn = x * float(l @ bW)                          # sum W s pbar(s)
+    l -= s
+    N = float(l @ W) + sn                           # P*(s) = (l - s) + s l
     if not curvature:
         return N, sn
-    np.add(l, 1.0, out=s)
-    l *= l
-    l /= s                      # s^2 pbar'(s) = s^2 / (1 + s)
-    return N, sn, float(l @ W)
+    s += 1.0
+    np.divide(b2W, s, out=s)                        # b^2 W / (1 + s)
+    return N, sn, x * x * float(s.sum())
 
 
-def _quadratic_level(x, b, W, curvature=False):
+def _quadratic_level(x, b, W, m, curvature=False):
     """Level sums of N(s) = s^2/2: sum W s^2 / 2, and sum W s^2 twice."""
-    q = x * x * float((b * b) @ W)
+    q = x * x * m[1]
     return (0.5 * q, q, q) if curvature else (0.5 * q, q)
 
 
@@ -153,7 +165,7 @@ def exponential_pair() -> NFunction:
         principal=_exp_P,
         conjugate=_exp_Pstar,
         density=_exp_p,
-        conjugate_density=_exp_pbar,
+        conjugate_density=np.log1p,
         principal_level=_exp_P_level,
         conjugate_level=_exp_Pstar_level,
     )

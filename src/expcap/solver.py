@@ -42,8 +42,12 @@ s (q s is Newton's quadratic remainder); after that q is the smaller of
 the bound and the observed ratio of the last two steps.  One more fresh
 Newton step from a returned solution of atom or interior-density data
 moves it by at most 2.53 eps max(1, |u|_inf) (square n=32-128 and disk
-n=64).  Every Jacobian is factored in A's own column order
-(`KernelSet.factor_shifted`).
+n=64).  A boundary density's load reaches 4/h^2 at the corners, and
+that floor follows it: with density 2 one more step moves a solution by
+2.55/4.32/10.13 eps max(1, |u|_inf) on square n=32/64/128 and by 7.97
+on disk n=64, so the rule's unit of rounding is too small there (a unit
+scaled by the residual's own terms would cover both).  Every Jacobian
+is factored in A's own column order (`KernelSet.factor_shifted`).
 
 REUSE_TOL is 0.05.  A kept factor costs a chord step more now and then,
 a solve against a factorisation (about 1.3 ms against 20 ms at square

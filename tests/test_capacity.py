@@ -281,7 +281,7 @@ def test_warm_level_starts_change_no_value_and_save_evaluations(ks16, withheld,
     warm = _orlicz_setting_pairs(ks16)
     warm_evaluations, evaluations[0] = evaluations[0], 0
     monkeypatch.setattr(luxemburg, "_level_start",
-                        lambda previous, b, W: start(None, b, W))
+                        lambda previous, m: start(None, m))
     cold = _orlicz_setting_pairs(ks16)
     assert warm_evaluations < evaluations[0]
     for w, c in zip(warm, cold):

@@ -9,8 +9,8 @@ from scipy.optimize import brentq
 
 from expcap.errors import GridMismatch, OverflowInIntegrand, ZeroField
 from expcap.grids import build_grid
-from expcap.luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
-                              orlicz_norm_and_argmin)
+from expcap.luxemburg import (_moments, luxemburg_norm, luxemburg_subgradient,
+                              orlicz_norm, orlicz_norm_and_argmin)
 from expcap.nfunctions import exponential_pair, quadratic_pair
 
 NF = exponential_pair()
@@ -143,6 +143,28 @@ def test_bad_side_and_bad_scale_rejected(ks16):
         luxemburg_norm(f, grid, NF, scale=np.zeros(grid.n_interior))
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+@pytest.mark.parametrize("norm", [luxemburg_norm, luxemburg_subgradient])
+def test_a_bad_scale_is_refused_before_the_level_newton(ks16, norm):
+    # a NaN entry passes a test for entries <= 0, and an entry of 1e-320
+    # overflows |f| / c to inf; either used to spend every level
+    # evaluation before "could not solve the unit level"
+    grid = ks16.grid
+    f = np.ones(grid.n_interior)
+    counted = _Counted(NF)
+    nan_scale = grid.rho.copy()
+    nan_scale[3] = np.nan
+    with pytest.raises(ValueError):
+        norm(f, grid, counted.nf, "conjugate", "rho", nan_scale)
+    assert counted.calls <= 1
+    counted.reset()
+    tiny_scale = grid.rho.copy()
+    tiny_scale[3] = 1e-320
+    with pytest.raises(OverflowInIntegrand):
+        norm(f, grid, counted.nf, "conjugate", "rho", tiny_scale)
+    assert counted.calls <= 1
+
+
 class _Counted:
     """An N-function pair whose level evaluators count their calls and
     the calls that overflow; past `limit` (in max s = x max b) they raise
@@ -272,8 +294,8 @@ def test_level_evaluator_matches_the_n_function(ks16, rng, side):
         b = np.abs(rng.standard_normal(grid.n_interior))
         b /= b.max()
         s = x * b
-        got = level(x, b, W, True)
-        assert level(x, b, W) == got[:2]
+        got = level(x, b, W, _moments(b, W, True), True)
+        assert level(x, b, W, _moments(b, W)) == got[:2]
         sn = float((s * n(s)) @ W)
         h = 1e-30
         z = np.exp(np.log(x) + 1j * h) * b
@@ -284,7 +306,7 @@ def test_level_evaluator_matches_the_n_function(ks16, rng, side):
 
 def test_norms_leave_no_cycle_holding_the_field(ks16, rng):
     # Nothing a norm builds (its log-level closure, the traceback of an
-    # overflow it catches) may form a cycle that keeps the field alive
+    # overflow or a zero field it catches) may form a cycle that keeps the field alive
     # until the cyclic collector runs.
     grid = ks16.grid
     f = rng.standard_normal(grid.n_interior)
@@ -295,7 +317,8 @@ def test_norms_leave_no_cycle_holding_the_field(ks16, rng):
              lambda: luxemburg_norm(spike, grid, NF, weight="rho"),
              lambda: luxemburg_subgradient(f, grid, NF, side="conjugate"),
              lambda: orlicz_norm(f, grid, NF),
-             lambda: orlicz_norm(spike, grid, NF, weight="rho"))
+             lambda: orlicz_norm(spike, grid, NF, weight="rho"),
+             lambda: orlicz_norm(np.zeros(grid.n_interior), grid, NF))
     # DEBUG_SAVEALL keeps every unreachable cycle in gc.garbage instead of
     # freeing it, and clearing that list leaves the cycles unreachable
     # again, so a collection under it would blame this call for cycles

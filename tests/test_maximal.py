@@ -46,15 +46,18 @@ def test_llnl_norm_anchor_and_scaling(ks16, rng):
         llnl_norm(f, grid, weight="nope")
 
 
-def _brute_force_maximal(full):
+def _brute_force_maximal(full, divide=False):
     """Max average of |f| over every square (interval in 1D) inside the
-    padded cube that contains each cell, by enumeration."""
+    padded cube that contains each cell, by enumeration.  An average is
+    sum * fl(1/s^d), as the cascade takes it, or sum / s^d if `divide`."""
     N = full.shape[0]
     M = full.copy()
     for s in range(2, N + 1):
         for a in np.ndindex(*(N - s + 1,) * full.ndim):
             box = tuple(slice(i, i + s) for i in a)
-            M[box] = np.maximum(M[box], full[box].sum() / s ** full.ndim)
+            total = full[box].sum()
+            avg = total / s ** full.ndim if divide else total * (1.0 / s ** full.ndim)
+            M[box] = np.maximum(M[box], avg)
     return M
 
 
@@ -81,7 +84,8 @@ def test_cascade_matches_every_square(shape, n, rng):
     # true averages small, so a junk anchor read in place of a fenced one
     # would show.  The dyadic field is not integer but its sums are still
     # exact (multiples of 2^-15 below 2^12, 37 bits for the largest cube),
-    # and its magnitudes spread over sixteen octaves.
+    # and its magnitudes spread over sixteen octaves.  On the same exact
+    # sums the product by fl(1/s^d) stays within two ulps of the quotient.
     grid = build_grid(shape, n)
     for pad in (0, 1, 2):
         signed = rng.integers(-9, 10, grid.n_interior).astype(float)
@@ -93,6 +97,8 @@ def test_cascade_matches_every_square(shape, n, rng):
         for f in (signed, sparse, spikes, dyadic):
             got = maximal_function(f, grid, pad)
             assert np.array_equal(got, _brute_force_maximal(_padded(grid, f, pad)))
+            quotient = _brute_force_maximal(_padded(grid, f, pad), divide=True)
+            assert np.all(np.abs(got - quotient) <= 2 * np.spacing(quotient))
         g = rng.standard_normal(grid.n_interior)
         assert np.allclose(maximal_function(g, grid, pad),
                            _brute_force_maximal(_padded(grid, g, pad)),

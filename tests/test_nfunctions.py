@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from expcap.errors import OverflowInIntegrand
+from expcap.grids import build_grid
+from expcap.luxemburg import _moments
 from expcap.nfunctions import (exponential_pair, pstar_sandwich, quadratic_pair,
                                young_gap)
 
@@ -77,3 +79,38 @@ def test_quadratic_pair_is_self_conjugate(rng):
     assert float(young_gap(x, y, q).min()) >= -1e-12
     # equality exactly on the diagonal y = x
     assert float(np.abs(young_gap(x, x, q)).max()) < 1e-12
+
+
+def _exact_terms(side, s):
+    """(N(s), s n(s), s^2 n'(s)) at one s >= 0, accurate to rounding:
+    N by its Taylor series below s = 0.1, where the closed form cancels
+    (the terms fall by s / 10 or faster, so 30 reach eps)."""
+    if side == "principal":
+        N = (math.fsum(s ** k / math.factorial(k) for k in range(2, 30)) if s < 0.1
+             else math.expm1(s) - s)
+        return N, s * math.expm1(s), s * s * math.exp(s)
+    N = (math.fsum((-s) ** k / (k * (k - 1)) for k in range(2, 30)) if s < 0.1
+         else (1.0 + s) * math.log1p(s) - s)
+    return N, s * math.log1p(s), s * s / (1.0 + s)
+
+
+@pytest.mark.parametrize("side", ["principal", "conjugate"])
+def test_level_evaluators_are_accurate_to_rounding(side, rng):
+    # sum W N(s), sum W s n(s) and sum W s^2 n'(s) against sums of terms
+    # accurate to rounding (math.fsum), at small s too, where N(s) ~ s^2/2
+    # is what is left of e - s or l - s (3.8e-14 and 2.1e-14 at x = 1e-3);
+    # forming sum W N from e . W - x sum b W instead is off by 1.5e-13
+    # (P) and 4.0e-13 (P*) there
+    grid = build_grid("square", 16)
+    W = grid.weight_vector("rho")
+    level = NF.principal_level if side == "principal" else NF.conjugate_level
+    b = np.abs(rng.standard_normal(grid.n_interior))
+    b /= b.max()
+    for x in (1e-3, 0.05, 0.7, 5.0, 40.0):
+        s = x * b
+        terms = [_exact_terms(side, si) for si in s]
+        exact = [math.fsum(w * t[i] for w, t in zip(W, terms)) for i in range(3)]
+        for curvature in (False, True):
+            got = level(x, b, W, _moments(b, W, curvature), curvature)
+            for value, expect in zip(got, exact):
+                assert abs(value - expect) <= 7e-14 * expect, (x, value, expect)
