@@ -16,10 +16,12 @@ box-constrained quasi-Newton search from a pinned seed is reliable;
 the reported value re-evaluates the exact norm at the final feasible
 point, making every primal number a certified upper bound.
 
-The interior primal's seed comes from its dual's measure and already
-meets the dual's certified lower bound to rounding, so the search is
-skipped when the seed's exact norm is within PAIR_GAP_TOL of that bound
-(relative, either sign): no feasible point can lower the value by more.
+The interior primal's seed comes from its dual's measure, which its
+caller passes in (capacity_pair runs dual_interior once for both), and
+already meets the dual's certified lower bound to rounding, so the
+search is skipped when the seed's exact norm is within PAIR_GAP_TOL of
+that bound (relative, either sign): no feasible point can lower the
+value by more.
 The value is still the exact norm at a feasible point, so it stays a
 certified upper bound.  Such an estimate reports iterations 0,
 aux["evaluations"] 0 and converged True: the certificate, not an
@@ -95,7 +97,6 @@ class CompactSet:
     grid: WeightedGrid
     nodes: np.ndarray
     kind: str  # "interior" | "boundary"
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "nodes",
@@ -176,14 +177,9 @@ def dilate_interior(ks: KernelSet, nodes: np.ndarray, rings: int) -> np.ndarray:
     return np.flatnonzero(_hop_distance(ks.stencil_graph, nodes, rings) <= rings)
 
 
-def boundary_collar(ks: KernelSet, rings: int) -> np.ndarray:
-    """Interior nodes within `rings` graph steps of the boundary.
-
-    rings=0 returns the empty set: boundary nodes themselves always
-    carry zero through the stencil, so no interior node needs pinning.
-    """
-    first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
-    return np.flatnonzero(_hop_distance(ks.stencil_graph, first, rings - 1) <= rings - 1)
+def boundary_collar(ks: KernelSet) -> np.ndarray:
+    """Interior nodes with a boundary neighbour (coupling row sum > 0)."""
+    return np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
 
 
 def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.ndarray:
@@ -274,9 +270,8 @@ def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
     return eta
 
 
-def primal_interior(K: CompactSet, ks: KernelSet,
-                    opts: CapacityOptions = CapacityOptions(),
-                    dual: Optional[CapacityEstimate] = None) -> CapacityEstimate:
+def primal_interior(K: CompactSet, ks: KernelSet, opts: CapacityOptions,
+                    dual: CapacityEstimate) -> CapacityEstimate:
     """Certified upper bound for the interior capacity of K.
 
     Seeds the box-constrained search with the duality alignment
@@ -287,7 +282,7 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     skipped (see _polish); without that it would start essentially at
     the optimum instead of crawling down an ill-conditioned valley.
     `dual` is that measure's estimate from dual_interior with the same
-    options; it is computed here when not given.
+    options.
     """
     grid = ks.grid
     grid.require_same(K.grid)
@@ -314,12 +309,10 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     # (overwriting a solved field with zeros puts O(1/h^2) jumps into
     # its Laplacian and ruins the seed).  Without a positive potential
     # the source is 0 and the seed is the harmonic fill.
-    if dual is None:
-        dual = dual_interior(K, ks, opts)
     pot = green_column(ks, dual.mu_nodes) @ dual.mu_masses
     w_star = None
     if float(pot.max(initial=0.0)) > 0:
-        _, khat = orlicz_norm_and_argmin(pot, grid, nf, "principal", "lebesgue")
+        _, khat = orlicz_norm_and_argmin(pot, grid, nf, "lebesgue")
         # Young equality makes p(khat pot) the unit-norm aligned source,
         # so the optimiser target is dual_value times it.
         w_star = dual.dual_value * nf.p(khat * pot)
@@ -448,7 +441,7 @@ def dual_interior(K: CompactSet, ks: KernelSet,
         def objective(y):
             nonlocal start
             v = v0 + GQ @ y
-            nrm, k, start = _amemiya(v, grid, nf, "principal", "lebesgue", start)
+            nrm, k, start = _amemiya(v, grid, nf, "lebesgue", start)
             # envelope theorem: the norm's gradient in v is n(k v) W
             return nrm, GQ.T @ (nf.p(k * v) * W)
 
@@ -456,7 +449,7 @@ def dual_interior(K: CompactSet, ks: KernelSet,
                             opts.dual_iters)
         m = m + Q @ res.x
         iters, converged = int(res.nit), bool(res.success)
-    nrm = orlicz_norm(cols @ m, grid, nf, "principal", "lebesgue")
+    nrm = orlicz_norm(cols @ m, grid, nf, "lebesgue")
     return CapacityEstimate("dual-interior", dual_value=float(m.sum() / nrm),
                             mu_nodes=support, mu_masses=m / nrm,
                             iterations=iters, converged=converged)
@@ -476,8 +469,7 @@ def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstim
     ones = pri.aux["ones"]
     _, gw, _ = _boundary_gauge_gradient(ks, pri.eta_star)
     f = gw / grid.cell_measure
-    potential_norm = orlicz_norm(f, grid, exponential_pair(), side="principal",
-                                 weight="rho")
+    potential_norm = orlicz_norm(f, grid, exponential_pair(), weight="rho")
     mu = boundary_measure(ks, f)
     off = np.ones(grid.n_boundary, dtype=bool)
     off[ones] = False

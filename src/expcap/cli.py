@@ -71,7 +71,7 @@ _SCALAR_KEYS = {"charge": float, "slope_tol": float, "residual_tol": float,
                 "shape": str, "target": str, "out": str}
 
 
-def _experiment_config(args, experiment: str) -> xp.ExperimentConfig:
+def _experiment_config(args) -> xp.ExperimentConfig:
     data = read_config(args.config) if getattr(args, "config", None) else {}
     unknown = sorted(set(data) - set(_LIST_KEYS) - set(_SCALAR_KEYS))
     if unknown:
@@ -79,7 +79,7 @@ def _experiment_config(args, experiment: str) -> xp.ExperimentConfig:
     for key in list(_LIST_KEYS) + list(_SCALAR_KEYS):
         if getattr(args, key, None) is not None:
             data[key] = getattr(args, key)
-    kw = {"experiment": experiment}
+    kw = {}
     try:
         for key, conv in _LIST_KEYS.items():
             if key in data:  # a comma- or semicolon-separated string
@@ -129,8 +129,7 @@ def _cmd_norms(args) -> int:
         v = luxemburg_norm(vals, grid, nf, side=side, weight=args.weight,
                            scale=scale)
         print(f"luxemburg[{side}] = {v:.12g}")
-    print(f"orlicz[principal] = "
-          f"{orlicz_norm(vals, grid, nf, 'principal', args.weight):.12g}")
+    print(f"orlicz[principal] = {orlicz_norm(vals, grid, nf, args.weight):.12g}")
     print(f"llnl = {llnl_norm(vals, grid, args.weight):.12g}")
     return 0
 
@@ -194,9 +193,9 @@ def _cmd_solve(args) -> int:
 def _cmd_capacity(args) -> int:
     ks = assemble(build_grid(args.shape, args.n))
     grid = ks.grid
-    target = args.target or ("center" if args.kind == "interior" else "bottom-mid")
+    target = args.target or xp.default_target(grid, args.kind)
     nodes = xp.target_nodes(grid, args.kind, target)
-    K = CompactSet(grid, nodes, args.kind, label=target)
+    K = CompactSet(grid, nodes, args.kind)
     opts = CapacityOptions(dilation=args.dilation, maxiter=args.maxiter,
                            dual_iters=args.dual_iters)
     est = capacity_pair(K, ks, opts)
@@ -217,7 +216,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_removability(args) -> int:
-    cfg = _experiment_config(args, "removability")
+    cfg = _experiment_config(args)
     res = xp.run_removability_threshold(cfg)
     print("mass     slope      verdict")
     for m, s, v in res.rows:
@@ -228,7 +227,7 @@ def _cmd_removability(args) -> int:
 
 
 def _cmd_vanishing(args) -> int:
-    cfg = _experiment_config(args, "vanishing")
+    cfg = _experiment_config(args)
     res = xp.run_vanishing_inequality(cfg)
     print("case              step  mass_on_K  absorption  holder      margin      pairing_gap")
     for case, step, t1, t2, t3, margin, gap in res.rows:
@@ -239,7 +238,7 @@ def _cmd_vanishing(args) -> int:
 
 
 def _cmd_moderate(args) -> int:
-    cfg = _experiment_config(args, "moderate")
+    cfg = _experiment_config(args)
     res = xp.run_moderate_extension(cfg)
     for rings, radius, corr in res.rows:
         print(f"rings={rings:<3} radius={radius:<8.4g} correction={corr:.6e}")
@@ -251,7 +250,7 @@ def _cmd_moderate(args) -> int:
 
 
 def _cmd_boundary_probe(args) -> int:
-    cfg = _experiment_config(args, "boundary-probe")
+    cfg = _experiment_config(args)
     res = xp.run_boundary_probe(cfg)
     print("mode     n     rings  est_integral  lln_norm")
     for mode, n, rings, est, nrm in res.shrink_rows + res.refine_rows:
@@ -261,7 +260,7 @@ def _cmd_boundary_probe(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _experiment_config(args, "converge")
+    cfg = _experiment_config(args)
     res = xp.run_convergence_suite(cfg)
     print("check               shape     n    value         error        ratio")
     for check, shape, n, value, ref, err, ratio in res.rows:
@@ -312,8 +311,8 @@ def main(argv=None) -> int:
     p.add_argument("--kind", default="interior",
                    choices=("interior", "boundary"))
     p.add_argument("--target",
-                   help="named target set (default: center, or bottom-mid "
-                        "for --kind boundary)")
+                   help="named target set (default: center, or for --kind "
+                        "boundary bottom-mid, point:0 on the interval)")
     p.add_argument("--dilation", type=int, default=CapacityOptions.dilation)
     p.add_argument("--maxiter", type=int, default=CapacityOptions.maxiter)
     p.add_argument("--dual-iters", dest="dual_iters", type=int,

@@ -38,7 +38,7 @@ from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
                        capacity_pair, pairing, pinned_harmonic_fill,
                        _boundary_forward, _hop_distance)
 from .errors import BadInput, Infeasible, LadderTooCoarse, SupportError
-from .grids import build_grid, integrate
+from .grids import SHAPES, build_grid, integrate
 from .kernels import assemble, green_column
 from .luxemburg import luxemburg_norm
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -65,6 +65,8 @@ class ExperimentConfig:
     out: str = ""
 
     def __post_init__(self):
+        if self.shape not in SHAPES:
+            raise BadInput(f"shape must be one of {', '.join(SHAPES)}, got {self.shape!r}")
         lad = tuple(int(v) for v in self.ladder)
         if any(b <= a for a, b in zip(lad, lad[1:])):
             raise BadInput("grid ladder must be strictly increasing")
@@ -99,6 +101,20 @@ def write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence]) -> No
 
 def _domain_center(shape: str):
     return (0.5,) if shape == "interval" else (0.5, 0.5)
+
+
+def _require_2d(cfg: ExperimentConfig, name: str) -> None:
+    """Refuse the interval, for a 2-D experiment, before anything is built."""
+    if cfg.shape == "interval":
+        raise SupportError(f"{name} experiment needs a 2D shape")
+
+
+def default_target(grid, kind: str) -> str:
+    """The target named when none is given: center for interior sets;
+    bottom-mid on 2-D grids and point:0 on the interval for boundary sets."""
+    if kind == "interior":
+        return "center"
+    return "bottom-mid" if grid.ndim == 2 else "point:0"
 
 
 def target_nodes(grid, kind: str, name: str) -> np.ndarray:
@@ -154,7 +170,7 @@ def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
     """Shrinking capacitary cutoffs: eta = 1 on dilate(K,1), harmonic on
     dilate(K,R) beyond, 0 elsewhere; one field per R (R descending)."""
     dist = _hop_distance(ks.stencil_graph, K_nodes)
-    collar = boundary_collar(ks, 1)
+    collar = boundary_collar(ks)
     fixed = (dist <= 1).astype(float)
     out = []
     for R in sorted(radii, reverse=True):
@@ -192,8 +208,7 @@ def run_removability_threshold(cfg: ExperimentConfig) -> RemovabilityResult:
     cfg.threshold_window of 4*pi; LadderTooCoarse when the ladder never
     changes sign.
     """
-    if cfg.shape == "interval":
-        raise SupportError("threshold experiment needs a 2D shape")
+    _require_2d(cfg, "threshold")
     if len(cfg.ladder) < 3:
         raise BadInput("the slope fit needs a ladder of at least 3 grid sizes, "
                        f"got {len(cfg.ladder)}")
@@ -280,11 +295,11 @@ def _boundary_triple(case: str, mu: BoundaryMeasure, K_nodes, ks, radii):
 
 def run_vanishing_inequality(cfg: ExperimentConfig) -> VanishingResult:
     """Three (mu, K, family) triples; emits the terms per family step."""
-    shape = cfg.shape if cfg.shape != "interval" else "square"
+    _require_2d(cfg, "vanishing")
     n = cfg.ladder[0]
-    ks = assemble(build_grid(shape, n))
+    ks = assemble(build_grid(cfg.shape, n))
     grid = ks.grid
-    center = _domain_center(shape)
+    center = _domain_center(cfg.shape)
 
     rows = []
     mu1 = MeasureSpec("interior", atoms=((center, 1.0),)).instantiate(grid)
@@ -294,8 +309,7 @@ def run_vanishing_inequality(cfg: ExperimentConfig) -> VanishingResult:
     mu2 = MeasureSpec("interior", atoms=(((0.25,) * grid.ndim, 2.0),)).instantiate(grid)
     rows += _interior_triple("interior-slack", mu2, K1, ks, cfg.radii)
 
-    Kb = target_nodes(grid, "boundary", "bottom-mid" if shape == "square"
-                      else "point:0.5,0.0")
+    Kb = target_nodes(grid, "boundary", "bottom-mid")
     mu3 = BoundaryMeasure(grid, atoms=[(int(Kb[0]), 1.0)])
     rows += _boundary_triple("boundary-charged", mu3, Kb, ks, cfg.radii)
 
@@ -358,9 +372,9 @@ def _grad_dot_times(grid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def run_moderate_extension(cfg: ExperimentConfig) -> ModerateResult:
     """Puncture at cfg.target, solve, and test extension across the hole."""
-    shape = cfg.shape if cfg.shape != "interval" else "square"
+    _require_2d(cfg, "moderate")
     n = cfg.ladder[-1]
-    ks = assemble(build_grid(shape, n))
+    ks = assemble(build_grid(cfg.shape, n))
     grid = ks.grid
     if cfg.target == "none":
         K = np.array([], dtype=int)
@@ -433,11 +447,11 @@ def _est_integral(ks, eta_b: np.ndarray) -> float:
 
 def run_boundary_probe(cfg: ExperimentConfig) -> BoundaryProbeResult:
     """Trend table for the boundary removability integrand (no verdict)."""
-    shape = cfg.shape if cfg.shape != "interval" else "square"
+    _require_2d(cfg, "boundary-probe")
     n = cfg.ladder[-1]
-    ks = assemble(build_grid(shape, n))
+    ks = assemble(build_grid(cfg.shape, n))
     grid = ks.grid
-    name = cfg.target if cfg.target != "center" else "bottom-mid"
+    name = cfg.target if cfg.target != "center" else default_target(grid, "boundary")
     K = target_nodes(grid, "boundary", name)
 
     shrink = []
@@ -459,7 +473,7 @@ def run_boundary_probe(cfg: ExperimentConfig) -> BoundaryProbeResult:
     refine = []
     width = 0.2
     for nn in cfg.ladder:
-        ks_n = ks if nn == n else assemble(build_grid(shape, nn))
+        ks_n = ks if nn == n else assemble(build_grid(cfg.shape, nn))
         gnn = ks_n.grid
         Kn = target_nodes(gnn, "boundary", name)
         anchor = gnn.boundary_coords[Kn[0]]

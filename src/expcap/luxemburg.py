@@ -11,11 +11,11 @@ the boundary capacity uses that with c = rho to evaluate
 ||f / rho||_{L_{P*, rho}} without ever forming f / rho (the rho factors
 cancel inside the integrand, which keeps near-boundary nodes finite).
 
-The Amemiya form of the Orlicz norm,
+The Amemiya form of the Orlicz norm, on the principal side only,
 
     ||f||_orl = inf_{k>0} (1 + sum_i N(k f_i) w_i h^d) / k,
 
-is also provided; it is the exact dual norm of the complementary
+is also provided; it is the exact dual norm of the conjugate-side
 Luxemburg norm, which matters when weak duality between capacity
 programs has to hold by construction rather than by luck.  The two
 norms are equivalent within a factor 2.  Its minimising k solves the
@@ -160,7 +160,8 @@ def _gauge_root(vals, W, level, scale, start=None):
         sc = np.asarray(scale, dtype=float)
         if not np.all(sc > 0):
             raise ValueError("scale vector must be strictly positive")
-        b /= sc
+        with np.errstate(over="ignore"):  # an overflow shows in rmax below
+            b /= sc
     rmax = float(b.max(initial=0.0))
     if not math.isfinite(rmax):
         raise OverflowInIntegrand("field (or field / scale) contains non-finite values")
@@ -222,7 +223,7 @@ def _subgradient(f, grid, nf, side, weight, scale, start=None):
 
 
 def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
-                           side: str = "principal", weight: str = "lebesgue"):
+                           weight: str = "lebesgue"):
     """(Amemiya norm of f, its minimising k); raises ZeroField at f = 0.
 
     Setting the derivative of (1 + sum N(k f) W) / k to zero gives the
@@ -231,10 +232,10 @@ def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
     never below the exact norm.  At k the envelope theorem gives the
     gradient of the norm in f as n(k f) W.
     """
-    return _amemiya(f, grid, nf, side, weight)[:2]
+    return _amemiya(f, grid, nf, weight)[:2]
 
 
-def _amemiya(f, grid, nf, side, weight, start=None):
+def _amemiya(f, grid, nf, weight, start=None):
     """(norm, k, t): orlicz_norm_and_argmin with its level Newton started
     at the root `start` of a previous evaluation, and its own root t."""
     vals = grid.interior_values(f)
@@ -245,12 +246,11 @@ def _amemiya(f, grid, nf, side, weight, start=None):
     if amax == 0.0:
         raise ZeroField("Amemiya minimiser undefined at the zero field")
     W = grid.weight_vector(weight)
-    level, _ = _side_fns(nf, side)
     a /= amax
     m = _moments(a, W, curvature=True)
 
     def log_level(t):
-        N, sn, curv = level(math.exp(t), a, W, m, True)
+        N, sn, curv = nf.principal_level(math.exp(t), a, W, m, True)
         G = sn - N
         return math.log(G), curv / G, N
 
@@ -259,11 +259,11 @@ def _amemiya(f, grid, nf, side, weight, start=None):
     return (1.0 + N) / k, k, t
 
 
-def orlicz_norm(f, grid: WeightedGrid, nf: NFunction, side: str = "principal",
+def orlicz_norm(f, grid: WeightedGrid, nf: NFunction,
                 weight: str = "lebesgue") -> float:
-    """Amemiya form of the Orlicz norm (exact dual of the complementary
+    """Amemiya form of the Orlicz norm (exact dual of the conjugate-side
     gauge); exact 0 for the zero field."""
     try:
-        return _amemiya(f, grid, nf, side, weight)[0]
+        return _amemiya(f, grid, nf, weight)[0]
     except ZeroField:
         return 0.0

@@ -2,9 +2,8 @@
 
 M[f](x) is the largest average of |f| over grid-aligned squares (integer
 cell size, corners on the lattice) that contain x's cell and sit inside
-the padded bounding cube Q0.  Fields are extended by zero outside the
-interior nodes, so enlarging Q0 can only add candidate squares: M is
-monotone in the pad for nonnegative data, which the tests exercise.
+the bounding cube Q0: the grid's (n+2)^d lattice padded by one cell on
+every side.  Fields are extended by zero outside the interior nodes.
 
 Box averages come from a summed-area table.  The max over all squares
 runs as a cascade from the largest size down.  Let V_s(a) be the largest
@@ -85,13 +84,10 @@ def _sat(F: np.ndarray) -> np.ndarray:
     return S
 
 
-def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
-    """M[f] on every cell of the padded cube (flat interior values via
+def maximal_function(f, grid: WeightedGrid) -> np.ndarray:
+    """M[f] on every cell of Q0 (flat interior values via
     `maximal_interior`), by the flat cascade of the module docstring."""
-    vals = grid.interior_values(f)
-    if pad < 0:
-        raise ValueError("pad must be >= 0")
-    full = grid.to_lattice(np.abs(vals), pad)
+    full = grid.to_lattice(np.abs(grid.interior_values(f)), 1)
     N = full.shape[0]
     S = _sat(full).ravel()
     W = N + 1
@@ -155,14 +151,14 @@ def maximal_function(f, grid: WeightedGrid, pad: int = 1) -> np.ndarray:
 
 
 def maximal_interior(f, grid: WeightedGrid) -> np.ndarray:
-    """M[f] restricted to the interior nodes (one cell of padding)."""
+    """M[f] restricted to the interior nodes."""
     return maximal_function(f, grid)[grid.lattice_index(1)]
 
 
 def llnl_norm(f, grid: WeightedGrid, weight: str = "lebesgue") -> float:
     """int_{Q0} M[f] w dx.  The rho weight vanishes off the interior, so
     only interior cells contribute there; the Lebesgue version integrates
-    over the whole padded cube."""
+    over all of Q0."""
     if weight == "lebesgue":
         M = maximal_function(f, grid)
         return float(M.sum() * grid.cell_measure)

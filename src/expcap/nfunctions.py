@@ -14,13 +14,15 @@ Level evaluators.  Every norm in `luxemburg` solves a level equation in
 s = x b, with b >= 0 a field scaled to max b = 1 and x > 0 a scalar, so
 each side of a pair also carries one evaluator
 
-    level(x, b, W, m, curvature=False)
+    principal_level(x, b, W, m, curvature=False)
         -> (sum W N(s), sum W s n(s))                 or, with curvature,
         -> (sum W N(s), sum W s n(s), sum W s^2 n'(s))
+    conjugate_level(x, b, W, m) -> (sum W N(s), sum W s n(s))
 
 for N that side's N-function and n its density.  The first two give
 the gauge's log-level and its slope in log x, the last two the Amemiya
-level and its slope.  m = (b W, sum b^2 W, b^2 W) are the root's
+level and its slope; the Amemiya norm is principal-side only, so only
+that side takes curvature.  m = (b W, sum b^2 W, b^2 W) are the root's
 moments, built once per root (`luxemburg._moments`; b^2 W is None for a
 root that takes no curvature), so that every power of x leaves the
 sums as a scalar factor.  Each evaluator makes one transcendental pass
@@ -30,13 +32,11 @@ and then dot products with the moments:
                   sum W s^2 n' = x^2 (e . b^2W + sum b^2 W),
                   sum W N      = (e - s) . W;
     conjugate:    l = log1p(s);   sum W s pbar  = x (l . bW),
-                  sum W N*     = (l - s) . W + sum W s pbar,
-                  sum W s^2 pbar' = x^2 sum b^2 W / (1 + s);
+                  sum W N*     = (l - s) . W + sum W s pbar;
 
 that is five passes over the field (s = x b, the transcendental, a dot,
-a subtraction, a dot), one more dot for the exponential curvature and
-an add, a divide and a sum for the conjugate one.  Forming every sum
-elementwise took seven and eight passes, ten and twelve with curvature.
+a subtraction, a dot), and one more dot for the curvature.  Forming
+every sum elementwise took seven and eight passes, ten with curvature.
 The quadratic pair
 reads sum b^2 W and makes no pass.  Accuracy: N = e - s and l - s are
 kept elementwise.  Each difference loses the digits of its own
@@ -138,19 +138,13 @@ def _exp_P_level(x, b, W, m, curvature=False):
     return (N, sn, curv) if curvature else (N, sn)
 
 
-def _exp_Pstar_level(x, b, W, m, curvature=False):
+def _exp_Pstar_level(x, b, W, m):
     """Level sums of P* at s = x b, from l = log1p(s) and the moments m."""
-    bW, _, b2W = m
     s = np.multiply(b, x)
     l = np.log1p(s)
-    sn = x * float(l @ bW)                          # sum W s pbar(s)
+    sn = x * float(l @ m[0])                        # sum W s pbar(s)
     l -= s
-    N = float(l @ W) + sn                           # P*(s) = (l - s) + s l
-    if not curvature:
-        return N, sn
-    s += 1.0
-    np.divide(b2W, s, out=s)                        # b^2 W / (1 + s)
-    return N, sn, x * x * float(s.sum())
+    return float(l @ W) + sn, sn                    # P*(s) = (l - s) + s l
 
 
 def _quadratic_level(x, b, W, m, curvature=False):
@@ -185,13 +179,12 @@ def quadratic_pair() -> NFunction:
     )
 
 
-def young_gap(x, y, nf: NFunction | None = None):
-    """P(x) + P*(y) - x*y.  Nonnegative; zero exactly on the graph y = p(x)."""
-    if nf is None:
-        nf = exponential_pair()
+def young_gap(x, y):
+    """P(x) + P*(y) - x*y for the exponential pair.  Nonnegative; zero
+    exactly on the graph y = p(x)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return nf.P(x) + nf.Pstar(y) - x * y
+    return _exp_P(x) + _exp_Pstar(y) - x * y
 
 
 def pstar_sandwich(a):

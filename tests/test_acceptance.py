@@ -152,7 +152,7 @@ def test_criterion_05_duality_calibration(announce):
     gaps = {}
     weak_ok = True
     for kind, name in sets:
-        K = CompactSet(grid, target_nodes(grid, kind, name), kind, label=name)
+        K = CompactSet(grid, target_nodes(grid, kind, name), kind)
         est = capacity_pair(K, ks, CapacityOptions(dilation=1))
         weak_ok &= est.dual_value <= est.primal_value + 1e-8
         gaps[(kind, name)] = (est.primal_value - est.dual_value) / est.primal_value

@@ -48,14 +48,9 @@ def test_dilation_and_collar_helpers(ks16):
     assert np.array_equal(dilate_interior(ks16, nodes, 0), nodes)
     star = dilate_interior(ks16, nodes, 1)
     assert star.size == 5 and np.isin(nodes, star).all()
-    assert boundary_collar(ks16, 0).size == 0
-    ring = boundary_collar(ks16, 1)
+    ring = boundary_collar(ks16)
     assert ring.size == 60
     assert np.allclose(ks16.grid.rho[ring], ks16.grid.h)
-    # on the square the two-ring collar is every node within 2h of the edge
-    rho = ks16.grid.rho
-    expect = np.flatnonzero(rho <= 2.0 * ks16.grid.h * (1.0 + 1e-12))
-    assert np.array_equal(boundary_collar(ks16, 2), expect)
 
 
 class _Seeds(Exception):
@@ -77,6 +72,7 @@ def test_hop_counts_stopped_at_the_depth_read_change_nothing(shape, n, monkeypat
         raise _Seeds(seeds)
 
     monkeypatch.setattr(capacity, "_polish", grab)
+    assert np.array_equal(boundary_collar(ks), np.flatnonzero(hops(stencil, first) <= 0))
     for rings in range(4):
         for name in ("center", "cluster", "segment"):
             nodes = target_nodes(grid, "interior", name)
@@ -86,8 +82,6 @@ def test_hop_counts_stopped_at_the_depth_read_change_nothing(shape, n, monkeypat
             cut = hops(stencil, nodes, rings)
             assert np.array_equal(cut[full <= rings], full[full <= rings])
             assert np.isinf(cut[full > rings]).all()
-        assert np.array_equal(boundary_collar(ks, rings),
-                              np.flatnonzero(hops(stencil, first) <= rings - 1))
         for name in ("bottom-mid", "bottom-cluster"):
             nodes = target_nodes(grid, "boundary", name)
             ones = np.flatnonzero(hops(ring, nodes) <= rings)
@@ -314,10 +308,12 @@ def test_subadditive_over_separated_singletons(ks16):
     a = target_nodes(grid, "interior", "point:0.3,0.3")
     b = target_nodes(grid, "interior", "point:0.7,0.7")
     opts = CapacityOptions(dilation=0)
-    ca = primal_interior(CompactSet(grid, a, "interior"), ks16, opts)
-    cb = primal_interior(CompactSet(grid, b, "interior"), ks16, opts)
-    cu = primal_interior(CompactSet(grid, np.concatenate([a, b]), "interior"),
-                         ks16, opts)
+
+    def primal(nodes):
+        K = CompactSet(grid, nodes, "interior")
+        return primal_interior(K, ks16, opts, dual_interior(K, ks16, opts))
+
+    ca, cb, cu = primal(a), primal(b), primal(np.concatenate([a, b]))
     assert cu.primal_value <= 1.01 * (ca.primal_value + cb.primal_value)
 
 

@@ -6,9 +6,10 @@ import pytest
 from conftest import cached_kernels
 from expcap.capacity import CapacityOptions, CompactSet, capacity_pair
 from expcap.cli import main, read_config, _parse_atoms
-from expcap.errors import BadInput
-from expcap.experiments import (ExperimentConfig, run_removability_threshold,
-                                target_nodes)
+from expcap.errors import BadInput, SupportError
+from expcap.experiments import (ExperimentConfig, run_boundary_probe,
+                                run_moderate_extension, run_removability_threshold,
+                                run_vanishing_inequality, target_nodes)
 from expcap.grids import build_grid, load_field_csv
 from expcap.kernels import assemble
 from expcap.measures import BoundaryMeasure, InteriorMeasure
@@ -148,6 +149,33 @@ def test_boundary_capacity_defaults_to_the_bottom_mid_target(capsys):
     assert f"primal = {est.primal_value:.10g} " in out
 
 
+def test_interval_boundary_capacity_defaults_to_the_left_end(capsys):
+    # the bottom-* targets need a 2-D grid, so the interval's boundary
+    # default is its end point:0
+    code, out = run(["capacity", "--shape", "interval", "--n", "8",
+                     "--kind", "boundary"], capsys)
+    assert code == 0
+    ks = cached_kernels("interval", 8)
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "boundary", "point:0"),
+                   "boundary")
+    est = capacity_pair(K, ks, CapacityOptions())
+    assert out.splitlines()[0] == "target boundary:point:0 -> 1 node(s)"
+    assert f"primal = {est.primal_value:.10g} " in out
+    assert abs(est.gap) <= 1e-9 * est.primal_value
+
+
+@pytest.mark.parametrize("experiment", [run_removability_threshold,
+                                        run_vanishing_inequality,
+                                        run_moderate_extension, run_boundary_probe])
+def test_the_interval_is_refused_before_assembly(experiment, monkeypatch):
+    calls = []
+    monkeypatch.setattr("expcap.experiments.assemble",
+                        lambda grid: calls.append(grid))
+    with pytest.raises(SupportError, match="needs a 2D shape"):
+        experiment(ExperimentConfig(shape="interval"))
+    assert calls == []
+
+
 def test_library_errors_print_one_line_and_exit_1(capsys):
     code = main(["removability", "--shape", "interval"])
     err = capsys.readouterr().err
@@ -236,6 +264,7 @@ BAD_FIELDS = {
 # each of these once ended in a traceback; "{tmp}" is the test's directory
 BAD_INPUT = {
     "unknown-key": ["removability", "--config", "{tmp}/typo.cfg"],
+    "config-unknown-shape": ["removability", "--config", "{tmp}/blob.cfg"],
     "no-equals": ["removability", "--config", "{tmp}/words.cfg"],
     "missing-config": ["removability", "--config", "{tmp}/absent.cfg"],
     "decreasing-ladder": ["removability", "--ladder", "64,32,16"],
@@ -253,15 +282,17 @@ BAD_INPUT = {
     "negative-maxiter": ["capacity", "--n", "8", "--maxiter", "-1"],
     "negative-dual-iters": ["capacity", "--n", "8", "--dual-iters", "-1"],
     **{f"interval-boundary-{name}": ["capacity", "--shape", "interval", "--n", "8",
-                                     "--kind", "boundary", *target]
-       for name, target in (("default", []), ("cluster", ["--target", "bottom-cluster"]),
-                            ("arc", ["--target", "bottom-arc"]))},
+                                     "--kind", "boundary", "--target", f"bottom-{name}"]
+       for name in ("cluster", "arc")},
+    **{f"interval-{name}": [name, "--shape", "interval"]
+       for name in ("vanishing", "moderate", "boundary-probe")},
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_user_input_prints_one_line_and_exits_1(case, tmp_path, capsys):
     (tmp_path / "typo.cfg").write_text("ladderr = 8,12\n")
+    (tmp_path / "blob.cfg").write_text("shape = blob\n")
     (tmp_path / "words.cfg").write_text("ladder = 8,12,16\njust words\n")
     for name, text in BAD_FIELDS.items():
         (tmp_path / f"{name}.csv").write_text(text)

@@ -61,14 +61,15 @@ def _brute_force_maximal(full, divide=False):
     return M
 
 
-def _padded(grid, f, pad):
+def _padded(grid, f):
+    """|f| on the grid's lattice padded by one cell: the cube Q0."""
     m = grid.n + 2
     if grid.ndim == 1:
-        full = np.zeros(m + 2 * pad)
-        full[grid.interior_lattice + pad] = np.abs(f)
+        full = np.zeros(m + 2)
+        full[grid.interior_lattice + 1] = np.abs(f)
         return full
-    full = np.zeros((m + 2 * pad, m + 2 * pad))
-    full[grid.interior_lattice // m + pad, grid.interior_lattice % m + pad] = np.abs(f)
+    full = np.zeros((m + 2, m + 2))
+    full[grid.interior_lattice // m + 1, grid.interior_lattice % m + 1] = np.abs(f)
     return full
 
 
@@ -87,19 +88,18 @@ def test_cascade_matches_every_square(shape, n, rng):
     # and its magnitudes spread over sixteen octaves.  On the same exact
     # sums the product by fl(1/s^d) stays within two ulps of the quotient.
     grid = build_grid(shape, n)
-    for pad in (0, 1, 2):
-        signed = rng.integers(-9, 10, grid.n_interior).astype(float)
-        sparse = signed * (rng.random(grid.n_interior) < 0.3)
-        spikes = np.zeros(grid.n_interior)
-        spikes[rng.choice(grid.n_interior, 2, replace=False)] = rng.integers(1, 10, 2)
-        dyadic = (rng.integers(-2 ** 12, 2 ** 12, grid.n_interior)
-                  * 2.0 ** -rng.integers(0, 16, grid.n_interior))
-        for f in (signed, sparse, spikes, dyadic):
-            got = maximal_function(f, grid, pad)
-            assert np.array_equal(got, _brute_force_maximal(_padded(grid, f, pad)))
-            quotient = _brute_force_maximal(_padded(grid, f, pad), divide=True)
-            assert np.all(np.abs(got - quotient) <= 2 * np.spacing(quotient))
-        g = rng.standard_normal(grid.n_interior)
-        assert np.allclose(maximal_function(g, grid, pad),
-                           _brute_force_maximal(_padded(grid, g, pad)),
-                           rtol=1e-13, atol=0.0)
+    signed = rng.integers(-9, 10, grid.n_interior).astype(float)
+    sparse = signed * (rng.random(grid.n_interior) < 0.3)
+    spikes = np.zeros(grid.n_interior)
+    spikes[rng.choice(grid.n_interior, 2, replace=False)] = rng.integers(1, 10, 2)
+    dyadic = (rng.integers(-2 ** 12, 2 ** 12, grid.n_interior)
+              * 2.0 ** -rng.integers(0, 16, grid.n_interior))
+    for f in (signed, sparse, spikes, dyadic):
+        got = maximal_function(f, grid)
+        assert np.array_equal(got, _brute_force_maximal(_padded(grid, f)))
+        quotient = _brute_force_maximal(_padded(grid, f), divide=True)
+        assert np.all(np.abs(got - quotient) <= 2 * np.spacing(quotient))
+    g = rng.standard_normal(grid.n_interior)
+    assert np.allclose(maximal_function(g, grid),
+                       _brute_force_maximal(_padded(grid, g)),
+                       rtol=1e-13, atol=0.0)
