@@ -3,11 +3,11 @@
 Subcommands map one-to-one onto the library layers: `norms`, `kernel`,
 `solve`, and `capacity` expose single computations; `removability`,
 `vanishing`, `moderate`, `boundary-probe`, and `converge` drive the
-batch experiments.  Experiment parameters come from an optional
-key = value config file with individual flags taking precedence.  A
-malformed parameter raises BadInput and a file that will not open an
-OSError; `main` prints either, like every package error, as one
-`error: ...` line and exits 1.
+batch experiments, each taking only the parameters its runner reads: as
+flags (any other is a usage error) or as keys of an optional key = value
+config file, flags taking precedence.  Any other key or a malformed value
+raises BadInput and a file that will not open an OSError; `main` prints
+either, like every package error, as one `error: ...` line and exits 1.
 """
 
 from __future__ import annotations
@@ -65,49 +65,44 @@ def _parse_atoms(text: str, ndim: int):
     return tuple(atoms)
 
 
-_LIST_KEYS = {"ladder": int, "masses": float, "radii": int}
-_SCALAR_KEYS = {"charge": float, "slope_tol": float, "residual_tol": float,
-                "threshold_window": float,
-                "shape": str, "target": str, "out": str}
+def _list_of(conv):
+    return lambda s: tuple(conv(t) for t in s.replace(";", ",").split(",") if t.strip())
+
+
+# each experiment parameter: one parse for its flag and its config key (lists
+# split at commas or semicolons; ExperimentConfig validates), and its help
+_PARAMS = {
+    "shape": (str, f"grid shape: {', '.join(SHAPES)}"),
+    "ladder": (_list_of(int), "comma-separated grid sizes, increasing"),
+    "masses": (_list_of(float), "comma-separated interior point masses"),
+    "target": (str, "named target set (default: center; boundary-probe: bottom-mid)"),
+    "radii": (_list_of(int), "comma-separated cutoff radii (rings)"),
+    "charge": (float, "load left on the punctured target (0: none)"),
+    "slope_tol": (float, "largest log-log growth slope read as admissible"),
+    "residual_tol": (float, "weak-residual bound for an extension"),
+    "threshold_window": (float, "relative distance from 4*pi that still passes"),
+    "out": (str, "CSV output path"),
+}
 
 
 def _experiment_config(args) -> xp.ExperimentConfig:
-    data = read_config(args.config) if getattr(args, "config", None) else {}
-    unknown = sorted(set(data) - set(_LIST_KEYS) - set(_SCALAR_KEYS))
+    _, _, keys = _EXPERIMENTS[args.command]
+    data = read_config(args.config) if args.config else {}
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise BadInput(f"{args.config}: not an experiment flag: {', '.join(unknown)}")
-    for key in list(_LIST_KEYS) + list(_SCALAR_KEYS):
-        if getattr(args, key, None) is not None:
-            data[key] = getattr(args, key)
-    kw = {}
-    try:
-        for key, conv in _LIST_KEYS.items():
-            if key in data:  # a comma- or semicolon-separated string
-                kw[key] = tuple(conv(t) for t in data[key].replace(";", ",").split(",")
-                                if t.strip())
-        for key, conv in _SCALAR_KEYS.items():
-            if key in data:
-                kw[key] = conv(data[key])
-    except ValueError as exc:
-        raise BadInput(f"{key}: {exc}") from None
-    return xp.ExperimentConfig(**kw)
-
-
-def _add_experiment_flags(p):
-    p.add_argument("--config", help="key = value parameter file")
-    p.add_argument("--out", help="CSV output path")
-    p.add_argument("--shape", choices=SHAPES)
-    p.add_argument("--ladder", help="comma-separated grid sizes, increasing")
-    p.add_argument("--masses", help="comma-separated mass ladder")
-    p.add_argument("--target", help="named target set (e.g. center, bottom-mid)")
-    p.add_argument("--radii", help="comma-separated cutoff radii (rings)")
-    p.add_argument("--charge", type=float)
-    p.add_argument("--slope-tol", dest="slope_tol", type=float)
-    p.add_argument("--residual-tol", dest="residual_tol", type=float)
-    p.add_argument("--threshold-window", dest="threshold_window", type=float)
+        raise BadInput(f"{args.config}: not a {args.command} flag: {', '.join(unknown)}")
+    data.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    for key, text in data.items():
+        try:
+            data[key] = _PARAMS[key][0](text)
+        except ValueError as exc:
+            raise BadInput(f"{key}: {exc}") from None
+    return xp.ExperimentConfig(**data)
 
 
 def _field_from_args(args, grid):
+    if args.field and args.constant is not None:
+        raise BadInput("choose --field or --constant, not both")
     if args.field:
         f = load_field_csv(args.field)
         grid.require_same(f.grid)
@@ -157,14 +152,14 @@ def _cmd_solve(args) -> int:
             else "interior")
     if kind == "boundary" and (args.interior_atoms or args.interior_constant is not None):
         raise BadInput("choose boundary data or an interior source, not both")
+    if kind == "interior" and args.truncation:
+        raise BadInput("--truncation applies to boundary data only")
     ks = assemble(build_grid(args.shape, args.n))
     atoms = _parse_atoms(getattr(args, f"{kind}_atoms") or "", ks.grid.ndim)
     const = getattr(args, f"{kind}_constant")
     density = None if const is None else lambda coords, h: np.full(len(coords), const)
     mu = MeasureSpec(kind, atoms=atoms, density=density).instantiate(ks.grid)
     if kind == "interior":
-        if args.truncation:
-            print("truncation ladder applies to boundary data only; ignoring")
         rep = solve_interior(mu, ks)
     elif args.truncation:
         rep_t = truncation_scheme(mu, ks)
@@ -216,8 +211,7 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_removability(args) -> int:
-    cfg = _experiment_config(args)
-    res = xp.run_removability_threshold(cfg)
+    res = xp.run_removability_threshold(_experiment_config(args))
     print("mass     slope      verdict")
     for m, s, v in res.rows:
         print(f"{m:<8g} {s:<10.4f} {v}")
@@ -227,8 +221,7 @@ def _cmd_removability(args) -> int:
 
 
 def _cmd_vanishing(args) -> int:
-    cfg = _experiment_config(args)
-    res = xp.run_vanishing_inequality(cfg)
+    res = xp.run_vanishing_inequality(_experiment_config(args))
     print("case              step  mass_on_K  absorption  holder      margin      pairing_gap")
     for case, step, t1, t2, t3, margin, gap in res.rows:
         print(f"{case:<17} {step:<5} {t1:<10.4g} {t2:<11.4g} {t3:<11.4g} "
@@ -238,8 +231,7 @@ def _cmd_vanishing(args) -> int:
 
 
 def _cmd_moderate(args) -> int:
-    cfg = _experiment_config(args)
-    res = xp.run_moderate_extension(cfg)
+    res = xp.run_moderate_extension(_experiment_config(args))
     for rings, radius, corr in res.rows:
         print(f"rings={rings:<3} radius={radius:<8.4g} correction={corr:.6e}")
     print(f"decay slope = {res.decay_slope:.4g}  weak residual = {res.residual:.3e}")
@@ -250,8 +242,7 @@ def _cmd_moderate(args) -> int:
 
 
 def _cmd_boundary_probe(args) -> int:
-    cfg = _experiment_config(args)
-    res = xp.run_boundary_probe(cfg)
+    res = xp.run_boundary_probe(_experiment_config(args))
     print("mode     n     rings  est_integral  lln_norm")
     for mode, n, rings, est, nrm in res.shrink_rows + res.refine_rows:
         print(f"{mode:<8} {n:<5} {rings:<6} {est:<13.6g} {nrm:.6g}")
@@ -260,13 +251,26 @@ def _cmd_boundary_probe(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _experiment_config(args)
-    res = xp.run_convergence_suite(cfg)
+    res = xp.run_convergence_suite(_experiment_config(args))
     print("check               shape     n    value         error        ratio")
     for check, shape, n, value, ref, err, ratio in res.rows:
         shown = f"{ratio:.3g}" if ratio == ratio else "-"
         print(f"{check:<19} {shape:<9} {n:<4} {value:<13.6g} {err:<12.4g} {shown}")
     return 0
+
+
+# each experiment: its command, its help, and the parameters its runner reads
+_EXPERIMENTS = {
+    "removability": (_cmd_removability, "point-mass threshold bracket",
+                     ("shape", "ladder", "masses", "slope_tol", "threshold_window", "out")),
+    "vanishing": (_cmd_vanishing, "vanishing-inequality table",
+                  ("shape", "ladder", "radii", "out")),
+    "moderate": (_cmd_moderate, "extension across a punctured set",
+                 ("shape", "ladder", "target", "radii", "charge", "residual_tol", "out")),
+    "boundary-probe": (_cmd_boundary_probe, "boundary removability integrand trends",
+                       ("shape", "ladder", "target", "radii", "out")),
+    "converge": (_cmd_converge, "closed-form anchors over a ladder", ("ladder", "out")),
+}
 
 
 def main(argv=None) -> int:
@@ -320,15 +324,11 @@ def main(argv=None) -> int:
     p.add_argument("--dump-eta", dest="dump_eta")
     p.set_defaults(fn=_cmd_capacity)
 
-    for name, fn, blurb in (
-            ("removability", _cmd_removability, "point-mass threshold bracket"),
-            ("vanishing", _cmd_vanishing, "vanishing-inequality table"),
-            ("moderate", _cmd_moderate, "extension across a punctured set"),
-            ("boundary-probe", _cmd_boundary_probe,
-             "boundary removability integrand trends"),
-            ("converge", _cmd_converge, "closed-form anchors over a ladder")):
+    for name, (fn, blurb, keys) in _EXPERIMENTS.items():
         p = sub.add_parser(name, help=blurb)
-        _add_experiment_flags(p)
+        p.add_argument("--config", help="key = value parameter file")
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), help=_PARAMS[key][1])
         p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)

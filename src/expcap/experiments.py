@@ -56,7 +56,7 @@ class ExperimentConfig:
     shape: str = "disk"
     ladder: tuple = (32, 64, 128)
     masses: tuple = (2.0, 8.0, 11.0, 14.0, 20.0)
-    target: str = "center"
+    target: str = ""  # "" names the experiment's default_target
     radii: tuple = (8, 6, 4, 3)
     charge: float = 0.0
     slope_tol: float = SLOPE_TOL
@@ -379,7 +379,7 @@ def run_moderate_extension(cfg: ExperimentConfig) -> ModerateResult:
     if cfg.target == "none":
         K = np.array([], dtype=int)
     else:
-        K = target_nodes(grid, "interior", cfg.target)
+        K = target_nodes(grid, "interior", cfg.target or default_target(grid, "interior"))
     mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
     if cfg.charge > 0 and K.size:
         mu_full = InteriorMeasure(grid, atoms=[(int(K[0]), cfg.charge)],
@@ -451,7 +451,7 @@ def run_boundary_probe(cfg: ExperimentConfig) -> BoundaryProbeResult:
     n = cfg.ladder[-1]
     ks = assemble(build_grid(cfg.shape, n))
     grid = ks.grid
-    name = cfg.target if cfg.target != "center" else default_target(grid, "boundary")
+    name = cfg.target or default_target(grid, "boundary")
     K = target_nodes(grid, "boundary", name)
 
     shrink = []

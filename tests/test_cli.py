@@ -1,5 +1,8 @@
 """Command-line entry points, run in process."""
 
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,10 @@ from expcap.capacity import CapacityOptions, CompactSet, capacity_pair
 from expcap.cli import main, read_config, _parse_atoms
 from expcap.errors import BadInput, SupportError
 from expcap.experiments import (ExperimentConfig, run_boundary_probe,
-                                run_moderate_extension, run_removability_threshold,
-                                run_vanishing_inequality, target_nodes)
-from expcap.grids import build_grid, load_field_csv
+                                run_convergence_suite, run_moderate_extension,
+                                run_removability_threshold, run_vanishing_inequality,
+                                target_nodes)
+from expcap.grids import Field, build_grid, dump_field_csv, load_field_csv
 from expcap.kernels import assemble
 from expcap.measures import BoundaryMeasure, InteriorMeasure
 from expcap.solver import solve_interior, truncation_scheme
@@ -244,7 +248,50 @@ def test_config_file_rejects_an_unknown_key(tmp_path, capsys):
     cfg.write_text("ladderr = 8,12,16\n")
     assert main(["converge", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
-        f"error: {cfg}: not an experiment flag: ladderr\n")
+        f"error: {cfg}: not a converge flag: ladderr\n")
+
+
+# each experiment's runner and a small configuration it runs at
+SMALL_RUNS = {
+    "removability": (run_removability_threshold,
+                     dict(shape="square", ladder=(8, 12, 16), masses=(4.0, 16.0))),
+    "vanishing": (run_vanishing_inequality, dict(shape="square", ladder=(12,), radii=(3, 2))),
+    "moderate": (run_moderate_extension, dict(shape="square", ladder=(12,), radii=(3, 2))),
+    "boundary-probe": (run_boundary_probe, dict(shape="square", ladder=(8,), radii=(3, 2))),
+    "converge": (run_convergence_suite, dict(ladder=(8,))),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+def test_each_experiment_takes_the_parameters_its_runner_reads(command, capsys):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    read = set()
+
+    class Spy(ExperimentConfig):
+        def __getattribute__(self, name):
+            if name in fields:
+                read.add(name)
+            return super().__getattribute__(name)
+
+    runner, small = SMALL_RUNS[command]
+    cfg = Spy(**small)
+    read.clear()  # the reads of ExperimentConfig's own validation
+    runner(cfg)
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--([a-z][a-z-]*)", capsys.readouterr().out))
+    assert flags - {"help", "config"} == {key.replace("_", "-") for key in read}
+
+
+@pytest.mark.parametrize("argv", [["converge", "--shape", "disk"],
+                                  ["vanishing", "--charge", "5"],
+                                  ["removability", "--target", "center"]],
+                         ids=lambda argv: argv[0])
+def test_a_flag_the_experiment_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # files that are not field CSVs, written to the test's directory
@@ -264,6 +311,7 @@ BAD_FIELDS = {
 # each of these once ended in a traceback; "{tmp}" is the test's directory
 BAD_INPUT = {
     "unknown-key": ["removability", "--config", "{tmp}/typo.cfg"],
+    "unread-key": ["converge", "--config", "{tmp}/disk.cfg"],
     "config-unknown-shape": ["removability", "--config", "{tmp}/blob.cfg"],
     "no-equals": ["removability", "--config", "{tmp}/words.cfg"],
     "missing-config": ["removability", "--config", "{tmp}/absent.cfg"],
@@ -271,7 +319,11 @@ BAD_INPUT = {
     "short-ladder": ["removability", "--ladder", "32,64"],
     "bad-ladder-entry": ["removability", "--ladder", "8,x,16"],
     "one-coordinate-atom": ["solve", "--interior-atoms", "0.5:1"],
+    "interior-truncation": ["solve", "--n", "8", "--interior-constant", "1",
+                            "--truncation"],
     "missing-field": ["norms", "--field", "{tmp}/missing.csv"],
+    "field-and-constant": ["norms", "--n", "8", "--field", "{tmp}/field.csv",
+                           "--constant", "1"],
     **{f"field-{name}": ["norms", "--field", f"{{tmp}}/{name}.csv"]
        for name in BAD_FIELDS},
     "target-point-not-a-number": ["capacity", "--n", "8", "--target", "point:abc"],
@@ -286,6 +338,8 @@ BAD_INPUT = {
        for name in ("cluster", "arc")},
     **{f"interval-{name}": [name, "--shape", "interval"]
        for name in ("vanishing", "moderate", "boundary-probe")},
+    "boundary-probe-interior-target": ["boundary-probe", "--ladder", "8", "--radii", "2",
+                                       "--target", "center"],
 }
 
 
@@ -294,6 +348,9 @@ def test_bad_user_input_prints_one_line_and_exits_1(case, tmp_path, capsys):
     (tmp_path / "typo.cfg").write_text("ladderr = 8,12\n")
     (tmp_path / "blob.cfg").write_text("shape = blob\n")
     (tmp_path / "words.cfg").write_text("ladder = 8,12,16\njust words\n")
+    (tmp_path / "disk.cfg").write_text("shape = disk\n")
+    grid = build_grid("square", 8)
+    dump_field_csv(Field(grid, np.ones(grid.n_interior)), str(tmp_path / "field.csv"))
     for name, text in BAD_FIELDS.items():
         (tmp_path / f"{name}.csv").write_text(text)
     code = main([arg.format(tmp=tmp_path) for arg in BAD_INPUT[case]])
