@@ -32,7 +32,8 @@ from .solver import (keller_osserman_diagnostic, solve_boundary,
 
 
 def read_config(path: str) -> dict:
-    """Parse a key = value file; '#' starts a comment, blanks ignored."""
+    """Parse a key = value file; '#' starts a comment, blanks ignored, and
+    a key given twice is refused."""
     out = {}
     with open(path) as fh:
         for raw in fh:
@@ -42,7 +43,10 @@ def read_config(path: str) -> dict:
             if "=" not in line:
                 raise BadInput(f"{path}: config line without '=': {raw.rstrip()}")
             key, val = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            if key in out:
+                raise BadInput(f"{path}: config key given twice: {key}")
+            out[key] = val.strip()
     return out
 
 

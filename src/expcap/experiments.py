@@ -68,6 +68,8 @@ class ExperimentConfig:
         if self.shape not in SHAPES:
             raise BadInput(f"shape must be one of {', '.join(SHAPES)}, got {self.shape!r}")
         lad = tuple(int(v) for v in self.ladder)
+        if not lad:
+            raise BadInput("the grid ladder needs at least one size")
         if any(b <= a for a, b in zip(lad, lad[1:])):
             raise BadInput("grid ladder must be strictly increasing")
         object.__setattr__(self, "ladder", lad)

@@ -72,7 +72,7 @@ only how many evaluations the root takes, and the stopping rule returns
 the same root to within its tolerance.
 
 No optimiser is needed, so a process that only takes norms never loads
-scipy.optimize; the capacity programs load it at their first call.
+scipy.optimize; it loads at the first boundary capacity program.
 """
 
 from __future__ import annotations

@@ -171,16 +171,74 @@ def test_interior_dual_meets_its_kkt_conditions(ks16, target):
     assert np.abs(kkt[est.mu_masses > 0] - 1.0).max() <= 1e-6
 
 
+# parent L-BFGS-B duals (dual_iters 800), keyed (n, dilation, target)
+LBFGSB_DUALS = {
+    (16, 0, "center"): 4.217202479146822, (16, 0, "cluster"): 4.502528026199637,
+    (16, 0, "segment"): 4.9630569800227935, (16, 1, "center"): 4.799699365712521,
+    (16, 1, "cluster"): 5.198574529331588, (16, 1, "segment"): 5.906952256127503,
+    (32, 0, "center"): 4.256729671171343, (32, 0, "cluster"): 4.4056554884791375,
+    (32, 0, "segment"): 4.842854936913917, (32, 1, "center"): 4.543589189308624,
+    (32, 1, "cluster"): 4.727757352582393, (32, 1, "segment"): 5.2950009249700996,
+}
+
+
+@pytest.mark.parametrize("target", ["center", "cluster", "segment"])
+@pytest.mark.parametrize("dilation", [0, 1])
+@pytest.mark.parametrize("n", [16, 32])
+def test_newton_dual_is_no_lower_than_the_quasi_newton_dual(n, dilation, target):
+    # Newton stops at a decrement at rounding, so its certified lower
+    # bound is at least the quasi-Newton one it replaced, to rounding
+    ks = cached_kernels("square", n)
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", target), "interior")
+    est = dual_interior(K, ks, CapacityOptions(dilation=dilation))
+    assert est.converged and est.iterations <= 8
+    assert est.dual_value >= LBFGSB_DUALS[n, dilation, target] * (1.0 - 1e-12)
+    assert 0.0 <= est.aux["newton_decrement"] <= (capacity.NEWTON_DECREMENT_TOL
+                                                  / est.dual_value)
+
+
+def test_newton_dual_falls_back_to_gradient_steps(ks16, monkeypatch):
+    # without a Cholesky factor every step is a backtracked gradient
+    # step: each lowers the norm, so the certified bound rises from the
+    # uniform measure's, and five of them do not reach the optimum
+    def fails(hess):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    K = CompactSet(ks16.grid, target_nodes(ks16.grid, "interior", "cluster"),
+                   "interior")
+    uniform = dual_interior(K, ks16, CapacityOptions(dual_iters=0))
+    newton = dual_interior(K, ks16, CapacityOptions())
+    assert uniform.iterations == 0 and not uniform.converged
+    monkeypatch.setattr(capacity, "cho_factor", fails)
+    est = dual_interior(K, ks16, CapacityOptions(dual_iters=5))
+    assert est.iterations == 5 and not est.converged
+    assert uniform.dual_value < est.dual_value < newton.dual_value
+
+
+def test_newton_dual_steps_do_not_grow_with_the_grid():
+    # the segment's support grows with n (20, 28 and 56 atoms at
+    # n = 16, 32 and 64) while Newton's step count does not
+    steps = {}
+    for n in (16, 32, 64):
+        ks = cached_kernels("square", n)
+        K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", "segment"),
+                       "interior")
+        est = dual_interior(K, ks, CapacityOptions(dilation=1))
+        assert est.converged
+        steps[n] = est.iterations
+    assert max(steps.values()) <= 10
+    assert steps[64] <= steps[32]
+
+
 @pytest.mark.parametrize("target", ["center", "cluster", "segment"])
 @pytest.mark.parametrize("dilation", [0, 1])
 @pytest.mark.parametrize("fixture", ["ks16", "ks32"])
 def test_interior_pair_closes_its_bracket(fixture, dilation, target, request,
                                           monkeypatch):
     # the signed dual is the exact dual of the pin eta = 1, so the two
-    # certificates meet up to rounding and the dual-aligned seed closes
-    # the bracket: the pair's only optimiser call is the dual's (none for
-    # a single atom), and the primal reports the exact norm at the seed,
-    # certified optimal
+    # certificates meet up to rounding and the dual's aligned witness
+    # closes the bracket: the pair calls no optimiser, and the primal
+    # reports the exact norm at the witness, certified optimal
     ks = request.getfixturevalue(fixture)
     K = CompactSet(ks.grid, target_nodes(ks.grid, "interior", target),
                    "interior")
@@ -188,59 +246,26 @@ def test_interior_pair_closes_its_bracket(fixture, dilation, target, request,
     dual = dual_interior(K, ks, opts)
     assert dual.dual_value > 0.0
     assert dual.converged
-    box, primal = capacity._box_minimise, capacity.primal_interior
+    primal = capacity.primal_interior
     calls, primals = [], []
-
-    def spy(objective, x0, bounds, maxiter):
-        calls.append((x0.size, bounds, maxiter))
-        return box(objective, x0, bounds, maxiter)
 
     def kept(*args, **kw):
         primals.append(primal(*args, **kw))
         return primals[-1]
 
-    monkeypatch.setattr(capacity, "_box_minimise", spy)
+    monkeypatch.setattr(capacity, "_box_minimise", lambda *args: calls.append(args))
     monkeypatch.setattr(capacity, "primal_interior", kept)
     est = capacity_pair(K, ks, opts)
     assert est.dual_value == dual.dual_value
     assert abs(est.gap) <= 1e-9 * est.primal_value
     assert est.converged
-    support = dilate_interior(ks, K.nodes, dilation)
-    if support.size == 1:
-        assert calls == []
-    else:
-        assert calls == [(support.size - 1, None, opts.dual_iters)]
+    assert calls == []
     pri, = primals
-    assert pri.iterations == 0 and pri.aux["evaluations"] == 0 and pri.converged
+    assert pri.iterations == 0 and pri.converged
     assert est.iterations == dual.iterations
     assert est.primal_value == pri.primal_value == luxemburg_norm(
         ks.lap @ pri.eta_star, ks.grid, exponential_pair(),
         side="conjugate", weight="lebesgue")
-
-
-@pytest.mark.parametrize("target", ["center", "cluster", "segment"])
-def test_interior_primal_searches_without_a_bound(ks16, target, monkeypatch):
-    # withholding the dual's bound restores the search, which starts at
-    # the optimum and still closes the bracket
-    K = CompactSet(ks16.grid, target_nodes(ks16.grid, "interior", target),
-                   "interior")
-    opts = CapacityOptions(dilation=1)
-    polish, box = capacity._polish, capacity._box_minimise
-    calls = []
-
-    def unbounded(*args, **kw):
-        return polish(*args, **{**kw, "lower": None})
-
-    def spy(*args):
-        calls.append(args[2])
-        return box(*args)
-
-    monkeypatch.setattr(capacity, "_polish", unbounded)
-    monkeypatch.setattr(capacity, "_box_minimise", spy)
-    est = capacity_pair(K, ks16, opts)
-    assert len(calls) == 2 and calls[0] is None and calls[1] is not None
-    assert est.aux["evaluations"] > 0
-    assert abs(est.gap) <= 1e-9 * est.primal_value
 
 
 def _orlicz_setting_pairs(ks):
@@ -251,13 +276,10 @@ def _orlicz_setting_pairs(ks):
             for kind, name in (("interior", "cluster"), ("boundary", "bottom-mid"))]
 
 
-@pytest.mark.parametrize("withheld", [False, True])
-def test_warm_level_starts_change_no_value_and_save_evaluations(ks16, withheld,
-                                                                monkeypatch):
+def test_warm_level_starts_change_no_value_and_save_evaluations(ks16, monkeypatch):
     # each search starts its level Newton at its previous root; started
     # cold (the quadratic guess every time) the pairs agree to 1e-9 and
-    # take more level evaluations.  With the interior bound withheld the
-    # interior primal's search runs warm too.
+    # take more level evaluations
     root, start = luxemburg._unit_level_root, luxemburg._level_start
     evaluations = [0]
 
@@ -268,10 +290,6 @@ def test_warm_level_starts_change_no_value_and_save_evaluations(ks16, withheld,
         return root(counted, *args)
 
     monkeypatch.setattr(luxemburg, "_unit_level_root", counting)
-    if withheld:
-        polish = capacity._polish
-        monkeypatch.setattr(capacity, "_polish",
-                            lambda *a, **kw: polish(*a, **{**kw, "lower": None}))
     warm = _orlicz_setting_pairs(ks16)
     warm_evaluations, evaluations[0] = evaluations[0], 0
     monkeypatch.setattr(luxemburg, "_level_start",
@@ -319,9 +337,9 @@ def test_subadditive_over_separated_singletons(ks16):
 
 def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     # each seed and the polished point cost one norm (an LU solve and a
-    # level root-find on the boundary); the interior seed closes the
-    # bracket with its dual, so nothing is polished there; the reported
-    # value is still the exact norm at the returned eta
+    # level root-find on the boundary); the interior primal is its dual's
+    # witness and is not polished; the reported value is the exact norm
+    # at the returned eta
     calls = []
 
     def counted(*args, **kw):
@@ -333,7 +351,7 @@ def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     opts = CapacityOptions(dilation=1)
     dual = dual_interior(K, ks16, opts)
     est = primal_interior(K, ks16, opts, dual=dual)
-    assert len(calls) == 1  # dual-aligned seed
+    assert len(calls) == 1  # dual-aligned witness
     assert est.primal_value == luxemburg_norm(
         ks16.lap @ est.eta_star, ks16.grid, exponential_pair(),
         side="conjugate", weight="lebesgue")

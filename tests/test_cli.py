@@ -330,6 +330,9 @@ BAD_INPUT = {
     "target-point-one-coordinate": ["capacity", "--n", "8", "--target", "point:0.5"],
     "zero-radius": ["vanishing", "--radii", "0"],
     "no-radius": ["vanishing", "--radii", ","],
+    **{f"empty-ladder-{name}": [name, "--ladder", ","]
+       for name in ("vanishing", "moderate", "boundary-probe", "converge")},
+    "repeated-key": ["converge", "--config", "{tmp}/twice.cfg"],
     "negative-dilation": ["capacity", "--n", "8", "--dilation", "-1"],
     "negative-maxiter": ["capacity", "--n", "8", "--maxiter", "-1"],
     "negative-dual-iters": ["capacity", "--n", "8", "--dual-iters", "-1"],
@@ -349,6 +352,7 @@ def test_bad_user_input_prints_one_line_and_exits_1(case, tmp_path, capsys):
     (tmp_path / "blob.cfg").write_text("shape = blob\n")
     (tmp_path / "words.cfg").write_text("ladder = 8,12,16\njust words\n")
     (tmp_path / "disk.cfg").write_text("shape = disk\n")
+    (tmp_path / "twice.cfg").write_text("ladder = 8\nladder = 12\n")
     grid = build_grid("square", 8)
     dump_field_csv(Field(grid, np.ones(grid.n_interior)), str(tmp_path / "field.csv"))
     for name, text in BAD_FIELDS.items():
@@ -375,6 +379,13 @@ def test_read_config_rejects_garbage(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(ValueError):
         read_config(str(bad))
+
+
+def test_read_config_refuses_a_key_given_twice(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("ladder = 8\nslope-tol = 0.1\nslope_tol = 0.2\n")
+    with pytest.raises(BadInput, match=f"{re.escape(str(cfg))}: .*slope_tol"):
+        read_config(str(cfg))
 
 
 def test_parse_atoms():

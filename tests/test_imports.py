@@ -1,6 +1,6 @@
 """What a fresh interpreter loads: scipy.optimize only at the first
-optimiser call, never for assembly, the Newton solves, the ladders or
-the norms.
+boundary capacity program, never for assembly, the Newton solves, the
+ladders, the norms or an interior capacity pair.
 And what the package exports: only names that the package itself, the
 benchmark or the acceptance criteria use."""
 
@@ -52,7 +52,12 @@ llnl_norm(rep.u.values, grid)
 seen["norms"] = "scipy.optimize" in sys.modules
 K = CompactSet(grid, target_nodes(grid, "interior", "center"), "interior")
 est = capacity_pair(K, ks)
-seen["values"] = [lux, est.primal_value, est.dual_value]
+seen["interior"] = "scipy.optimize" in sys.modules
+Kb = CompactSet(grid, target_nodes(grid, "boundary", "bottom-mid"), "boundary")
+bdy = capacity_pair(Kb, ks)
+seen["boundary"] = "scipy.optimize" in sys.modules
+seen["values"] = [lux, est.primal_value, est.dual_value, bdy.primal_value,
+                  bdy.dual_value]
 print(json.dumps(seen))
 """
 
@@ -68,15 +73,20 @@ def test_scipy_optimize_loads_only_at_the_first_optimiser_call():
     assert seen["import"] is False
     assert seen["pde"] is False
     assert seen["norms"] is False
-    # the optimisers loaded late give the same bits as in this process
+    assert seen["interior"] is False
+    assert seen["boundary"] is True
+    # the programs run in a fresh process give the same bits as in this one
     ks = cached_kernels("square", 8)
     grid = ks.grid
     u = solve_interior(InteriorMeasure(grid, density=np.full(grid.n_interior, 2.0)),
                        ks).u.values
     K = CompactSet(grid, target_nodes(grid, "interior", "center"), "interior")
     est = capacity_pair(K, ks, CapacityOptions())
+    Kb = CompactSet(grid, target_nodes(grid, "boundary", "bottom-mid"), "boundary")
+    bdy = capacity_pair(Kb, ks, CapacityOptions())
     assert seen["values"] == [luxemburg_norm(u, grid, exponential_pair()),
-                              est.primal_value, est.dual_value]
+                              est.primal_value, est.dual_value, bdy.primal_value,
+                              bdy.dual_value]
 
 
 def _names_used(paths, with_strings=False):
