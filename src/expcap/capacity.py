@@ -73,10 +73,9 @@ pinning eta by (M eta)_b >= 1 instead of eta_b = 1, stays valid but
 leaves boundary gaps of 9-33% on the 32x32 square, where the adjoint
 certificate's are below 1e-5.
 
-The boundary primal's search is L-BFGS-B in `_box_minimise`, which
-imports scipy.optimize at its call rather than with this module, so a
-process that runs no boundary program (assembly, the Newton solves, the
-removability ladder, the interior pair) never loads it.
+The boundary primal's search is `_box_minimise`, a projected
+limited-memory BFGS written here on numpy (its docstring has the
+method), so no program in this module loads scipy.optimize.
 """
 
 from __future__ import annotations
@@ -118,7 +117,7 @@ class CompactSet:
 @dataclass
 class CapacityOptions:
     dilation: int = 1          # stencil rings added to the pinned-1 set
-    maxiter: int = 600         # L-BFGS-B iteration cap of the boundary primal
+    maxiter: int = 600         # step cap of the boundary primal's search
     # Newton step cap of the interior dual; the boundary dual is a
     # closed-form certificate at the boundary primal's final eta.
     dual_iters: int = 800
@@ -198,29 +197,158 @@ def dilate_boundary(grid: WeightedGrid, nodes: np.ndarray, rings: int) -> np.nda
 # ---------------------------------------------------------------------------
 # the optimiser and the primal programs
 
+BOX_FTOL = 1e-14   # relative decrease of one step that ends the search
+BOX_PGTOL = 1e-12  # projected-gradient inf-norm that ends the search
+BOX_MEMORY = 25    # curvature pairs the quasi-Newton direction keeps
+BOX_TRIALS = 20    # objective evaluations one line search may spend
+_EPS = float(np.finfo(float).eps)
+
+
+class _InverseHessian:
+    """Limited-memory BFGS inverse Hessian over the last `memory` pairs
+    (s, y), oldest first, in compact form (Byrd, Nocedal and Schnabel
+    1994): with R = triu(S^T Y), D = diag(S^T Y) and gamma = s.y / y.y
+    of the latest pair (1 with none),
+
+        H v = gamma v + S a - gamma Y t,  t = R^{-1} S^T v,
+        a = R^{-T} (D t + gamma Y^T Y t - gamma Y^T v),
+
+    the matrix the two-loop recursion applies.  push keeps R^{-1} and
+    Y^T Y by bordering: a new pair adds one column to R, whose inverse
+    gains the column -R^{-1} S^T y / s.y, and dropping the oldest pair
+    drops the first row and column of both."""
+
+    def __init__(self, n, memory):
+        self.S, self.Y = np.empty((memory, n)), np.empty((memory, n))
+        self.Rinv, self.YY = np.zeros((memory, memory)), np.zeros((memory, memory))
+        self.sy = np.zeros(memory)
+        self.clear()
+
+    def clear(self):
+        self.k, self.gamma = 0, 1.0
+
+    def push(self, s, y, s_y, y_y):
+        S, Y, Rinv, YY, sy = self.S, self.Y, self.Rinv, self.YY, self.sy
+        k = self.k
+        if k == sy.size:  # drop the oldest pair
+            S[:-1], Y[:-1], sy[:-1] = S[1:], Y[1:], sy[1:]
+            Rinv[:-1, :-1], YY[:-1, :-1] = Rinv[1:, 1:], YY[1:, 1:]
+            k -= 1
+        Rinv[:k, k] = -(Rinv[:k, :k] @ (S[:k] @ y)) / s_y
+        Rinv[k, :k] = 0.0
+        Rinv[k, k] = 1.0 / s_y
+        YY[:k, k] = YY[k, :k] = Y[:k] @ y
+        YY[k, k] = y_y
+        S[k], Y[k], sy[k] = s, y, s_y
+        self.k, self.gamma = k + 1, s_y / y_y
+
+    def apply(self, v):
+        k, gamma = self.k, self.gamma
+        if k == 0:
+            return v
+        S, Y, Rinv = self.S[:k], self.Y[:k], self.Rinv[:k, :k]
+        t = Rinv @ (S @ v)
+        a = (self.sy[:k] * t + gamma * (self.YY[:k, :k] @ t - Y @ v)) @ Rinv
+        return gamma * v + a @ S - gamma * (t @ Y)
+
+
+@dataclass
+class _BoxResult:
+    """Where _box_minimise stopped: the point, its accepted steps, the
+    objective evaluations, whether a stopping test (not the cap or a
+    failed line search) ended it, and the projected gradient's inf-norm."""
+
+    x: np.ndarray
+    nit: int
+    nfev: int
+    success: bool
+    projected_gradient: float
+
+
 def _box_minimise(objective, x0, bounds, maxiter):
-    """L-BFGS-B on objective(x) -> (value, gradient) within `bounds`, a
-    pair (lower, upper) of arrays: the boundary primal's search."""
-    from scipy.optimize import Bounds, minimize
-    return minimize(objective, x0, jac=True, method="L-BFGS-B",
-                    bounds=Bounds(*bounds),
-                    options={"maxiter": maxiter, "ftol": 1e-14,
-                             "gtol": 1e-12, "maxcor": 25})
+    """Projected limited-memory BFGS on objective(x) -> (value, gradient)
+    within `bounds`, a pair (lower, upper) of arrays: the boundary
+    primal's search.
+
+    A node at a bound whose gradient points out of the box is binding.
+    The direction is -H g with g and the result zeroed on the binding
+    set (P), H the _InverseHessian of the last BOX_MEMORY steps, so
+    g.d = -(P g).H(P g) < 0; clipping a node whose step leaves the box
+    drops a term g_i d_i >= 0, so the projected path
+    x(a) = clip(x + a d) descends.  A step backtracks along that path by
+    safeguarded quadratic interpolation until Armijo's test
+    f(x(a)) <= f + 1e-4 g.(x(a) - x) holds, within BOX_TRIALS
+    evaluations.  Each pair keeps y = g(x(a)) - g(x) only on the nodes
+    the step moved, so once the binding set settles H learns the
+    inverse of the free block of the Hessian, not the free block of its
+    inverse.
+
+    success is True when the projected gradient's inf-norm is at most
+    BOX_PGTOL or a step lowers f by at most BOX_FTOL relative.  It is
+    False after maxiter accepted steps (nit <= maxiter; 0 takes none)
+    and when a line search from steepest descent finds no decrease; one
+    from a quasi-Newton direction first clears the memory and retries.
+    Every evaluated point lies in the box.
+    """
+    lower, upper = bounds
+
+    def project(v):
+        return np.minimum(np.maximum(v, lower), upper)
+
+    x = project(np.asarray(x0, dtype=float))
+    f, g = objective(x)
+    nfev, nit, success = 1, 0, False
+    H = _InverseHessian(x.size, BOX_MEMORY)
+    while True:
+        pg = float(np.abs(project(x - g) - x).max())
+        if pg <= BOX_PGTOL:
+            success = True
+        if success or nit >= maxiter:
+            break
+        binding = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+        d = np.where(binding, 0.0, -H.apply(np.where(binding, 0.0, g)))
+        alpha = 1.0
+        for _ in range(BOX_TRIALS):
+            xt = project(x + alpha * d)
+            slope = float(g @ (xt - x))
+            ft, gt = objective(xt)
+            nfev += 1
+            if ft <= f + 1e-4 * slope:
+                break
+            # the minimiser of the quadratic through f, slope and ft,
+            # kept within [0.1, 0.5] of the rejected step
+            alpha *= min(0.5, max(0.1, 0.5 * slope / (slope + f - ft)))
+        else:
+            if H.k == 0:
+                break
+            H.clear()
+            continue
+        s = xt - x
+        y = np.where(s == 0.0, 0.0, gt - g)
+        success = f - ft <= BOX_FTOL * max(abs(f), abs(ft), 1.0)
+        x, f, g = xt, ft, gt
+        nit += 1
+        s_y, y_y = float(s @ y), float(y @ y)
+        if not success and s_y > _EPS * y_y:  # else no curvature to keep
+            H.push(s, y, s_y, y_y)
+    return _BoxResult(x, nit, nfev, success, pg)
 
 
 def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
             maxiter) -> CapacityEstimate:
-    """Primal estimate from the best seed, polished by L-BFGS-B on the
-    free entries in [0, 1].
+    """Primal estimate from the best seed, polished by _box_minimise on
+    the free entries in [0, 1].
 
     value_and_grad(eta) returns the objective and its gradient in eta.
     The reported value is norm_of at the returned eta, or at the best
     seed when that is lower: the exact norm at a feasible point, so a
-    certified upper bound whether or not the search converged.
+    certified upper bound whether or not the search converged.  aux
+    holds the search's objective evaluations and the inf-norm of its
+    final projected gradient.
     """
     values = [norm_of(seed) for seed in seeds]
     eta, value = seeds[int(np.argmin(values))], min(values)
-    iters, converged, evals = 0, True, 0
+    iters, converged, evals, pg = 0, True, 0, 0.0
     if free_idx.size:
         def objective(xf):
             full = fixed.copy()
@@ -236,10 +364,11 @@ def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
         cand_value = norm_of(cand)
         if cand_value <= value:
             eta, value = cand, cand_value
-        iters, converged, evals = int(res.nit), bool(res.success), int(res.nfev)
+        iters, converged, evals = res.nit, res.success, res.nfev
+        pg = res.projected_gradient
     return CapacityEstimate(kind, primal_value=float(value), eta_star=eta,
                             iterations=iters, converged=converged,
-                            aux={"evaluations": evals})
+                            aux={"evaluations": evals, "projected_gradient": pg})
 
 
 def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
@@ -500,7 +629,8 @@ def capacity_pair(K: CompactSet, ks: KernelSet,
     Boundary: the primal runs once and its final eta is certified.  The
     pair is converged if both sides pass their own tests or if the
     bracket closes to PAIR_GAP_TOL: at an optimum reached to rounding
-    L-BFGS-B's line search finds no decrease and stops abnormally.
+    the boundary search's line search can find no decrease, and the
+    search then reports success False.
     """
     if K.kind == "interior":
         dua = dual_interior(K, ks, opts)

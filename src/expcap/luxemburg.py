@@ -71,8 +71,7 @@ walked by LEVEL_STEP until the root is bracketed.  A warm start changes
 only how many evaluations the root takes, and the stopping rule returns
 the same root to within its tolerance.
 
-No optimiser is needed, so a process that only takes norms never loads
-scipy.optimize; it loads at the first boundary capacity program.
+No optimiser is needed: each root is this module's own Newton.
 """
 
 from __future__ import annotations

@@ -426,6 +426,123 @@ def test_boundary_certificate_reproduces_its_value(ks16):
     assert est.dual_value == pytest.approx(expect, rel=1e-12)
 
 
+def test_inverse_hessian_matches_the_two_loop_recursion(rng):
+    # the compact form, bordered pair by pair and past its memory of 25,
+    # applies the matrix of the two-loop recursion over the last 25 pairs
+    n = 40
+    M = rng.standard_normal((n, n))
+    A = M @ M.T + np.eye(n)
+    H = capacity._InverseHessian(n, 25)
+    pairs = []
+    for count in range(1, 31):
+        s = rng.standard_normal(n)
+        y = A @ s
+        H.push(s, y, float(s @ y), float(y @ y))
+        pairs = (pairs + [(s, y)])[-25:]
+        v = rng.standard_normal(n)
+        q, alphas = v.copy(), []
+        for s_i, y_i in reversed(pairs):
+            alphas.append((s_i @ q) / (s_i @ y_i))
+            q -= alphas[-1] * y_i
+        q *= (pairs[-1][0] @ pairs[-1][1]) / (pairs[-1][1] @ pairs[-1][1])
+        for (s_i, y_i), a_i in zip(pairs, reversed(alphas)):
+            q += (a_i - (y_i @ q) / (s_i @ y_i)) * s_i
+        assert H.k == min(count, 25)
+        assert np.abs(H.apply(v) - q).max() <= 1e-10 * np.abs(q).max()
+
+
+def _boxed_quadratic():
+    # f(x) = e.A e / 2 + g*.e with e = x - x*, A coupled and positive
+    # definite: its KKT point on [0, 1]^12 is x*, with four nodes at 0
+    # (g* > 0), four at 1 (g* < 0) and four inside (g* = 0), and f* = 0.
+    # The relative-decrease stop ends a search about one step after
+    # e.A e / 2 falls to 1e-14 max(|f|, 1); with f* = 0 and curvature of
+    # order 1e4 that step lands below 1e-10 in x.  The objective fails
+    # on any point outside the box.
+    rng = np.random.default_rng(7)
+    M = rng.standard_normal((12, 12))
+    A = 1e4 * (M @ M.T + np.eye(12))
+    x_star = np.concatenate([np.zeros(4), np.ones(4), rng.uniform(0.2, 0.8, 4)])
+    g_star = 1e4 * np.concatenate([rng.uniform(0.5, 2.0, 4),
+                                   -rng.uniform(0.5, 2.0, 4), np.zeros(4)])
+    points = []
+
+    def objective(x):
+        assert x.min() >= 0.0 and x.max() <= 1.0
+        points.append(x.copy())
+        e = x - x_star
+        return float(e @ (0.5 * (A @ e) + g_star)), A @ e + g_star
+
+    return objective, x_star, points
+
+
+def test_box_search_reaches_the_kkt_point_of_a_boxed_quadratic():
+    objective, x_star, points = _boxed_quadratic()
+    box = (np.zeros(12), np.ones(12))
+    res = capacity._box_minimise(objective, np.full(12, 0.5), box, 600)
+    assert res.success and 0 < res.nit < 600
+    assert res.nfev == len(points)
+    assert np.abs(res.x - x_star).max() <= 1e-10
+    # the cap counts accepted steps: three of them do not reach x*
+    capped = capacity._box_minimise(objective, np.full(12, 0.5), box, 3)
+    assert capped.nit <= 3 and not capped.success
+
+
+def test_boundary_search_cap_bounds_its_steps(ks32):
+    # maxiter 0 takes no step: the primal is the best tent seed's exact
+    # norm, unconverged; maxiter k takes at most k steps
+    grid = ks32.grid
+    K = CompactSet(grid, target_nodes(grid, "boundary", "bottom-mid"), "boundary")
+    ones = dilate_boundary(grid, K.nodes, 1)
+    dist = capacity._hop_distance(grid.boundary_graph, ones)
+    tents = []
+    for width in (2.0, 4.0, 8.0, 16.0):
+        tent = np.maximum(0.0, 1.0 - dist / width)
+        tent[ones] = 1.0
+        tents.append(tent)
+    norms = [boundary_test_norm(ks32, tent) for tent in tents]
+    est = primal_boundary(K, ks32, CapacityOptions(maxiter=0))
+    assert est.iterations == 0 and not est.converged
+    assert est.primal_value == min(norms)
+    assert np.array_equal(est.eta_star, tents[int(np.argmin(norms))])
+    for k in (1, 2, 5):
+        est = capacity_pair(K, ks32, CapacityOptions(maxiter=k))
+        assert 1 <= est.iterations <= k and not est.converged
+        assert est.primal_value < min(norms)
+
+
+# parent L-BFGS-B boundary primals at dilation 1, keyed (n, target)
+LBFGSB_BOUNDARY_PRIMALS = {
+    (16, "bottom-mid"): 3.162594616861813,
+    (16, "bottom-cluster"): 4.111035212169413,
+    (16, "bottom-arc"): 5.011943089313972,
+    (32, "bottom-mid"): 2.5903775187603384,
+    (32, "bottom-cluster"): 3.429897697548926,
+    (32, "bottom-arc"): 4.983432592507845,
+}
+
+
+@pytest.mark.parametrize("target", ["bottom-mid", "bottom-cluster", "bottom-arc"])
+@pytest.mark.parametrize("n", [16, 32])
+def test_boundary_pair_matches_the_quasi_newton_values(n, target):
+    # the search stops at the same optimum as the L-BFGS-B call it
+    # replaced, and aux reports the projected gradient at its eta
+    ks = cached_kernels("square", n)
+    K = CompactSet(ks.grid, target_nodes(ks.grid, "boundary", target), "boundary")
+    est = capacity_pair(K, ks, CapacityOptions(dilation=1))
+    assert est.converged
+    assert est.primal_value == pytest.approx(LBFGSB_BOUNDARY_PRIMALS[n, target],
+                                             rel=1e-12)
+    assert est.dual_value <= est.primal_value + 1e-8
+    assert est.gap <= 1e-6 * est.primal_value
+    free = np.ones(ks.grid.n_boundary, dtype=bool)
+    free[est.aux["ones"]] = False
+    _, gw, _ = capacity._boundary_gauge_gradient(ks, est.eta_star)
+    x, g = est.eta_star[free], capacity._boundary_adjoint(ks, gw)[free]
+    pg = np.abs(np.clip(x - g, 0.0, 1.0) - x).max()
+    assert est.aux["projected_gradient"] == pytest.approx(pg, rel=1e-6, abs=1e-12)
+
+
 @pytest.mark.parametrize("fixture", ["ks32", "ks_disk", "ks_interval"])
 def test_pinned_fill_factors_the_free_block_in_a_order(fixture, request, rng,
                                                        monkeypatch):
