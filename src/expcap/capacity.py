@@ -40,12 +40,22 @@ g^T H^{-1} g, twice the decrease one more step promises, is at most
 NEWTON_DECREMENT_TOL phi: at rounding.
 
 The interior primal needs no search: the pinned harmonic fill carrying
-the dual's aligned source dual_value p(khat G mu) on its free rows
+the dual's aligned source w* = dual_value p(khat G mu) on its free rows
 attains Hoelder equality, so its exact norm meets the dual's bound to
 rounding (relative gaps of 0 to 5e-15 on square n = 16 and 32).
 Within PAIR_GAP_TOL of the bound, of either sign, no feasible eta is
 lower by more, and the estimate reports converged True: the
 certificate, not a stopping test, proves it optimal.
+
+The fill is read off the dual's Green block G_S by the capacitance
+identity (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8,
+1971), so it factors nothing.  vol G_S = A^{-1} E_S (E_S the columns of
+the identity on S), so with y = A^{-1} [w*_F; 0] every
+eta = y + vol G_S sigma has A eta = [w*_F; 0] + E_S sigma, which is the
+pinned system A_FF eta_F = w*_F - A_FS eta_S on the free rows F.
+G_SS is symmetric positive definite (A^{-1} is), so
+vol sigma = G_SS^{-1} (1 - y_S) exists and gives eta_S = 1: the exact
+pinned fill from one solve with A's LU and one |S| x |S| Cholesky solve.
 
 The boundary dual is the exact dual of the discretised boundary primal,
 read through that primal's adjoint.  Write L eta = A diag(rho*) A^{-1} B eta
@@ -265,10 +275,9 @@ class _BoxResult:
     projected_gradient: float
 
 
-def _box_minimise(objective, x0, bounds, maxiter):
+def _box_minimise(objective, x0, maxiter):
     """Projected limited-memory BFGS on objective(x) -> (value, gradient)
-    within `bounds`, a pair (lower, upper) of arrays: the boundary
-    primal's search.
+    within the unit box [0, 1]^n: the boundary primal's search.
 
     A node at a bound whose gradient points out of the box is binding.
     The direction is -H g with g and the result zeroed on the binding
@@ -290,10 +299,8 @@ def _box_minimise(objective, x0, bounds, maxiter):
     from a quasi-Newton direction first clears the memory and retries.
     Every evaluated point lies in the box.
     """
-    lower, upper = bounds
-
     def project(v):
-        return np.minimum(np.maximum(v, lower), upper)
+        return np.minimum(np.maximum(v, 0.0), 1.0)
 
     x = project(np.asarray(x0, dtype=float))
     f, g = objective(x)
@@ -305,7 +312,7 @@ def _box_minimise(objective, x0, bounds, maxiter):
             success = True
         if success or nit >= maxiter:
             break
-        binding = ((x <= lower) & (g > 0)) | ((x >= upper) & (g < 0))
+        binding = ((x <= 0.0) & (g > 0)) | ((x >= 1.0) & (g < 0))
         d = np.where(binding, 0.0, -H.apply(np.where(binding, 0.0, g)))
         alpha = 1.0
         for _ in range(BOX_TRIALS):
@@ -334,85 +341,41 @@ def _box_minimise(objective, x0, bounds, maxiter):
     return _BoxResult(x, nit, nfev, success, pg)
 
 
-def _polish(kind, seeds, norm_of, value_and_grad, fixed, free_idx,
-            maxiter) -> CapacityEstimate:
-    """Primal estimate from the best seed, polished by _box_minimise on
-    the free entries in [0, 1].
-
-    value_and_grad(eta) returns the objective and its gradient in eta.
-    The reported value is norm_of at the returned eta, or at the best
-    seed when that is lower: the exact norm at a feasible point, so a
-    certified upper bound whether or not the search converged.  aux
-    holds the search's objective evaluations and the inf-norm of its
-    final projected gradient.
-    """
-    values = [norm_of(seed) for seed in seeds]
-    eta, value = seeds[int(np.argmin(values))], min(values)
-    iters, converged, evals, pg = 0, True, 0, 0.0
-    if free_idx.size:
-        def objective(xf):
-            full = fixed.copy()
-            full[free_idx] = xf
-            val, grad = value_and_grad(full)
-            return val, grad[free_idx]
-
-        res = _box_minimise(objective, eta[free_idx],
-                            (np.zeros(free_idx.size), np.ones(free_idx.size)),
-                            maxiter)
-        cand = fixed.copy()
-        cand[free_idx] = res.x
-        cand_value = norm_of(cand)
-        if cand_value <= value:
-            eta, value = cand, cand_value
-        iters, converged, evals = res.nit, res.success, res.nfev
-        pg = res.projected_gradient
-    return CapacityEstimate(kind, primal_value=float(value), eta_star=eta,
-                            iterations=iters, converged=converged,
-                            aux={"evaluations": evals, "projected_gradient": pg})
-
-
-def pinned_harmonic_fill(ks: KernelSet, fixed: np.ndarray, free_idx: np.ndarray,
-                         source: Optional[np.ndarray] = None) -> np.ndarray:
-    """Solve A eta = source (0 when None) on the free rows, eta = fixed
-    elsewhere, and clip the free values to [0, 1]."""
-    eta = fixed.copy()
-    if free_idx.size:
-        rhs = -(ks.lap[free_idx] @ fixed)
-        if source is not None:
-            rhs += source[free_idx]
-        solve = ks.factor_shifted(np.zeros(ks.grid.n_interior), free_idx)
-        eta[free_idx] = np.clip(solve(rhs), 0.0, 1.0)
-    return eta
-
-
-def primal_interior(K: CompactSet, ks: KernelSet, opts: CapacityOptions,
+def primal_interior(K: CompactSet, ks: KernelSet,
                     dual: CapacityEstimate) -> CapacityEstimate:
     """Certified upper bound for the interior capacity of K: the exact
     norm at the alignment witness of `dual`, dual_interior's estimate
-    with the same options (see the module docstring).  No search runs:
-    iterations is 0, and converged is True when the value lies within
-    PAIR_GAP_TOL of dual.dual_value, relative and of either sign.
+    for K (see the module docstring).  The witness is pinned to 1 on
+    dual.mu_nodes and filled from the dual's Green block
+    dual.aux["green_block"] by the capacitance identity.  No search
+    runs: iterations is 0, and converged is True when the value lies
+    within PAIR_GAP_TOL of dual.dual_value, relative and of either sign.
     """
     grid = ks.grid
     grid.require_same(K.grid)
     if K.kind != "interior":
         raise SupportError("primal_interior needs an interior target set")
     nf = exponential_pair()
-    # eta = 1 on the dilated K, free elsewhere: the stencil's zero boundary
-    # values are the compact support, and the dual is exact for this class
-    ones = dilate_interior(ks, K.nodes, opts.dilation)
-    fixed = np.zeros(grid.n_interior)
-    fixed[ones] = 1.0
+    # eta = 1 on the dual's support, the dilated K, free elsewhere: the
+    # stencil's zero boundary values are the compact support, and the dual
+    # is exact for this class
+    ones, cols = dual.mu_nodes, dual.aux["green_block"]
     # Young equality makes p(khat pot) the unit-norm aligned source; on the
     # free rows of the pinned system it keeps the pin without overwriting
     # a solved field (zeros written into one put O(1/h^2) jumps into its
     # Laplacian); with no positive potential the witness is the harmonic fill
-    pot = green_column(ks, dual.mu_nodes) @ dual.mu_masses
-    w_star = None
+    pot = cols @ dual.mu_masses
+    w_star = np.zeros(grid.n_interior)
     if float(pot.max(initial=0.0)) > 0:
         _, khat = orlicz_norm_and_argmin(pot, grid, nf, "lebesgue")
         w_star = dual.dual_value * nf.p(khat * pot)
-    eta = pinned_harmonic_fill(ks, fixed, np.flatnonzero(fixed == 0.0), w_star)
+    # the capacitance identity: y = A^{-1} [w*_F; 0], then G_S sigma lifts
+    # y to 1 on the pin and adds nothing to A eta on the free rows
+    w_star[ones] = 0.0
+    y = ks.solve(w_star)
+    sigma = cho_solve(cho_factor(cols[ones]), 1.0 - y[ones])
+    eta = np.clip(y + cols @ sigma, 0.0, 1.0)
+    eta[ones] = 1.0
     value = luxemburg_norm(ks.lap @ eta, grid, nf, side="conjugate",
                            weight="lebesgue")
     return CapacityEstimate(
@@ -464,43 +427,53 @@ def primal_boundary(K: CompactSet, ks: KernelSet,
     """Certified upper bound for the boundary capacity of K.
 
     Seeds: graph-distance tents of several widths around the pinned
-    set; the best seed is polished by the box-constrained quasi-Newton
-    search and the reported value is the exact norm at the final point.
+    set; _box_minimise polishes the best seed on the free nodes.  The
+    reported value is the exact norm at the returned eta, or at the best
+    seed when that is lower: a certified upper bound whether or not the
+    search converged.  aux holds the search's objective evaluations and
+    the inf-norm of its final projected gradient.
     """
     grid = ks.grid
     grid.require_same(K.grid)
     if K.kind != "boundary":
         raise SupportError("primal_boundary needs a boundary target set")
     ones = dilate_boundary(grid, K.nodes, opts.dilation)
-    nb = grid.n_boundary
-    if ones.size >= nb:
+    if ones.size >= grid.n_boundary:
         raise Infeasible("dilated target set covers the whole boundary")
-    fixed = np.zeros(nb)
+    fixed = np.zeros(grid.n_boundary)
     fixed[ones] = 1.0
-    mask_free = np.ones(nb, dtype=bool)
-    mask_free[ones] = False
-    free_idx = np.flatnonzero(mask_free)
+    free_idx = np.flatnonzero(fixed == 0.0)
 
     start = None  # the search's last level root: the next one's start
 
-    def value_and_grad(eta_b):
+    def objective(xf):
         nonlocal start
+        eta_b = fixed.copy()
+        eta_b[free_idx] = xf
         k, gw, start = _boundary_gauge_gradient(ks, eta_b, start)
-        return k, _boundary_adjoint(ks, gw)
+        return k, _boundary_adjoint(ks, gw)[free_idx]
 
     # a tent is zero from its width on, so the widest bounds the search
     widths = (2, 4, 8, 16)
     dist = _hop_distance(grid.boundary_graph, ones, widths[-1])
-    seeds = []
+    eta, value = None, np.inf
     for width in widths:
         tent = np.maximum(0.0, 1.0 - dist / width)
         tent[ones] = 1.0
-        seeds.append(tent)
-    est = _polish("primal-boundary", seeds,
-                  lambda eta_b: boundary_test_norm(ks, eta_b), value_and_grad,
-                  fixed, free_idx, opts.maxiter)
-    est.aux["ones"] = ones
-    return est
+        tent_value = boundary_test_norm(ks, tent)
+        if tent_value < value:
+            eta, value = tent, tent_value
+    res = _box_minimise(objective, eta[free_idx], opts.maxiter)
+    cand = fixed.copy()
+    cand[free_idx] = res.x
+    cand_value = boundary_test_norm(ks, cand)
+    if cand_value <= value:
+        eta, value = cand, cand_value
+    return CapacityEstimate(
+        "primal-boundary", primal_value=float(value), eta_star=eta,
+        iterations=res.nit, converged=res.success,
+        aux={"evaluations": res.nfev,
+             "projected_gradient": res.projected_gradient, "ones": ones})
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +489,9 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     basis of the mass-zero measures, for at most opts.dual_iters steps
     (converged False at the cap); mu_masses is m / ||G m||_orl, and
     aux["newton_decrement"] the decrement at the returned m.  A single
-    atom has no free direction.
+    atom has no free direction.  aux["green_block"] holds the Green
+    columns G_S of the support mu_nodes, (Ni, |S|), from which
+    primal_interior builds its witness.
     """
     grid = ks.grid
     grid.require_same(K.grid)
@@ -572,7 +547,8 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     return CapacityEstimate("dual-interior", dual_value=float(m.sum() / nrm),
                             mu_nodes=support, mu_masses=m / nrm,
                             iterations=steps, converged=converged,
-                            aux={"newton_decrement": decrement})
+                            aux={"newton_decrement": decrement,
+                                 "green_block": cols})
 
 
 def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstimate:
@@ -625,20 +601,21 @@ def capacity_pair(K: CompactSet, ks: KernelSet,
                   opts: CapacityOptions = CapacityOptions()) -> CapacityEstimate:
     """Both sides of the duality sandwich in one record.
 
-    Interior: the dual runs once and its aligned witness is the primal.
-    Boundary: the primal runs once and its final eta is certified.  The
-    pair is converged if both sides pass their own tests or if the
-    bracket closes to PAIR_GAP_TOL: at an optimum reached to rounding
-    the boundary search's line search can find no decrease, and the
-    search then reports success False.
+    Interior: the dual runs once and its aligned witness, filled from
+    the dual's Green block, is the primal; the block stays out of the
+    pair's aux.  Boundary: the primal runs once and its final eta is
+    certified.  The pair is converged if both sides pass their own tests
+    or if the bracket closes to PAIR_GAP_TOL: at an optimum reached to
+    rounding the boundary search's line search can find no decrease, and
+    the search then reports success False.
     """
     if K.kind == "interior":
         dua = dual_interior(K, ks, opts)
-        pri = primal_interior(K, ks, opts, dual=dua)
+        pri = primal_interior(K, ks, dual=dua)
     else:
         pri = primal_boundary(K, ks, opts)
         dua = _boundary_certificate(pri, ks)
-    aux = dict(dua.aux)
+    aux = {key: value for key, value in dua.aux.items() if key != "green_block"}
     aux.update(pri.aux)
     return CapacityEstimate(
         kind=f"pair-{K.kind}",

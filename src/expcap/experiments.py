@@ -35,8 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .capacity import (CompactSet, boundary_collar, boundary_test_norm,
-                       capacity_pair, pairing, pinned_harmonic_fill,
-                       _boundary_forward, _hop_distance)
+                       capacity_pair, pairing, _boundary_forward, _hop_distance)
 from .errors import BadInput, Infeasible, LadderTooCoarse, SupportError
 from .grids import SHAPES, build_grid, integrate
 from .kernels import assemble, green_column
@@ -77,6 +76,8 @@ class ExperimentConfig:
         if any(m < 0 for m in ms):
             raise BadInput("masses must be >= 0")
         object.__setattr__(self, "masses", ms)
+        if not math.isfinite(self.charge) or self.charge < 0:
+            raise BadInput(f"charge must be a finite number >= 0, got {self.charge}")
         radii = tuple(int(v) for v in self.radii)
         if not radii:
             raise BadInput("the family needs at least one radius")
@@ -166,6 +167,18 @@ def target_nodes(grid, kind: str, name: str) -> np.ndarray:
                 raise SupportError("bottom-arc target empty on this grid")
             return nodes
     raise SupportError(f"unknown {kind} target {name!r}")
+
+
+def pinned_harmonic_fill(ks, fixed: np.ndarray, free_idx: np.ndarray) -> np.ndarray:
+    """Solve A eta = 0 on the free rows, eta = fixed elsewhere, and clip the
+    free values to [0, 1].  The free block A_FF is factored in A's column
+    order (`KernelSet.factor_shifted`): an annulus pins almost every node,
+    so no Green block of its pin is at hand."""
+    eta = fixed.copy()
+    if free_idx.size:
+        solve = ks.factor_shifted(np.zeros(ks.grid.n_interior), free_idx)
+        eta[free_idx] = np.clip(solve(-(ks.lap[free_idx] @ fixed)), 0.0, 1.0)
+    return eta
 
 
 def interior_family(K_nodes: np.ndarray, ks, radii: Sequence[int]):
@@ -378,12 +391,9 @@ def run_moderate_extension(cfg: ExperimentConfig) -> ModerateResult:
     n = cfg.ladder[-1]
     ks = assemble(build_grid(cfg.shape, n))
     grid = ks.grid
-    if cfg.target == "none":
-        K = np.array([], dtype=int)
-    else:
-        K = target_nodes(grid, "interior", cfg.target or default_target(grid, "interior"))
+    K = target_nodes(grid, "interior", cfg.target or default_target(grid, "interior"))
     mu = InteriorMeasure(grid, density=np.ones(grid.n_interior))
-    if cfg.charge > 0 and K.size:
+    if cfg.charge > 0:
         mu_full = InteriorMeasure(grid, atoms=[(int(K[0]), cfg.charge)],
                                   density=np.ones(grid.n_interior))
     else:
@@ -395,34 +405,28 @@ def run_moderate_extension(cfg: ExperimentConfig) -> ModerateResult:
         full = solve_interior(mu_full, ks)
         gap = float(np.abs(up.values - full.u.values).max())
 
+    if len(cfg.radii) < 2:
+        raise LadderTooCoarse("need at least 2 family radii for a decay fit")
     zeta = ks.zeta0
     rows = []
-    if K.size == 0:
+    for R, eta in zip(sorted(cfg.radii, reverse=True),
+                      interior_family(K, ks, cfg.radii)):
+        lap_term = grid.cell_measure * float((zeta * (ks.lap @ eta)) @ up.values)
+        grad_term = 2.0 * grid.cell_measure * float(
+            _grad_dot_times(grid, zeta, eta) @ up.values)
+        rows.append((R, R * grid.h, lap_term - grad_term))
+    corr = np.abs([r[2] for r in rows])
+    if corr.max() < 1e-8:
         slope = float("inf")
     else:
-        if len(cfg.radii) < 2:
-            raise LadderTooCoarse("need at least 2 family radii for a decay fit")
-        vals = []
-        for R, eta in zip(sorted(cfg.radii, reverse=True),
-                          interior_family(K, ks, cfg.radii)):
-            lap_term = grid.cell_measure * float((zeta * (ks.lap @ eta)) @ up.values)
-            grad_term = 2.0 * grid.cell_measure * float(
-                _grad_dot_times(grid, zeta, eta) @ up.values)
-            corr = lap_term - grad_term
-            rows.append((R, R * grid.h, corr))
-            vals.append((R * grid.h, abs(corr)))
-        if max(v for _, v in vals) < 1e-8:
-            slope = float("inf")
-        else:
-            xs = np.log([x for x, _ in vals])
-            ys = np.log([max(v, 1e-300) for _, v in vals])
-            slope = float(np.polyfit(xs, ys, 1)[0])
+        slope = float(np.polyfit(np.log([r[1] for r in rows]),
+                                 np.log(np.maximum(corr, 1e-300)), 1)[0])
 
     maxR, _ = weak_residual(up, mu_full, ks, default_test_basis(ks))
     # Corrections cannot decay below the h^2 discretization floor, so a
     # run whose corrections already sit under the tolerance counts as an
     # extension even when the log-log fit over floor noise is flat.
-    small = (not rows) or max(abs(r[2]) for r in rows) < cfg.residual_tol
+    small = corr.max() < cfg.residual_tol
     verdict = ("EXTENDS" if (slope > 0.5 or small) and maxR < cfg.residual_tol
                else "OBSTRUCTED")
     res = ModerateResult(verdict, slope, maxR, gap, rows)

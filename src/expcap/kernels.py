@@ -24,8 +24,9 @@ arrays SuperLU reads, and A goes to the factor without a copy.
 
 Every sparse factorisation lives here.  `KernelSet.factor_shifted`
 factors (A + diag(d))_FF, d >= 0, on a free node set F: the Newton
-Jacobian A + diag(e^u) on all nodes, or the pinned block A_FF of a
-harmonic fill.  It reuses the column order of A's LU and pays no
+Jacobian A + diag(e^u) on all nodes, or the pinned block A_FF of the
+annulus fill in `experiments.interior_family` (the capacity witness
+reads its fill off Green columns and factors nothing).  It reuses the column order of A's LU and pays no
 ordering.  Fill runs along paths through earlier-eliminated nodes and a
 path inside F is one in A, so that order fills no entry A's factor does
 not; the pivots stay on the diagonal of these diagonally dominant

@@ -11,14 +11,14 @@ from expcap.capacity import (CapacityEstimate, CapacityOptions, CompactSet,
                              boundary_collar, boundary_measure,
                              boundary_test_norm, capacity_pair, dilate_boundary,
                              dilate_interior, dual_boundary, dual_interior,
-                             pairing, pinned_harmonic_fill, primal_boundary,
-                             primal_interior)
+                             pairing, primal_boundary, primal_interior)
 from expcap.errors import SupportError
 from expcap.kernels import green_column
 from expcap.luxemburg import luxemburg_norm, orlicz_norm, orlicz_norm_and_argmin
 from expcap.measures import BoundaryMeasure
 from expcap.nfunctions import exponential_pair
-from expcap.experiments import interior_family, target_nodes
+from expcap.experiments import (interior_family, pinned_harmonic_fill,
+                                target_nodes)
 
 # frozen on the 16x16 square, centre node, default options
 PAIR16_DIL0 = 4.2172024791
@@ -68,10 +68,16 @@ def test_hop_counts_stopped_at_the_depth_read_change_nothing(shape, n, monkeypat
     stencil, ring = ks.stencil_graph, grid.boundary_graph
     first = np.flatnonzero(np.asarray(ks.coupling.sum(axis=1)).ravel() > 0)
 
-    def grab(kind, seeds, *args):
-        raise _Seeds(seeds)
+    seen = []
 
-    monkeypatch.setattr(capacity, "_polish", grab)
+    def grab(ks, eta_b):
+        # the seeds' norms come first, one per tent, before any search
+        seen.append(eta_b)
+        if len(seen) == 4:
+            raise _Seeds(list(seen))
+        return 1.0
+
+    monkeypatch.setattr(capacity, "boundary_test_norm", grab)
     assert np.array_equal(boundary_collar(ks), np.flatnonzero(hops(stencil, first) <= 0))
     for rings in range(4):
         for name in ("center", "cluster", "segment"):
@@ -86,6 +92,7 @@ def test_hop_counts_stopped_at_the_depth_read_change_nothing(shape, n, monkeypat
             nodes = target_nodes(grid, "boundary", name)
             ones = np.flatnonzero(hops(ring, nodes) <= rings)
             assert np.array_equal(dilate_boundary(grid, nodes, rings), ones)
+            seen.clear()
             with pytest.raises(_Seeds) as seeds:
                 primal_boundary(CompactSet(grid, nodes, "boundary"), ks,
                                 CapacityOptions(dilation=rings))
@@ -329,7 +336,7 @@ def test_subadditive_over_separated_singletons(ks16):
 
     def primal(nodes):
         K = CompactSet(grid, nodes, "interior")
-        return primal_interior(K, ks16, opts, dual_interior(K, ks16, opts))
+        return primal_interior(K, ks16, dual_interior(K, ks16, opts))
 
     ca, cb, cu = primal(a), primal(b), primal(np.concatenate([a, b]))
     assert cu.primal_value <= 1.01 * (ca.primal_value + cb.primal_value)
@@ -350,7 +357,7 @@ def test_primal_norms_are_evaluated_once_per_point(ks16, monkeypatch):
     K = _center_set(ks16)
     opts = CapacityOptions(dilation=1)
     dual = dual_interior(K, ks16, opts)
-    est = primal_interior(K, ks16, opts, dual=dual)
+    est = primal_interior(K, ks16, dual=dual)
     assert len(calls) == 1  # dual-aligned witness
     assert est.primal_value == luxemburg_norm(
         ks16.lap @ est.eta_star, ks16.grid, exponential_pair(),
@@ -478,13 +485,12 @@ def _boxed_quadratic():
 
 def test_box_search_reaches_the_kkt_point_of_a_boxed_quadratic():
     objective, x_star, points = _boxed_quadratic()
-    box = (np.zeros(12), np.ones(12))
-    res = capacity._box_minimise(objective, np.full(12, 0.5), box, 600)
+    res = capacity._box_minimise(objective, np.full(12, 0.5), 600)
     assert res.success and 0 < res.nit < 600
     assert res.nfev == len(points)
     assert np.abs(res.x - x_star).max() <= 1e-10
     # the cap counts accepted steps: three of them do not reach x*
-    capped = capacity._box_minimise(objective, np.full(12, 0.5), box, 3)
+    capped = capacity._box_minimise(objective, np.full(12, 0.5), 3)
     assert capped.nit <= 3 and not capped.success
 
 
@@ -544,11 +550,10 @@ def test_boundary_pair_matches_the_quasi_newton_values(n, target):
 
 
 @pytest.mark.parametrize("fixture", ["ks32", "ks_disk", "ks_interval"])
-def test_pinned_fill_factors_the_free_block_in_a_order(fixture, request, rng,
+def test_pinned_fill_factors_the_free_block_in_a_order(fixture, request,
                                                        monkeypatch):
-    # the fill solves A_FF against an independent dense solve, for a
-    # dilated cluster pin with a source and for an interior_family
-    # annulus; its factor keeps diagonal pivots and at most A's fill
+    # interior_family's annulus fill solves A_FF against an independent
+    # dense solve; its factor keeps diagonal pivots and at most A's fill
     ks = request.getfixturevalue(fixture)
     factors = []
     splu = kernels.spla.splu
@@ -560,19 +565,71 @@ def test_pinned_fill_factors_the_free_block_in_a_order(fixture, request, rng,
     fixed = np.zeros(ni)
     fixed[dilate_interior(ks, K, 1)] = 1.0
     annulus = capacity._hop_distance(abs(ks.lap), K)
-    cases = [(fixed, np.flatnonzero(fixed == 0.0), rng.uniform(0.0, 5.0, ni)),
-             (fixed, np.flatnonzero((annulus > 1) & (annulus <= 4)), None)]
-    for fixed, free, source in cases:
-        rhs = -(A[free] @ fixed) + (0.0 if source is None else source[free])
-        exact = np.linalg.solve(A[np.ix_(free, free)], rhs)
-        x = ks.factor_shifted(np.zeros(ni), free)(rhs)
-        assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
-        eta = pinned_harmonic_fill(ks, fixed, free, source)
-        want = fixed.copy()
-        want[free] = np.clip(exact, 0.0, 1.0)
-        assert np.abs(eta - want).max() <= 1e-12
-        lu = factors[-1]
-        assert np.array_equal(lu.perm_r, np.arange(free.size))
-        assert lu.L.nnz + lu.U.nnz <= ks._lu.L.nnz + ks._lu.U.nnz
-    # the last case is the R = 4 member of the family
+    free = np.flatnonzero((annulus > 1) & (annulus <= 4))
+    rhs = -(A[free] @ fixed)
+    exact = np.linalg.solve(A[np.ix_(free, free)], rhs)
+    x = ks.factor_shifted(np.zeros(ni), free)(rhs)
+    assert np.abs(x - exact).max() <= 1e-12 * np.abs(exact).max()
+    eta = pinned_harmonic_fill(ks, fixed, free)
+    want = fixed.copy()
+    want[free] = np.clip(exact, 0.0, 1.0)
+    assert np.abs(eta - want).max() <= 1e-12
+    lu = factors[-1]
+    assert np.array_equal(lu.perm_r, np.arange(free.size))
+    assert lu.L.nnz + lu.U.nnz <= ks._lu.L.nnz + ks._lu.U.nnz
+    # the fill is the R = 4 member of the family
     assert np.abs(interior_family(K, ks, [4])[0] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("target", ["center", "cluster", "segment"])
+@pytest.mark.parametrize("fixture", ["ks32", "ks_disk", "ks_interval"])
+def test_interior_witness_is_the_dense_pinned_solve(fixture, target, request):
+    # the capacitance fill on the dual's Green block equals the pinned
+    # system A_FF eta_F = w*_F - A_FS 1 solved densely, clipped to [0, 1]
+    ks = request.getfixturevalue(fixture)
+    grid = ks.grid
+    K = CompactSet(grid, target_nodes(grid, "interior", target), "interior")
+    dual = dual_interior(K, ks, CapacityOptions(dilation=1))
+    est = primal_interior(K, ks, dual)
+    nf = exponential_pair()
+    pot = green_column(ks, dual.mu_nodes) @ dual.mu_masses
+    _, khat = orlicz_norm_and_argmin(pot, grid, nf, "lebesgue")
+    source = dual.dual_value * nf.p(khat * pot)
+    A = ks.lap.toarray()
+    fixed = np.zeros(grid.n_interior)
+    fixed[dual.mu_nodes] = 1.0
+    free = np.flatnonzero(fixed == 0.0)
+    want = fixed.copy()
+    want[free] = np.clip(np.linalg.solve(A[np.ix_(free, free)],
+                                         source[free] - A[free] @ fixed), 0.0, 1.0)
+    assert np.array_equal(est.aux["ones"], dual.mu_nodes)
+    assert np.abs(est.eta_star - want).max() <= 1e-12
+
+
+def test_interior_witness_makes_one_solve_and_factors_nothing(ks32, monkeypatch):
+    # the witness reuses the dual's Green columns: one right-hand side
+    # through A's LU and no factorisation, and the pair's record leaves
+    # the block out
+    K = CompactSet(ks32.grid, target_nodes(ks32.grid, "interior", "cluster"),
+                   "interior")
+    dual = dual_interior(K, ks32, CapacityOptions(dilation=1))
+    assert dual.mu_nodes.size > 1
+    solves, factors = [], []
+    solve, lu_factor = kernels.KernelSet.solve, kernels._lu_factor
+
+    def counted_solve(self, rhs):
+        solves.append(np.shape(rhs))
+        return solve(self, rhs)
+
+    def counted_factor(*args):
+        factors.append(args)
+        return lu_factor(*args)
+
+    monkeypatch.setattr(kernels.KernelSet, "solve", counted_solve)
+    monkeypatch.setattr(kernels, "_lu_factor", counted_factor)
+    est = primal_interior(K, ks32, dual)
+    assert solves == [(ks32.grid.n_interior,)]
+    assert factors == []
+    assert est.converged
+    pair = capacity_pair(K, ks32, CapacityOptions(dilation=1))
+    assert "green_block" not in pair.aux

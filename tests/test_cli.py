@@ -343,6 +343,8 @@ BAD_INPUT = {
        for name in ("vanishing", "moderate", "boundary-probe")},
     "boundary-probe-interior-target": ["boundary-probe", "--ladder", "8", "--radii", "2",
                                        "--target", "center"],
+    **{f"moderate-charge-{name}": ["moderate", "--ladder", "8", "--charge", value]
+       for name, value in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))},
 }
 
 

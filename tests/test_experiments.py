@@ -7,7 +7,7 @@ import pytest
 
 import expcap.kernels as kernels
 import expcap.solver as solver
-from expcap.errors import Infeasible, NoConvergence, SupportError
+from expcap.errors import BadInput, Infeasible, NoConvergence, SupportError
 from expcap.experiments import (ExperimentConfig, boundary_family,
                                 interior_family, punctured_solve,
                                 run_boundary_probe, run_convergence_suite,
@@ -27,6 +27,21 @@ def test_config_validation():
     cfg = ExperimentConfig(ladder=(8.0, 12), radii=(3.0, 2))
     assert cfg.ladder == (8, 12)
     assert cfg.radii == (3, 2)
+
+
+@pytest.mark.parametrize("charge", [-50.0, float("nan"), float("inf")])
+def test_moderate_refuses_a_negative_or_non_finite_charge(charge):
+    # the punctured solve's monotone Newton needs data >= 0 and finite
+    # (a charge of -50 drives u to -35.6 at n = 32 and still yields a
+    # verdict), so the config refuses such a charge before any grid is built
+    with pytest.raises(BadInput):
+        ExperimentConfig(ladder=(32,), charge=charge)
+
+
+def test_moderate_reads_none_as_an_unknown_target():
+    with pytest.raises(SupportError):
+        run_moderate_extension(ExperimentConfig(ladder=(8,), radii=(3, 2),
+                                                target="none"))
 
 
 def test_target_nodes_names(ks16):

@@ -217,7 +217,7 @@ def test_a_factor_stores_exactly_its_fill(ks16):
 
 
 def test_every_factor_uses_the_module_superlu_settings(ks16, monkeypatch):
-    from expcap.capacity import pinned_harmonic_fill
+    from expcap.experiments import pinned_harmonic_fill
     from expcap.measures import InteriorMeasure
     from expcap.solver import solve_interior
 
