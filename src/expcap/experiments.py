@@ -4,7 +4,9 @@ Five drivers, one per phenomenon:
 
   * removability threshold: bracket the critical interior point mass on
     a 2D domain by running the exp-integrability screen over a grid
-    ladder for each mass in a ladder straddling 4*pi;
+    ladder for each mass in a ladder straddling 4*pi; a potential is
+    linear in its mass, so each rung solves one Green column and every
+    mass scales it into the slope fit of `admissibility_test`;
   * vanishing inequality: the mass-versus-capacity bound
     mu(K) <= int (e^u - 1) eta + 3 ||u|| ||Lap eta|| for shrinking
     cutoff families, interior and boundary flavours, with both
@@ -42,7 +44,7 @@ from .kernels import assemble, green_column
 from .luxemburg import luxemburg_norm
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
 from .nfunctions import exponential_pair
-from .solver import (SLOPE_TOL, _semilinear_solve, admissibility_test,
+from .solver import (SLOPE_TOL, _growth_trend, _semilinear_solve,
                      default_test_basis, solve_boundary, solve_interior,
                      weak_residual)
 
@@ -73,11 +75,14 @@ class ExperimentConfig:
             raise BadInput("grid ladder must be strictly increasing")
         object.__setattr__(self, "ladder", lad)
         ms = tuple(float(v) for v in self.masses)
-        if any(m < 0 for m in ms):
-            raise BadInput("masses must be >= 0")
+        if not ms or not all(math.isfinite(m) and m >= 0 for m in ms):
+            raise BadInput(f"need one or more masses, each finite and >= 0, got {list(ms)}")
         object.__setattr__(self, "masses", ms)
-        if not math.isfinite(self.charge) or self.charge < 0:
-            raise BadInput(f"charge must be a finite number >= 0, got {self.charge}")
+        for name in ("charge", "residual_tol", "threshold_window"):
+            if not math.isfinite(value := getattr(self, name)) or value < 0:
+                raise BadInput(f"{name} must be a finite number >= 0, got {value}")
+        if not math.isfinite(self.slope_tol):
+            raise BadInput(f"slope_tol must be a finite number, got {self.slope_tol}")
         radii = tuple(int(v) for v in self.radii)
         if not radii:
             raise BadInput("the family needs at least one radius")
@@ -227,13 +232,14 @@ def run_removability_threshold(cfg: ExperimentConfig) -> RemovabilityResult:
     if len(cfg.ladder) < 3:
         raise BadInput("the slope fit needs a ladder of at least 3 grid sizes, "
                        f"got {len(cfg.ladder)}")
-    ladder = [assemble(build_grid(cfg.shape, n)) for n in cfg.ladder]
     center = _domain_center(cfg.shape)
+    grids = [build_grid(cfg.shape, n) for n in cfg.ladder]
+    # each rung's KernelSet is a temporary, freed before the next assembly
+    cols = [green_column(assemble(g), g.nearest(center)[0]) for g in grids]
     rows = []
     admissible, divergent = [], []
     for m in sorted(cfg.masses):
-        spec = MeasureSpec("interior", atoms=((center, m),))
-        rep = admissibility_test(spec, ladder, slope_tol=cfg.slope_tol)
+        rep = _growth_trend(zip(grids, (m * c for c in cols)), "lebesgue", cfg.slope_tol)
         rows.append((m, rep.slope, rep.verdict))
         (admissible if rep.verdict == "Admissible" else divergent).append(m)
     if not admissible or not divergent:

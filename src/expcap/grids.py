@@ -214,17 +214,21 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
     ndim = 1 if shape == "interval" else 2
     m = n + 2
     pos = np.indices((m,) * ndim).reshape(ndim, -1).T  # lattice order
-    inside = ((pos >= 1) & (pos <= n)).all(axis=1)
-    if shape == "disk":
-        # |a h - 1/2|^2 summed < 1/4, in integers, so nodes on the circle stay out
-        inside &= ((2 * pos - (n + 1)) ** 2).sum(axis=1) < (n + 1) ** 2
+    inside = np.ones(m, dtype=bool)
+    inside[0] = inside[-1] = False
+    if shape == "square":
+        inside = (inside[:, None] & inside).ravel()
+    elif shape == "disk":
+        # |a h - 1/2|^2 summed < 1/4 in integers: the circle and lattice edge stay out
+        q = (2 * np.arange(m) - (n + 1)) ** 2
+        inside = (q[:, None] + q < (n + 1) ** 2).ravel()
     # inside stays off the lattice edge, so no stencil step from it wraps
-    near = np.zeros_like(inside)
-    for s in m ** np.arange(ndim):
+    near = np.zeros(inside.size, dtype=bool)
+    for s in (1, m)[:ndim]:
         near[s:] |= inside[:-s]
         near[:-s] |= inside[s:]
-    int_lat = np.flatnonzero(inside)
-    bdy_lat = np.flatnonzero(near & ~inside)
+    int_lat = inside.nonzero()[0]
+    bdy_lat = (near & ~inside).nonzero()[0]
     bpos = pos[bdy_lat]
     if shape == "square":
         # edge by edge: (0,k), (n+1,k), (k,0), (k,n+1) for k = 1..n
@@ -244,9 +248,9 @@ def build_grid(shape: str, n: int) -> WeightedGrid:
         normal = (bpos == n + 1).astype(float) - (bpos == 0)
         if ndim == 1:
             bc[-1] = 1.0  # (n+1) h rounds below 1 for some n
-    int_of_lat = np.full(m ** ndim, -1)
+    int_of_lat = np.full(inside.size, -1)
     int_of_lat[int_lat] = np.arange(int_lat.size)
-    bdy_of_lat = np.full(int_of_lat.size, -1)
+    bdy_of_lat = np.full(inside.size, -1)
     bdy_of_lat[bdy_lat] = np.arange(bdy_lat.size)
     # built here, next to the grid's other arrays: built lazily inside the
     # first solve, they raised the pde benchmark's peak RSS by 2-3.5 MB

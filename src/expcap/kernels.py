@@ -14,13 +14,15 @@ capacity layers hold to solver precision.  Every solve reuses one sparse
 LU factorisation of A: the capacity optimisers call the operators
 thousands of times.
 
-`assemble` builds A and factors it; that is all every caller reads.
-The torsion field zeta0 (one solve, which every Newton solve reads), the
-coupling B and the principal eigenpair (9-11 more solves) are built on
-their first read, so a grid whose caller only solves with A, as a Green
-ladder does, pays for none of them.  A is symmetric and its CSR rows list
-their columns in ascending order, so its CSR arrays are already the CSC
-arrays SuperLU reads, and A goes to the factor without a copy.
+`assemble` builds A once, in CSC with int32 indices (which scipy's
+constructor keeps as they are), and factors it; that is all every caller
+reads.  A is symmetric, so `lap`, the CSR matrix the matvecs read, is the
+same arrays read by rows.  It, the torsion field zeta0 (one solve), the
+coupling B and the eigenpair (9-11 solves) are built on first read, so a
+grid whose caller only solves with A, as a Green ladder does, pays for
+none of them.  A 2-D grid's A is factored in `PERMC_SPEC` order, the
+interval's in natural order: a path's tridiagonal A has no fill in its
+own order (L + U holds nnz(A) + n entries, as minimum degree finds).
 
 Every sparse factorisation lives here.  `KernelSet.factor_shifted`
 factors (A + diag(d))_FF, d >= 0, on a free node set F: the Newton
@@ -57,14 +59,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import SolverDiverged
+from .errors import SolverDiverged, SupportError
 from .grids import WeightedGrid
 
 EIG_TOL = 1e-8
 EIG_MAXIT = 2000
-# Column ordering of A's LU, which every other factor reuses.  For this
-# symmetric M-matrix minimum degree on A^T + A leaves about half the fill
-# of splu's default COLAMD on the square n=128 grid.
+# Column ordering of a 2-D A's LU, which every other factor reuses.  For
+# this symmetric M-matrix minimum degree on A^T + A leaves about half the
+# fill of splu's default COLAMD on the square n=128 grid.
 PERMC_SPEC = "MMD_AT_PLUS_A"
 # SuperLU's supernode relaxation and panel width for every factor; the
 # module docstring says why.
@@ -72,34 +74,35 @@ SUPERNODE_RELAX = 1
 PANEL_SIZE = 1
 
 
-def _stencil_matrix(grid: WeightedGrid) -> sp.csr_matrix:
-    """A in CSR.  Ordinals ascend with the lattice index, so a row lists
-    its columns in ascending lattice offset, (-m, -1, self, +1, +m) in 2D
+def _stencil_matrix(grid: WeightedGrid) -> sp.csc_matrix:
+    """A in CSC.  Ordinals ascend with the lattice index, so a column lists
+    its rows in ascending lattice offset, (-m, -1, self, +1, +m) in 2D
     (m = n + 2) and (-1, self, +1) in 1D: the indices come out sorted."""
-    h2 = grid.h ** 2
-    steps = grid.stencil_neighbours()
+    steps = [oi for oi, _ in grid.stencil_neighbours()]
     half = len(steps) // 2
-    cols = np.column_stack([oi for oi, _ in steps[:half]] + [np.arange(grid.n_interior)]
-                           + [oi for oi, _ in steps[half:]])
-    vals = np.full(cols.shape, -1.0 / h2)
-    vals[:, half] = 2.0 * grid.ndim / h2
-    return _csr_rows(cols, vals, grid.n_interior)
+    vals = np.full(2 * half + 1, -1.0 / grid.h ** 2)
+    vals[half] = 2.0 * grid.ndim / grid.h ** 2
+    cols = steps[:half] + [np.arange(grid.n_interior)] + steps[half:]
+    return sp.csc_matrix(_compressed(cols, vals), shape=(grid.n_interior,) * 2)
 
 
 def _coupling_matrix(grid: WeightedGrid) -> sp.csr_matrix:
     """B in CSR.  Boundary ordinals on the square run edge by edge, not
     in lattice order, so its rows are sorted after assembly."""
-    cols = np.column_stack([ob for _, ob in grid.stencil_neighbours()])
-    B = _csr_rows(cols, np.full(cols.shape, 1.0 / grid.h ** 2), grid.n_boundary)
+    cols = [ob for _, ob in grid.stencil_neighbours()]
+    B = sp.csr_matrix(_compressed(cols, np.full(len(cols), 1.0 / grid.h ** 2)),
+                      shape=(grid.n_interior, grid.n_boundary))
     B.sort_indices()
     return B
 
 
-def _csr_rows(cols: np.ndarray, vals: np.ndarray, n_cols: int) -> sp.csr_matrix:
-    """CSR matrix whose row i holds vals[i, k] at cols[i, k] >= 0."""
-    hit = cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(hit.sum(axis=1))))
-    return sp.csr_matrix((vals[hit], cols[hit], indptr), shape=(cols.shape[0], n_cols))
+def _compressed(cols: list, vals: np.ndarray) -> tuple:
+    """(data, indices, indptr), int32 indices, of the matrix whose row i
+    holds vals[k] at cols[k][i] for each k with cols[k][i] >= 0."""
+    table = np.array(cols, dtype=np.int32)  # (k, rows): row counts reduce axis 0
+    hit = table >= 0
+    indptr = np.concatenate(([0], np.add.reduce(hit, 0).cumsum()), dtype=np.int32)
+    return vals.repeat(hit.shape[1]).reshape(hit.shape).T[hit.T], table.T[hit.T], indptr
 
 
 def _lu_factor(M: sp.csc_matrix, permc_spec: str):
@@ -120,22 +123,26 @@ def _diagonal_slots(M: sp.csr_matrix) -> np.ndarray:
 class KernelSet:
     """Assembled operators plus the derived fields the solvers lean on.
 
-    `assemble` fills in A (`lap`) and its LU.  The first read of `zeta0`
-    solves for it, the first read of `coupling` builds B, and the first
-    read of `rho_star` or `eigenvalue` computes and keeps both;
-    `eig_iterations` counts its inverse-power steps and reads 0 until
-    then.  `factor_shifted` writes each shifted matrix into a copy of A's
-    permuted data (module docstring).
+    `assemble` fills in A (in CSC) and its LU; `lap`, `zeta0`, `coupling`
+    and the eigenpair (`rho_star`, `eigenvalue`) are made on first read,
+    and `eig_iterations` counts the eigenpair's inverse-power steps (0
+    until then).  `factor_shifted` writes each shifted matrix into a copy
+    of A's permuted data (module docstring).
     """
 
     grid: WeightedGrid
-    lap: sp.csr_matrix
+    _csc: sp.csc_matrix = field(repr=False)
+    _lu: object = field(repr=False)
     eig_iterations: int = 0
-    _lu: object = field(default=None, repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs; rhs may be (Ni,) or (Ni, k)."""
         return self._lu.solve(np.asarray(rhs, dtype=float))
+
+    @cached_property
+    def lap(self) -> sp.csr_matrix:
+        """A in CSR, on the arrays of the CSC matrix the LU read."""
+        return self._csc.T
 
     @cached_property
     def zeta0(self) -> np.ndarray:
@@ -210,10 +217,10 @@ class KernelSet:
 
 
 def assemble(grid: WeightedGrid) -> KernelSet:
-    """Assemble A and factor it."""
+    """Assemble A and factor it (module docstring has the ordering rule)."""
     A = _stencil_matrix(grid)
-    # A is symmetric: its transpose is a CSC view of the same arrays
-    return KernelSet(grid=grid, lap=A, _lu=_lu_factor(A.T, PERMC_SPEC))
+    return KernelSet(grid=grid, _csc=A,
+                     _lu=_lu_factor(A, "NATURAL" if grid.ndim == 1 else PERMC_SPEC))
 
 
 def _principal_eigen(ks: KernelSet):
@@ -237,9 +244,13 @@ def _principal_eigen(ks: KernelSet):
 
 def green_column(ks: KernelSet, nodes: int | np.ndarray) -> np.ndarray:
     """Green kernel columns: the potential of a unit atom at each interior
-    node, (Ni,) for one node and (Ni, k) for an array of k nodes."""
+    node, (Ni,) for one node and (Ni, k) for an array of k nodes;
+    SupportError for an ordinal outside 0..Ni-1."""
     nodes = np.asarray(nodes)
-    e = np.zeros((ks.grid.n_interior, nodes.size))
+    ni = ks.grid.n_interior
+    if nodes.size and not 0 <= nodes.min() <= nodes.max() < ni:
+        raise SupportError(f"interior nodes {nodes.tolist()} reach outside 0..{ni - 1}")
+    e = np.zeros((ni, nodes.size))
     e[nodes.ravel(), np.arange(nodes.size)] = 1.0 / ks.grid.cell_measure
     return ks.solve(e.reshape((-1,) + nodes.shape))
 

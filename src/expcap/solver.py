@@ -127,7 +127,9 @@ passes one carry down its levels, whose loads shrink with the cap.
 Also here: the truncation ladder (singular part kept, density capped at
 k, caps released monotonically), the weak-residual evaluator, the
 potential-integrability screen over a refinement ladder, and the
-Keller-Osserman diagnostic.
+Keller-Osserman diagnostic.  The screen's fit (`_growth_trend`) reads
+potentials, not measures: the removability experiment feeds it one Green
+column per rung, scaled by each mass (a potential is linear in its mass).
 """
 
 from __future__ import annotations
@@ -466,26 +468,23 @@ def admissibility_test(spec: MeasureSpec, ladder: Sequence[KernelSet],
 
     `ladder` holds the assembled kernel sets, one per refinement, and the
     table keeps their order.  w = dx for interior specs, rho dx for
-    boundary specs.  The verdict is DivergentTrend when the least-squares
-    slope of log I_h against log(1/h) exceeds slope_tol (or the integrand
-    overflows outright).  At least three refinements are required for the
-    fit.
+    boundary specs.  The verdict is `_growth_trend`'s.  At least three
+    refinements are required for the fit.
     """
     if len(ladder) < 3:
         raise ValueError("need at least 3 refinements for a slope fit")
-    wkind = "lebesgue" if spec.kind == "interior" else "rho"
-    rows = []
-    overflow = False
-    for ks_n in ladder:
-        grid = ks_n.grid
-        pot = ks_n.solve(spec.instantiate(grid).load(ks_n))
-        if float(pot.max(initial=0.0)) > EXP_ARG_MAX:
-            overflow = True
-            rows.append((grid.n, grid.h, np.inf))
-            continue
-        rows.append((grid.n, grid.h, integrate(np.exp(pot), grid, wkind)))
+    rungs = ((ks.grid, ks.solve(spec.instantiate(ks.grid).load(ks))) for ks in ladder)
+    return _growth_trend(rungs, "lebesgue" if spec.kind == "interior" else "rho",
+                         slope_tol)
 
-    if overflow:
+
+def _growth_trend(rungs, weight: str, slope_tol: float) -> AdmissibilityReport:
+    """The screen's verdict on (grid, potential) rungs: DivergentTrend when
+    the least-squares slope of log I_h against log(1/h) exceeds slope_tol,
+    or when a potential overflows exp (I_h = inf)."""
+    rows = [(g.n, g.h, np.inf if float(p.max(initial=0.0)) > EXP_ARG_MAX
+             else integrate(np.exp(p), g, weight)) for g, p in rungs]
+    if any(r[2] == np.inf for r in rows):
         return AdmissibilityReport("DivergentTrend", np.inf, rows, True)
     logs = np.log([r[2] for r in rows])
     loginvh = np.log([1.0 / r[1] for r in rows])

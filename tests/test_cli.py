@@ -345,6 +345,11 @@ BAD_INPUT = {
                                        "--target", "center"],
     **{f"moderate-charge-{name}": ["moderate", "--ladder", "8", "--charge", value]
        for name, value in (("negative", "-1"), ("nan", "nan"), ("inf", "inf"))},
+    "negative-threshold-window": ["removability", "--threshold-window", "-1"],
+    "nan-threshold-window": ["removability", "--threshold-window", "nan"],
+    "nan-slope-tol": ["removability", "--slope-tol", "nan"],
+    "no-mass": ["removability", "--masses", ","],
+    "negative-residual-tol": ["moderate", "--residual-tol", "-1"],
 }
 
 

@@ -1,10 +1,12 @@
 """Batch experiment drivers: verdicts, trends, bookkeeping."""
 
 import csv
+import weakref
 
 import numpy as np
 import pytest
 
+import expcap.experiments as experiments
 import expcap.kernels as kernels
 import expcap.solver as solver
 from expcap.errors import BadInput, Infeasible, NoConvergence, SupportError
@@ -16,6 +18,7 @@ from expcap.experiments import (ExperimentConfig, boundary_family,
                                 run_vanishing_inequality, target_nodes,
                                 write_csv)
 from expcap.grids import build_grid
+from expcap.kernels import assemble
 from expcap.measures import InteriorMeasure, MeasureSpec
 
 
@@ -27,6 +30,25 @@ def test_config_validation():
     cfg = ExperimentConfig(ladder=(8.0, 12), radii=(3.0, 2))
     assert cfg.ladder == (8, 12)
     assert cfg.radii == (3, 2)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("threshold_window", -1.0), ("threshold_window", float("nan")),
+    ("threshold_window", float("inf")), ("residual_tol", -1e-4),
+    ("residual_tol", float("nan")), ("slope_tol", float("nan")),
+    ("slope_tol", float("inf")), ("slope_tol", float("-inf")), ("masses", ()),
+    ("masses", (2.0, float("nan"))), ("masses", (float("inf"),))])
+def test_config_refuses_a_tolerance_or_mass_no_verdict_can_use(field, value):
+    # a negative window can only print FAIL, a nan slope tolerance reads every
+    # mass as admissible and blamed the ladder, and an empty mass list left
+    # both verdict lists empty: each is refused before any grid is built
+    with pytest.raises(BadInput, match=field):
+        ExperimentConfig(**{field: value})
+
+
+def test_config_takes_a_negative_slope_tolerance():
+    # a slope bound below 0 is a strict screen, not a malformed one
+    assert ExperimentConfig(slope_tol=-1.0).slope_tol == -1.0
 
 
 @pytest.mark.parametrize("charge", [-50.0, float("nan"), float("inf")])
@@ -93,6 +115,52 @@ def test_removability_default_ladder_hits_four_pi():
     assert res.threshold == pytest.approx(4.0 * np.pi, rel=0.15)
     slopes = [row[1] for row in res.rows]
     assert slopes[0] < slopes[-1]
+
+
+def test_removability_solves_one_green_column_per_rung(monkeypatch):
+    # an atom's potential is linear in its mass, so the default ladder takes
+    # one right-hand side per rung (3, where a solve per mass took 15), and
+    # each rung's operators are freed before the next rung and the fits
+    solved, rungs, alive = [], [], []
+    solve, build, fit = kernels.KernelSet.solve, experiments.assemble, experiments._growth_trend
+
+    def counting_solve(self, rhs):
+        solved.append(1 if np.ndim(rhs) == 1 else np.shape(rhs)[1])
+        return solve(self, rhs)
+
+    def tracked_assemble(grid):
+        alive.append(sum(ref() is not None for ref in rungs))
+        ks = build(grid)
+        rungs.append(weakref.ref(ks))
+        return ks
+
+    def watched_fit(*args):
+        alive.append(sum(ref() is not None for ref in rungs))
+        return fit(*args)
+
+    monkeypatch.setattr(kernels.KernelSet, "solve", counting_solve)
+    monkeypatch.setattr(experiments, "assemble", tracked_assemble)
+    monkeypatch.setattr(experiments, "_growth_trend", watched_fit)
+    res = run_removability_threshold(ExperimentConfig())
+    assert sum(solved) == 3
+    assert len(rungs) == 3
+    assert alive == [0] * 8  # three assemblies, then five fits
+    assert res.threshold == 12.5
+    assert res.verdict == "PASS"
+
+
+def test_removability_slopes_are_the_per_mass_screens():
+    # the scaled Green columns give each mass the slope and verdict of its
+    # own admissibility ladder, to rounding
+    cfg = ExperimentConfig()
+    res = run_removability_threshold(cfg)
+    ladder = [assemble(build_grid(cfg.shape, n)) for n in cfg.ladder]
+    for m, slope, verdict in res.rows:
+        spec = MeasureSpec("interior", atoms=(((0.5, 0.5), m),))
+        rep = solver.admissibility_test(spec, ladder, slope_tol=cfg.slope_tol)
+        assert abs(slope - rep.slope) <= 1e-12
+        assert verdict == rep.verdict
+    assert [row[2] for row in res.rows] == ["Admissible"] * 3 + ["DivergentTrend"] * 2
 
 
 def test_vanishing_terms_stay_positive():

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import expcap.kernels as kernels
 
+from expcap.errors import SupportError
 from expcap.grids import _inward_pairs, build_grid, integrate
 from expcap.kernels import (KernelSet, _coupling_matrix, _principal_eigen,
                             _stencil_matrix, assemble, green_column,
@@ -144,6 +145,36 @@ def test_green_columns_stack_the_single_columns(ks16, ks_disk, ks_interval, rng)
             one = green_column(ks, node)
             assert one.shape == (ni,)
             assert np.abs(cols[:, k] - one).max() <= 1e-14 * np.abs(one).max()
+
+
+def test_green_column_refuses_nodes_outside_the_grid(ks_interval, ks16):
+    # -1 once read the last node's column and Ni raised a bare IndexError
+    for ks in (ks_interval, ks16):
+        ni = ks.grid.n_interior
+        for nodes in (-1, ni, np.array([0, ni]), np.array([[1, -2]])):
+            with pytest.raises(SupportError, match=f"outside 0..{ni - 1}"):
+                green_column(ks, nodes)
+
+
+def test_interval_factors_in_natural_order_and_2d_grids_in_permc_spec(monkeypatch):
+    # a path's tridiagonal A has no fill in its own order, so the interval
+    # pays for no ordering: the factor's column order is the identity and
+    # L + U holds nnz(A) + n entries, as minimum degree finds
+    specs = []
+    lu_factor = kernels._lu_factor
+    monkeypatch.setattr(kernels, "_lu_factor",
+                        lambda M, spec: specs.append(spec) or lu_factor(M, spec))
+    for shape, n in (("interval", 3), ("interval", 64), ("interval", 255),
+                     ("square", 8), ("disk", 12)):
+        ks = assemble(build_grid(shape, n))
+        if shape != "interval":
+            assert specs.pop() == kernels.PERMC_SPEC
+            continue
+        assert specs.pop() == "NATURAL"
+        assert np.array_equal(ks._lu.perm_c, np.arange(n))
+        mmd = lu_factor(ks.lap.tocsc(), kernels.PERMC_SPEC)
+        assert ks._lu.L.nnz + ks._lu.U.nnz == ks.lap.nnz + n
+        assert mmd.L.nnz + mmd.U.nnz == ks.lap.nnz + n
 
 
 def test_solve_round_trip(ks16, rng):
