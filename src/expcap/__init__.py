@@ -15,8 +15,7 @@ from .nfunctions import (NFunction, exponential_pair, pstar_sandwich,
                          quadratic_pair, young_gap)
 from .grids import (Field, WeightedGrid, build_grid, dump_field_csv,
                     integrate, load_field_csv)
-from .luxemburg import (luxemburg_norm, luxemburg_subgradient, orlicz_norm,
-                        orlicz_norm_and_argmin)
+from .luxemburg import luxemburg_norm, luxemburg_subgradient, orlicz_norm
 from .maximal import llnl_norm, maximal_function, maximal_interior
 from .kernels import KernelSet, assemble, green_column, normal_derivative
 from .measures import BoundaryMeasure, InteriorMeasure, MeasureSpec
@@ -25,9 +24,8 @@ from .solver import (AdmissibilityReport, SolveReport, TruncationReport,
                      keller_osserman_diagnostic, solve_boundary,
                      solve_interior, truncation_scheme, weak_residual)
 from .capacity import (CapacityEstimate, CapacityOptions, CompactSet,
-                       boundary_measure, boundary_test_norm, capacity_pair,
-                       dual_boundary, dual_interior, pairing, primal_boundary,
-                       primal_interior)
+                       boundary_test_norm, capacity_pair, dual_boundary,
+                       dual_interior, pairing, primal_boundary, primal_interior)
 from .experiments import (ExperimentConfig, run_boundary_probe,
                           run_convergence_suite, run_moderate_extension,
                           run_removability_threshold,

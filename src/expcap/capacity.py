@@ -26,18 +26,27 @@ bound.  Restricting to m >= 0 gives the nonnegative-measure capacity
 dual of the relaxed pin eta >= 1: valid but looser here (gaps of 1-5% on
 the 32x32 square).
 
-The dual is solved by damped Newton over m = 1/|S| + Q y.  With
-phi(v) = min_k (1 + sum P(k v) W) / k the Amemiya norm at v = G m and k
-its minimiser, the envelope theorem gives phi's gradient p(k v) W and,
-as the k-derivative vanishes at k, its Hessian
-diag(k P''(k v) W) - c c^T / F_kk with c = v P''(k v) W and
-F_kk = v.c / k.  Both pass through GQ, so a step is one
+The dual is solved by damped Newton over the unit-mass measures
+m = 1/|S| + D y, D's columns the node differences e_j - e_0 (j >= 1),
+which span the mass-zero measures; their potentials are
+GD = G_S[:, 1:] - G_S[:, :1].  With phi(v) = min_k (1 + sum P(k v) W) / k
+the Amemiya norm at v = G m and k its minimiser, the envelope theorem
+gives phi's gradient p(k v) W and, as the k-derivative vanishes at k,
+its Hessian diag(k P''(k v) W) - c c^T / F_kk with c = v P''(k v) W and
+F_kk = v.c / k.  Both pass through GD, so a step is one
 (interior x |S|) product and one |S| x |S| Cholesky solve (a gradient
 step when the factor fails), backtracked on phi by Armijo's rule.  phi
 is convex and Newton converges quadratically: 3-8 steps on square
 n = 16-128, not growing with n.  It stops when the decrement
 g^T H^{-1} g, twice the decrease one more step promises, is at most
 NEWTON_DECREMENT_TOL phi: at rounding.
+
+D need not be orthonormal: damped Newton is affine invariant (Boyd and
+Vandenberghe, Convex Optimization, 2004, section 9.5).  With y = T z, T
+invertible, the gradient is T^T g and the Hessian T^T H T, so the step
+in z is T^{-1} times the step in y and the decrement and Armijo's test
+read the same numbers: every basis of the mass-zero measures gives the
+same iterates m in exact arithmetic (the gradient fallback aside).
 
 The interior primal needs no search: the pinned harmonic fill carrying
 the dual's aligned source w* = dual_value p(khat G mu) on its free rows
@@ -100,8 +109,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import BadInput, Infeasible, SupportError
 from .grids import WeightedGrid
 from .kernels import KernelSet, green_column
-from .luxemburg import (_amemiya, _subgradient, luxemburg_norm, orlicz_norm,
-                        orlicz_norm_and_argmin)
+from .luxemburg import _amemiya, _subgradient, luxemburg_norm, orlicz_norm
 from .measures import BoundaryMeasure
 from .nfunctions import exponential_pair
 
@@ -363,12 +371,11 @@ def primal_interior(K: CompactSet, ks: KernelSet,
     # Young equality makes p(khat pot) the unit-norm aligned source; on the
     # free rows of the pinned system it keeps the pin without overwriting
     # a solved field (zeros written into one put O(1/h^2) jumps into its
-    # Laplacian); with no positive potential the witness is the harmonic fill
+    # Laplacian).  pot is never zero: (A 1)^T pot = mu(S) / vol > 0 with
+    # A 1 >= 0, so it has a positive entry
     pot = cols @ dual.mu_masses
-    w_star = np.zeros(grid.n_interior)
-    if float(pot.max(initial=0.0)) > 0:
-        _, khat = orlicz_norm_and_argmin(pot, grid, nf, "lebesgue")
-        w_star = dual.dual_value * nf.p(khat * pot)
+    _, khat, _ = _amemiya(pot, grid, nf, "lebesgue")
+    w_star = dual.dual_value * nf.p(khat * pot)
     # the capacitance identity: y = A^{-1} [w*_F; 0], then G_S sigma lifts
     # y to 1 on the pin and adds nothing to A eta on the free rows
     w_star[ones] = 0.0
@@ -401,17 +408,6 @@ def _boundary_gauge_gradient(ks: KernelSet, eta_b: np.ndarray, start=None):
     grid = ks.grid
     return _subgradient(_boundary_forward(ks, eta_b), grid, exponential_pair(),
                         "conjugate", "rho", grid.rho, start)
-
-
-def boundary_measure(ks: KernelSet, f: np.ndarray) -> np.ndarray:
-    """Boundary measure mu = vol L^T f that pairs with the boundary primal.
-
-    For every boundary vector eta, sum_b mu_b eta_b = vol f^T L eta: mu is
-    the balayage onto the boundary of the interior density
-    vol rho* (-Lap f).  This is the measure the boundary dual certifies.
-    """
-    f = np.asarray(f, dtype=float)
-    return _boundary_adjoint(ks, ks.grid.cell_measure * f)
 
 
 def boundary_test_norm(ks: KernelSet, eta_b: np.ndarray) -> float:
@@ -485,13 +481,14 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     dilated by opts.dilation rings like the primal's pin, whose Green
     potential has the least Orlicz norm (see the module docstring).
 
-    Damped Newton runs over m = 1/|S| + Q y from y = 0, Q an orthonormal
-    basis of the mass-zero measures, for at most opts.dual_iters steps
-    (converged False at the cap); mu_masses is m / ||G m||_orl, and
-    aux["newton_decrement"] the decrement at the returned m.  A single
-    atom has no free direction.  aux["green_block"] holds the Green
-    columns G_S of the support mu_nodes, (Ni, |S|), from which
-    primal_interior builds its witness.
+    Damped Newton runs over m = 1/|S| + D y from y = 0, D the node
+    differences e_j - e_0 (j >= 1); being affine invariant, its steps do
+    not depend on that basis of the mass-zero measures (see the module
+    docstring).  It takes at most opts.dual_iters steps (converged False
+    at the cap); mu_masses is m / ||G m||_orl, and aux["newton_decrement"]
+    the decrement at the returned m.  A single atom has no free direction.
+    aux["green_block"] holds the Green columns G_S of the support
+    mu_nodes, (Ni, |S|), from which primal_interior builds its witness.
     """
     grid = ks.grid
     grid.require_same(K.grid)
@@ -504,27 +501,23 @@ def dual_interior(K: CompactSet, ks: KernelSet,
     m = np.full(support.size, 1.0 / support.size)
     steps, converged, decrement = 0, True, 0.0
     if support.size > 1:
-        # the Householder reflection swapping e_1 and the unit mean
-        # direction: its other columns span {sum m = 0} orthonormally
-        u = np.full(support.size, support.size ** -0.5)
-        u[0] -= 1.0
-        Q = (np.eye(support.size) - 2.0 * np.outer(u, u) / (u @ u))[:, 1:]
-        v0, GQ = cols @ m, cols @ Q
+        # the node differences e_j - e_0 span {sum m = 0}
+        v0, GD = cols @ m, cols[:, 1:] - cols[:, :1]
         y, start = np.zeros(support.size - 1), None  # start: the last level root
 
         def amemiya(y):
             nonlocal start
-            v = v0 + GQ @ y
+            v = v0 + GD @ y
             nrm, k, start = _amemiya(v, grid, nf, "lebesgue", start)
             return nrm, k, v
 
         nrm, k, v = amemiya(y)
         while True:
             pk = nf.p(k * v)
-            grad = GQ.T @ (pk * W)
+            grad = GD.T @ (pk * W)
             d2 = (1.0 + np.abs(pk)) * W  # P''(k v) W: P'' = e^|s| = 1 + |p| here
-            a = GQ.T @ (v * d2)
-            hess = k * (GQ.T @ (GQ * d2[:, None]) - np.outer(a, a) / (v @ (v * d2)))
+            a = GD.T @ (v * d2)
+            hess = k * (GD.T @ (GD * d2[:, None]) - np.outer(a, a) / (v @ (v * d2)))
             try:
                 step = -cho_solve(cho_factor(hess), grad)
             except np.linalg.LinAlgError:
@@ -542,7 +535,8 @@ def dual_interior(K: CompactSet, ks: KernelSet,
             y += alpha * step
             nrm, k, v = trial
             steps += 1
-        m = m + Q @ y
+        m[1:] += y
+        m[0] -= y.sum()
     nrm = orlicz_norm(cols @ m, grid, nf, "lebesgue")
     return CapacityEstimate("dual-interior", dual_value=float(m.sum() / nrm),
                             mu_nodes=support, mu_masses=m / nrm,
@@ -555,8 +549,8 @@ def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstim
     """Adjoint lower bound certified at the boundary primal's final eta.
 
     f = g_w / vol is the gradient of the gauge at w = L eta, so
-    mu = vol L^T f (boundary_measure) pairs with every boundary vector
-    as sum mu_b eta_b = vol f^T L eta <= ||f||_orl,rho ||L eta / rho||.
+    mu = vol L^T f = L^T g_w pairs with every boundary vector as
+    sum mu_b eta_b = vol f^T L eta <= ||f||_orl,rho ||L eta / rho||.
     Every admissible eta is 1 on the pinned set and in [0, 1] off it,
     so (mu(pinned) + sum of the negative part of mu off it) / ||f||_orl
     is below the primal value of every admissible eta.
@@ -564,9 +558,9 @@ def _boundary_certificate(pri: CapacityEstimate, ks: KernelSet) -> CapacityEstim
     grid = ks.grid
     ones = pri.aux["ones"]
     _, gw, _ = _boundary_gauge_gradient(ks, pri.eta_star)
-    f = gw / grid.cell_measure
-    potential_norm = orlicz_norm(f, grid, exponential_pair(), weight="rho")
-    mu = boundary_measure(ks, f)
+    potential_norm = orlicz_norm(gw / grid.cell_measure, grid, exponential_pair(),
+                                 weight="rho")
+    mu = _boundary_adjoint(ks, gw)
     off = np.ones(grid.n_boundary, dtype=bool)
     off[ones] = False
     negative_mass = float(np.minimum(mu[off], 0.0).sum())
@@ -654,9 +648,9 @@ def pairing(eta_b: np.ndarray, mu: BoundaryMeasure, ks: KernelSet):
     idx = np.flatnonzero(masses > 0)
     b = 0.0
     if idx.size:
-        G = np.zeros((grid.n_boundary, idx.size))
-        G[idx, np.arange(idx.size)] = 1.0 / grid.boundary_cell_measure
-        cols = ks.solve(ks.coupling @ G)
+        # B times the unit atoms at idx: B's columns scaled by 1 / h_b
+        cols = ks.solve(ks.coupling[:, idx].toarray()
+                        * (1.0 / grid.boundary_cell_measure))
         inner = vol * (cols.T @ minus_lap_z)
         b = float(inner @ masses[idx])
     return a, b

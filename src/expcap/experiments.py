@@ -68,12 +68,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.shape not in SHAPES:
             raise BadInput(f"shape must be one of {', '.join(SHAPES)}, got {self.shape!r}")
-        lad = tuple(int(v) for v in self.ladder)
+        for name in ("ladder", "radii"):  # whole numbers, kept as ints
+            values = tuple(getattr(self, name))
+            if not all(math.isfinite(v) and v == int(v) for v in values):
+                raise BadInput(f"{name} must hold whole numbers, got {list(values)}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
+        lad = self.ladder
         if not lad:
             raise BadInput("the grid ladder needs at least one size")
         if any(b <= a for a, b in zip(lad, lad[1:])):
             raise BadInput("grid ladder must be strictly increasing")
-        object.__setattr__(self, "ladder", lad)
         ms = tuple(float(v) for v in self.masses)
         if not ms or not all(math.isfinite(m) and m >= 0 for m in ms):
             raise BadInput(f"need one or more masses, each finite and >= 0, got {list(ms)}")
@@ -83,12 +87,10 @@ class ExperimentConfig:
                 raise BadInput(f"{name} must be a finite number >= 0, got {value}")
         if not math.isfinite(self.slope_tol):
             raise BadInput(f"slope_tol must be a finite number, got {self.slope_tol}")
-        radii = tuple(int(v) for v in self.radii)
-        if not radii:
+        if not self.radii:
             raise BadInput("the family needs at least one radius")
-        if any(r < 1 for r in radii):
+        if any(r < 1 for r in self.radii):
             raise BadInput("family radii must be >= 1")
-        object.__setattr__(self, "radii", radii)
 
 
 def write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -114,12 +114,14 @@ class WeightedGrid:
 
     def nearest(self, point, kind: str = "interior", count: int = 1) -> np.ndarray:
         """Sorted ordinals of the `count` interior (or boundary) nodes
-        nearest to `point` (ndim coordinates, or ValueError); among
+        nearest to `point` (ndim finite coordinates, or BadInput); among
         equidistant nodes the lowest ordinal wins.  Only the nodes no
         farther than the `count`-th distance are sorted."""
         point = np.atleast_1d(np.asarray(point, dtype=float))
         if point.shape != (self.ndim,):
-            raise ValueError(f"point {point.tolist()} needs {self.ndim} coordinates")
+            raise BadInput(f"point {point.tolist()} needs {self.ndim} coordinates")
+        if not np.isfinite(point).all():
+            raise BadInput(f"point {point.tolist()} has a non-finite coordinate")
         offset = self.coords(kind) - point
         d2 = np.sum(offset ** 2, axis=1)
         k = min(count, d2.size) - 1

@@ -221,22 +221,18 @@ def _subgradient(f, grid, nf, side, weight, scale, start=None):
     return rmax * math.exp(-t), np.copysign(g, vals, out=g), t
 
 
-def orlicz_norm_and_argmin(f, grid: WeightedGrid, nf: NFunction,
-                           weight: str = "lebesgue"):
-    """(Amemiya norm of f, its minimising k); raises ZeroField at f = 0.
+def _amemiya(f, grid, nf, weight, start=None):
+    """(norm, k, t): the Amemiya norm of f, its minimising k and the root
+    t = log(k max|f|) of the level equation; raises ZeroField at f = 0.
 
     Setting the derivative of (1 + sum N(k f) W) / k to zero gives the
     level equation sum W N*(n(k |f|)) = 1, whose left side increases
     with k.  The norm is the Amemiya functional evaluated at k, so it is
     never below the exact norm.  At k the envelope theorem gives the
-    gradient of the norm in f as n(k f) W.
+    gradient of the norm in f as n(k f) W.  The level Newton starts at
+    `start`, the root t of a previous evaluation in the same search, or
+    cold at the quadratic guess when it is None (see `_level_start`).
     """
-    return _amemiya(f, grid, nf, weight)[:2]
-
-
-def _amemiya(f, grid, nf, weight, start=None):
-    """(norm, k, t): orlicz_norm_and_argmin with its level Newton started
-    at the root `start` of a previous evaluation, and its own root t."""
     vals = grid.interior_values(f)
     a = np.abs(vals)
     amax = float(a.max(initial=0.0))

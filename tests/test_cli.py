@@ -328,6 +328,10 @@ BAD_INPUT = {
        for name in BAD_FIELDS},
     "target-point-not-a-number": ["capacity", "--n", "8", "--target", "point:abc"],
     "target-point-one-coordinate": ["capacity", "--n", "8", "--target", "point:0.5"],
+    "target-point-inf": ["capacity", "--n", "8", "--target", "point:inf,0"],
+    "interior-atom-nan": ["solve", "--n", "8", "--interior-atoms", "nan,0.5:1"],
+    "interior-atom-inf": ["solve", "--n", "8", "--interior-atoms", "inf,0.5:1"],
+    "boundary-atom-inf": ["solve", "--n", "8", "--boundary-atoms", "inf,0:2"],
     "zero-radius": ["vanishing", "--radii", "0"],
     "no-radius": ["vanishing", "--radii", ","],
     **{f"empty-ladder-{name}": [name, "--ladder", ","]

@@ -37,11 +37,14 @@ def test_config_validation():
     ("threshold_window", float("inf")), ("residual_tol", -1e-4),
     ("residual_tol", float("nan")), ("slope_tol", float("nan")),
     ("slope_tol", float("inf")), ("slope_tol", float("-inf")), ("masses", ()),
-    ("masses", (2.0, float("nan"))), ("masses", (float("inf"),))])
+    ("masses", (2.0, float("nan"))), ("masses", (float("inf"),)),
+    ("ladder", (8.7, 12.2, 16)), ("ladder", (8, float("nan"))),
+    ("ladder", (float("inf"),)), ("radii", (2.9,)), ("radii", (3, float("nan")))])
 def test_config_refuses_a_tolerance_or_mass_no_verdict_can_use(field, value):
     # a negative window can only print FAIL, a nan slope tolerance reads every
     # mass as admissible and blamed the ladder, and an empty mass list left
-    # both verdict lists empty: each is refused before any grid is built
+    # both verdict lists empty; a grid size or radius that is not a whole
+    # number was truncated (8.7 ran 8): each is refused before any grid is built
     with pytest.raises(BadInput, match=field):
         ExperimentConfig(**{field: value})
 
@@ -306,3 +309,19 @@ def test_nearest_rejects_a_point_of_another_dimension():
     with pytest.raises(ValueError):
         target_nodes(interval, "boundary", "bottom-mid")
     assert target_nodes(interval, "boundary", "point:1").tolist() == [1]
+
+
+@pytest.mark.parametrize("point", [(float("nan"), 0.5), (float("inf"), 0.5),
+                                   (0.5, float("-inf"))])
+@pytest.mark.parametrize("kind", ["interior", "boundary"])
+def test_nearest_refuses_a_non_finite_point(point, kind):
+    # a NaN distance ended in an IndexError and an infinite one snapped to
+    # node 0, so an atom or a 'point:' target at inf was solved at node 0
+    grid = build_grid("square", 8)
+    with pytest.raises(BadInput, match="non-finite"):
+        grid.nearest(point, kind)
+    with pytest.raises(BadInput, match="non-finite"):
+        MeasureSpec(kind, atoms=((point, 1.0),)).instantiate(grid)
+    name = "point:" + ",".join(str(v) for v in point)
+    with pytest.raises(BadInput, match="non-finite"):
+        target_nodes(grid, kind, name)
