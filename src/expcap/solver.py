@@ -41,20 +41,27 @@ factor's first step q is the bound, which for a fresh factor is at most
 s (q s is Newton's quadratic remainder); after that q is the smaller of
 the bound and the observed ratio of the last two steps.  One more fresh
 Newton step from a returned solution of atom or interior-density data
-moves it by at most 2.53 eps max(1, |u|_inf) (square n=32-128 and disk
-n=64).  A boundary density's load reaches 4/h^2 at the corners, and
-that floor follows it: with density 2 one more step moves a solution by
-2.55/4.32/10.13 eps max(1, |u|_inf) on square n=32/64/128 and by 7.97
-on disk n=64, so the rule's unit of rounding is too small there (a unit
-scaled by the residual's own terms would cover both).  Every Jacobian
-is factored in A's own column order (`KernelSet.factor_shifted`).
+moves it by a few units of eps max(1, |u|_inf): up to 6.97 for interior
+atoms of mass 2-32 within three ordinals of the centre and density 2 on
+square n=32-160 and disk n=64-128 (7.17, at square n=160, before the
+start descended its bracket).  Four successive fresh steps from one
+solution (the centre atom of mass 8) move it by 0.7-5.9 units each, so
+that is the rounding floor of the residual, not a step the rule cut
+short.  A boundary density's load
+reaches 4/h^2 at the corners, and that floor follows it: with density 2
+one more step moves a solution by 4.98/5.87/9.90 eps max(1, |u|_inf) on
+square n=32/64/128 and by 3.58 on disk n=64, so the rule's unit of
+rounding is too small there (a unit scaled by the residual's own terms
+would cover both).  Every Jacobian is factored in A's own column order
+(`KernelSet.factor_shifted`).
 
 REUSE_TOL is 0.05.  A kept factor costs a chord step more now and then,
 a solve against a factorisation (about 1.3 ms against 20 ms at square
-n=128): at 0.05 the n=128 interior atom of mass 8 factors twice, at
-0.01 three times.  From the clipped start alone 0.05 took criterion 8's
-n=64 atom of mass 16 to 17 steps; from the barrier start below, the
-boundary atoms take 7-10.
+n=128): before the start descended its bracket (below), the n=128
+interior atom of mass 8 factored twice at 0.05 and three times at 0.01.
+From the clipped start alone 0.05 took criterion 8's n=64 atom of mass
+16 to 17 steps; from the barrier start below, the boundary atoms take
+7-10.
 
 The start is the least of two supersolutions, not the linear potential
 u_lin = A^{-1} data alone: while e^u dominates, Newton lowers u by about
@@ -98,16 +105,55 @@ from this argument and is not tuned.
 The argument is continuous, so it does not make the start a discrete
 supersolution; one residual does.  The lowered start is kept only if
 F(u_0) >= -1e-9 max(1, |data|_inf) at every node, the supersolution
-flag's own test, and that residual is the first step's.  Otherwise the
-solve starts from the clipped start, and `SolveReport.barrier_start`
-records which start was taken.  Either way the start is a checked
-supersolution, so every argument here and below holds unchanged.  The
-minimum with a carried solution (next paragraph) is taken before the
-check, so a carried factor's u_f still lies above the start.  The check
-runs after the overflow screen, the only one on this path, so a charged
-hole's potential never reaches expm1.  From the barrier start the
-boundary atoms of mass 2-32 on square n=32-128 take 7-10 steps and 5-6
-factorisations, against 8-19 and 6-17.
+flag's own test, and the descent below starts from that residual.
+Otherwise the solve starts from the clipped start, and
+`SolveReport.barrier_start` records which start was taken.  Either way
+the start is a checked supersolution, so every argument here and below
+holds unchanged.  The minimum with a carried solution (two paragraphs
+down) is taken before the check, so a carried factor's u_f still lies
+above the start.  The check runs after the overflow screen, the only
+one on this path, so a charged hole's potential never reaches expm1.
+From the barrier start the boundary atoms of mass 2-32 on square
+n=32-128 take 7-10 steps and 5-6 factorisations, against 8-19 and 6-17.
+
+The start taken then descends a bracket of the solution, one solve with
+A's own LU per point.  For a supersolution u, F(u) - F(u*) = (A + D)
+(u - u*) with D = mask e^xi >= 0 diagonal (xi between u* and u), and
+0 <= (A + D)^{-1} <= A^{-1} entrywise for these M-matrices, so
+
+    d = A^{-1} F(u)   gives   u - d <= u* <= u,
+
+and u - d is a subsolution outright, as F(u - d) = mask (e^{u-d} - e^u)
+<= 0.  If max d <= delta = -ln(1 - REUSE_TOL), every iterate has
+u_f - u_m <= u_0 - u* <= d, so the first factor's contraction bound
+stays at most REUSE_TOL and that factor lasts the whole solve: the start
+is kept.
+Otherwise u moves to the upper midpoint u - d/2 while that passes the
+start's own test, F >= -1e-9 max(1, |data|_inf), with d solved again at
+each accepted point, until max d <= w* or a midpoint fails.  w* is where
+a halving stops paying.  A factor taken at width w contracts its chord
+steps by q <= 1 - e^{-w}, about w, so from a first step of about w it
+needs about ln(1/eps) / ln(1/w) steps to reach rounding, and halving w
+saves ln(1/eps) ln 2 / ln(1/w)^2 of them to first order.  A halving
+costs an A-solve and a residual, about one chord step, since A and
+every Jacobian share one fill.  So halving pays while
+ln(1/w)^2 <= ln(1/eps) ln 2, and
+
+    w* = exp(-sqrt(ln(1/eps) ln 2)) = 0.00675.
+
+delta and w* follow from REUSE_TOL and eps; neither is tuned.  max d
+runs over every node, which bounds it over the absorbing ones.  A start
+whose first midpoint fails (boundary atoms, atom-plus-density data, the
+punctured solve's holes charged 20) costs one A-solve and one residual
+and then solves as before, bit for bit; one with max d <= delta
+(interior density 2) costs the A-solve.  A hole charged 5 descends and
+factors once (twice before).  `SolveReport` records the midpoints taken
+and the start's width max d, which bounds u_0 - u*; a carried start
+(next paragraph) skips the descent and records an infinite width.  The
+centre atom of mass 8 on square n=32-128 and disk n=64 takes 4 midpoints
+and then one factor (two before; 4 steps against 6 at n=128), and
+boundary density 2 takes one factor in 6 steps on square n=32-128 and in
+5 on disk n=64 (6 steps and 2 factors before).
 
 A solve can carry over to the next: its load b', its solution w, and
 its last factor, taken at an iterate u_f of that solve.  The next solve
@@ -149,6 +195,9 @@ from .nfunctions import EXP_ARG_MAX
 REUSE_TOL = 0.05
 # the 2-D Keller-Osserman constant of the barrier start (module docstring)
 KO_BARRIER = 16.0
+# the start's halvings stop at this bracket width, where one more stops
+# paying for the chord steps it saves (module docstring)
+_HALVING_WIDTH = float(np.exp(-np.sqrt(np.log(1.0 / np.finfo(float).eps) * np.log(2.0))))
 RES_TOL = 1e-8
 MAX_OUTER = 100
 SLOPE_TOL = 0.2
@@ -171,6 +220,8 @@ class SolveReport:
     mass_bound_integral: float  # int (u + (e^u - 1) zeta0) dx
     data_max: float
     barrier_start: bool        # min(clipped start, barrier) passed its check
+    midpoints: int             # bracket halvings taken before the first step
+    start_width: float         # max A^{-1} F(u_0) >= u_0 - u*; inf from a carry
 
 
 def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] = None,
@@ -216,7 +267,8 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
     # budget that grows with its height.
     limit = max(MAX_OUTER, int(np.ceil(float(u.max(initial=0.0)))) + 60)
     # lower the start to the Keller-Osserman barrier where that keeps it a
-    # supersolution; the residual of the start taken is the first step's
+    # supersolution, then down its bracket; the residual of the start taken
+    # is the first step's
     low = np.minimum(u, _barrier(ks.grid, b, on))
     r = A @ low + mask * np.expm1(low) - b
     barrier_start = bool(r.min() >= -1e-9 * scale)
@@ -224,6 +276,10 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         u = low
     else:
         r = A @ u + mask * np.expm1(u) - b
+    del u_lin, low
+    midpoints, width = 0, np.inf
+    if not carried:
+        u, r, midpoints, width = _descend(ks, u, r, mask, b, scale)
     res_hist = []
     monotone = True
     supersolution = True
@@ -281,7 +337,32 @@ def _semilinear_solve(ks: KernelSet, b: np.ndarray, mask: Optional[np.ndarray] =
         mass_bound_integral=integrate(u + absorb * ks.zeta0, ks.grid, "lebesgue"),
         data_max=float(np.abs(b).max(initial=0.0)),
         barrier_start=barrier_start,
+        midpoints=midpoints,
+        start_width=width,
     )
+
+
+def _descend(ks: KernelSet, u: np.ndarray, r: np.ndarray, mask: np.ndarray,
+             b: np.ndarray, scale: float):
+    """Lower a checked supersolution u with residual r = F(u) through its
+    bracket u - d <= u* <= u, d = A^{-1} r: halve it while the upper
+    midpoint passes the start's test, unless the first factor already
+    lasts the solve (module docstring).  Returns the start, its residual,
+    the midpoints taken and the start's width max d."""
+    d = ks.solve(r)
+    width = float(d.max(initial=0.0))
+    midpoints = 0
+    if width > -np.log1p(-REUSE_TOL):
+        while width > _HALVING_WIDTH:
+            mid = u - 0.5 * d
+            r_mid = ks.lap @ mid + mask * np.expm1(mid) - b
+            if r_mid.min() < -1e-9 * scale:
+                break
+            u, r = mid, r_mid
+            midpoints += 1
+            d = ks.solve(r)
+            width = float(d.max(initial=0.0))
+    return u, r, midpoints, width
 
 
 def _barrier(grid, b: np.ndarray, on: np.ndarray) -> np.ndarray:
@@ -437,17 +518,18 @@ def weak_residual(u: Field, mu, ks: KernelSet, tests: np.ndarray,
     solver precision for converged solves); flux_order=2 the one-sided
     second-order difference (residuals of order h).
     """
+    if not isinstance(mu, (BoundaryMeasure, InteriorMeasure)):
+        raise NotComparable("mu must be an InteriorMeasure or BoundaryMeasure")
     grid = ks.grid
     grid.require_same(u.grid)
+    grid.require_same(mu.grid)
     tests = grid.interior_values(tests, stack=True)
     # ks.lap @ tests = -Lap zeta with zero extension, one test per column
     out = grid.cell_measure * (u.values @ (ks.lap @ tests) + np.expm1(u.values) @ tests)
     if isinstance(mu, BoundaryMeasure):
         out += mu.node_masses() @ normal_derivative(ks, tests, order=flux_order)
-    elif isinstance(mu, InteriorMeasure):
-        out -= mu.node_masses() @ tests
     else:
-        raise NotComparable("mu must be an InteriorMeasure or BoundaryMeasure")
+        out -= mu.node_masses() @ tests
     return float(np.abs(out).max()), out
 
 

@@ -178,6 +178,20 @@ def test_weak_residual_refuses_a_basis_of_another_grid(ks16):
         weak_residual(rep.u, mu, ks8, np.ones(ks8.grid.n_interior))
 
 
+def test_weak_residual_refuses_a_measure_of_another_grid(ks16):
+    # square n=17 against 16, and a grid of another shape with as many
+    # interior nodes (interval n=256 and square n=16 both have 256)
+    rep = solve_interior(InteriorMeasure(ks16.grid, density=np.ones(ks16.grid.n_interior)),
+                         ks16)
+    basis = default_test_basis(ks16)
+    for shape, n in (("square", 17), ("interval", 256)):
+        grid = build_grid(shape, n)
+        for mu in (InteriorMeasure(grid, density=np.ones(grid.n_interior)),
+                   BoundaryMeasure(grid, density=np.ones(grid.n_boundary))):
+            with pytest.raises(GridMismatch):
+                weak_residual(rep.u, mu, ks16, basis)
+
+
 def test_weak_residual_boundary_flux_orders(ks16):
     grid = ks16.grid
     mu = BoundaryMeasure(grid, density=np.full(grid.n_boundary, 2.0))
@@ -579,3 +593,80 @@ def test_a_barrier_that_fails_its_check_falls_back(ks32, monkeypatch):
     clipped = solve_boundary(mu, ks32)
     assert np.array_equal(rep.u.values, clipped.u.values)
     assert rep.iterations == clipped.iterations
+
+
+_BRACKET_GRIDS = [("square", 32), ("square", 64), ("square", 128), ("disk", 64)]
+
+
+@pytest.mark.parametrize("shape, n", _BRACKET_GRIDS)
+def test_a_centre_atom_descends_its_bracket_and_factors_once(monkeypatch, shape, n):
+    # the barrier start sits 0.33-0.37 above the solution; four halvings
+    # of its bracket bring it within reach of one factor (two before)
+    ks = cached_kernels(shape, n)
+    centre = int(target_nodes(ks.grid, "interior", "center")[0])
+    factored = _count_factorizations(monkeypatch)
+    rep = solve_interior(InteriorMeasure(ks.grid, atoms=[(centre, 8.0)]), ks)
+    assert rep.factorizations == factored[0] == 1
+    assert rep.midpoints == 4
+    assert rep.start_width <= solver._HALVING_WIDTH
+    assert rep.monotone and rep.supersolution
+
+
+@pytest.mark.parametrize("shape, n", _BRACKET_GRIDS)
+def test_a_boundary_density_factors_once(monkeypatch, shape, n):
+    # two factorisations before the start descended its bracket
+    ks = cached_kernels(shape, n)
+    factored = _count_factorizations(monkeypatch)
+    rep = solve_boundary(BoundaryMeasure(ks.grid, density=np.full(ks.grid.n_boundary, 2.0)),
+                         ks)
+    assert rep.factorizations == factored[0] == 1
+    assert rep.midpoints > 0
+    assert rep.monotone and rep.supersolution
+
+
+@pytest.mark.parametrize("shape, n", [("square", 32), ("square", 64), ("disk", 64)])
+def test_the_start_width_bounds_the_first_factor_above_the_solution(monkeypatch, shape, n):
+    # 0 <= u_0 - u* <= A^{-1} F(u_0): the first factor is taken at u_0,
+    # and the returned solution is u* to rounding
+    ks = cached_kernels(shape, n)
+    grid = ks.grid
+    centre = int(target_nodes(grid, "interior", "center")[0])
+    shifts = []  # d = e^{u_f} of every factor_shifted call, in order
+    orig = kernels.KernelSet.factor_shifted
+    monkeypatch.setattr(kernels.KernelSet, "factor_shifted",
+                        lambda self, d, *a, **kw: shifts.append(d.copy()) or orig(self, d, *a, **kw))
+    cases = _bottom_atoms(ks, (2.0, 32.0)) + [
+        InteriorMeasure(grid, atoms=[(centre, 8.0)]),
+        InteriorMeasure(grid, density=np.full(grid.n_interior, 2.0)),
+        BoundaryMeasure(grid, density=np.full(grid.n_boundary, 2.0)),
+    ]
+    for mu in cases:
+        solve = solve_boundary if isinstance(mu, BoundaryMeasure) else solve_interior
+        del shifts[:]
+        rep = solve(mu, ks)
+        u = rep.u.values
+        gap = float((np.log(shifts[0]) - u).max())
+        assert 0.0 <= gap <= rep.start_width + 4 * np.finfo(float).eps * max(1.0, np.abs(u).max())
+
+
+@pytest.mark.parametrize("shape, n", [("square", 32), ("disk", 64)])
+def test_a_start_that_does_not_descend_keeps_its_bits(monkeypatch, shape, n):
+    # a boundary atom's first midpoint fails its check, and a smooth
+    # interior load's first factor lasts its solve: with the halving width
+    # made inert these solve as before, bit for bit and step for step
+    ks = cached_kernels(shape, n)
+    grid = ks.grid
+    bm = int(target_nodes(grid, "boundary", "bottom-mid")[0])
+    cases = _bottom_atoms(ks, (2.0, 4.0, 8.0, 16.0, 32.0)) + [
+        BoundaryMeasure(grid, atoms=[(bm, 1.0)], density=np.full(grid.n_boundary, 1.0)),
+        InteriorMeasure(grid, density=np.full(grid.n_interior, 2.0)),
+    ]
+    for mu in cases:
+        solve = solve_boundary if isinstance(mu, BoundaryMeasure) else solve_interior
+        rep = solve(mu, ks)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_HALVING_WIDTH", np.inf)
+            ref = solve(mu, ks)
+        assert rep.midpoints == ref.midpoints == 0
+        assert np.array_equal(rep.u.values, ref.u.values)
+        assert (rep.iterations, rep.factorizations) == (ref.iterations, ref.factorizations)
